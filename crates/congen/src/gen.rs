@@ -47,11 +47,8 @@ pub fn generate_with_externals(
         analyses.push((cfg, frame, rd));
         summaries.push(summary);
     }
-    // Phase 2: constraint emission. The register-name table is interned
-    // once for the whole generation (each `FuncGen` used to rescan
-    // `Reg::ALL` per formal and per call argument), and procedures go
-    // through `add_proc` so the program's name → index map is populated for
-    // downstream by-name lookups.
+    // Phase 2: constraint emission, with the register-name table interned
+    // once for the whole generation.
     let regs: FxHashMap<Symbol, Reg> = Reg::ALL
         .iter()
         .map(|&r| (Symbol::intern(r.name()), r))

@@ -82,7 +82,7 @@ pub use simplify::SchemeBuilder;
 pub use sketch::Sketch;
 pub use solver::{
     callsite_actuals, CallTarget, Callsite, Condensation, ProcResult, Procedure, Program,
-    SccRefinement, SccSchemes, Solver, SolverResult, SolverStats,
+    SccGraph, SccRefinement, SccSchemes, Solver, SolverResult, SolverStats,
 };
 pub use variance::Variance;
 
@@ -107,4 +107,5 @@ const _: () = {
     assert_send_sync::<Condensation>();
     assert_send_sync::<SccSchemes>();
     assert_send_sync::<SccRefinement>();
+    assert_send_sync::<SccGraph>();
 };

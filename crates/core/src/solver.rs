@@ -6,11 +6,13 @@
 //! 1. **`INFERPROCTYPES`** (Algorithm F.1), callees first: each SCC's
 //!    combined constraint set — with callee schemes instantiated at tagged
 //!    callsites (Appendix A.4) and intra-SCC calls linked monomorphically —
-//!    is simplified down to a type scheme per procedure.
-//! 2. **`INFERTYPES`** (Algorithm F.2), callers first: constraint sets are
-//!    re-solved into sketches; each procedure's sketch is specialized to
-//!    its observed uses (`REFINEPARAMETERS`, Algorithm F.3) by meeting it
-//!    with the join of the actual sketches recorded at its callsites.
+//!    is saturated once, and a type scheme per procedure is extracted from
+//!    that one graph.
+//! 2. **`INFERTYPES`** (Algorithm F.2), callers first: the same saturated
+//!    graphs are solved into sketches; each procedure's sketch is
+//!    specialized to its observed uses (`REFINEPARAMETERS`, Algorithm F.3)
+//!    by meeting it with the join of the actual sketches recorded at its
+//!    callsites.
 //!
 //! Consistency checking is deferred (§3: satisfiability reduces to scalar
 //! constraint checks `κ₁ <: κ₂`): violations are *reported*, never fatal,
@@ -20,12 +22,13 @@
 //! and [`Solver::refine_scc`] — operating on immutable snapshots of the
 //! cross-SCC state, so external drivers (e.g. `retypd-driver`) can schedule
 //! independent SCCs concurrently and merge the outputs deterministically.
+//! The steps share one [`SccGraph`] per SCC: `solve_scc` builds it and
+//! returns it beside the schemes, and `refine_scc` consumes it, rebuilding
+//! it only when handed none (e.g. after a pass-1 cache hit).
 //! [`Solver::infer`] itself is a thin sequential composition of the two.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
-
-use crate::fxhash::FxHashMap;
 
 use crate::addsub::apply_addsubs;
 use crate::constraint::ConstraintSet;
@@ -64,6 +67,16 @@ pub struct Callsite {
     pub tag: String,
 }
 
+impl Callsite {
+    /// The callee's name: the internal procedure's, or the external's.
+    pub fn callee_name(&self, program: &Program) -> Symbol {
+        match self.callee {
+            CallTarget::Internal(i) => program.procs[i].name,
+            CallTarget::External(n) => n,
+        }
+    }
+}
+
 /// Target of a call: an internal procedure or an external function.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CallTarget {
@@ -83,9 +96,6 @@ pub struct Program {
     pub externals: BTreeMap<Symbol, TypeScheme>,
     /// Global variables: never renamed during instantiation.
     pub globals: BTreeSet<BaseVar>,
-    /// Name → index map maintained by [`Program::add_proc`] so by-name
-    /// lookups need not rescan `procs` linearly.
-    index: FxHashMap<Symbol, usize>,
 }
 
 impl Program {
@@ -94,26 +104,10 @@ impl Program {
         Program::default()
     }
 
-    /// Adds a procedure, returning its index. Keeps the name → index map in
-    /// sync; code that pushes onto `procs` directly should go through here
-    /// instead if it wants [`Program::proc_index`] to see the procedure.
+    /// Adds a procedure, returning its index.
     pub fn add_proc(&mut self, p: Procedure) -> usize {
-        let idx = self.procs.len();
-        self.index.insert(p.name, idx);
         self.procs.push(p);
-        idx
-    }
-
-    /// O(1) lookup of a procedure's index by name (procedures added via
-    /// [`Program::add_proc`]; on a miss falls back to a linear scan so
-    /// directly-pushed procedures still resolve).
-    pub fn proc_index(&self, name: Symbol) -> Option<usize> {
-        if let Some(&i) = self.index.get(&name) {
-            if self.procs.get(i).is_some_and(|p| p.name == name) {
-                return Some(i);
-            }
-        }
-        self.procs.iter().position(|p| p.name == name)
+        self.procs.len() - 1
     }
 }
 
@@ -151,18 +145,21 @@ pub struct SolverStats {
     pub cache_hits: u64,
     /// SCC solves that missed the scheme cache (0 for the plain solver).
     pub cache_misses: u64,
-    /// Nanoseconds building + saturating constraint graphs (pass 2,
-    /// including the shape quotient). Phase fields count *work performed*:
-    /// the driver zeroes them in cached entries, so cache hits replay size
-    /// statistics but no phase time, and the persistent store neither
-    /// persists nor replays them.
+    // The phase fields below count *work performed* (see [`PhaseNs`]): the
+    // driver zeroes them in cached entries, so cache hits replay size
+    // statistics but no phase work, and the store never persists them.
+    /// Nanoseconds combining SCC constraint sets (both passes' input).
+    pub combine_ns: u64,
+    /// Nanoseconds building + saturating graphs and quotients, once per SCC.
     pub saturate_ns: u64,
     /// Nanoseconds extracting scalar violations via the transducer (pass 2).
     pub transducer_ns: u64,
-    /// Nanoseconds simplifying type schemes (pass 1 scheme building).
+    /// Nanoseconds extracting type schemes from saturated graphs (pass 1).
     pub simplify_ns: u64,
     /// Nanoseconds inferring and refining sketches (pass 2).
     pub sketch_ns: u64,
+    /// Constraint graphs built and saturated: one per SCC solved cold.
+    pub saturations: u64,
 }
 
 impl SolverStats {
@@ -179,42 +176,63 @@ impl SolverStats {
         self.solve_ns += other.solve_ns;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.saturate_ns += other.saturate_ns;
-        self.transducer_ns += other.transducer_ns;
-        self.simplify_ns += other.simplify_ns;
-        self.sketch_ns += other.sketch_ns;
+        let mut work = *other;
+        self.add_phase_ns(&work.take_phase_ns());
     }
 
-    /// Moves the per-phase timing fields out, zeroing them here. The driver
-    /// calls this before caching an [`SccRefinement`] so a later cache hit
-    /// replays the SCC's size statistics but not phase work it never did.
+    /// Adds phase work to this record's phase fields.
+    pub fn add_phase_ns(&mut self, p: &PhaseNs) {
+        self.combine_ns += p.combine_ns;
+        self.saturate_ns += p.saturate_ns;
+        self.transducer_ns += p.transducer_ns;
+        self.simplify_ns += p.simplify_ns;
+        self.sketch_ns += p.sketch_ns;
+        self.saturations += p.saturations;
+    }
+
+    /// Moves the phase fields out, zeroing them here. The driver calls this
+    /// before caching an [`SccRefinement`] so a later cache hit replays the
+    /// SCC's size statistics but not phase work it never did.
     pub fn take_phase_ns(&mut self) -> PhaseNs {
-        let ph = PhaseNs {
-            saturate_ns: self.saturate_ns,
-            transducer_ns: self.transducer_ns,
-            simplify_ns: self.simplify_ns,
-            sketch_ns: self.sketch_ns,
-        };
-        self.saturate_ns = 0;
-        self.transducer_ns = 0;
-        self.simplify_ns = 0;
-        self.sketch_ns = 0;
-        ph
+        use std::mem::take;
+        PhaseNs {
+            combine_ns: take(&mut self.combine_ns),
+            saturate_ns: take(&mut self.saturate_ns),
+            transducer_ns: take(&mut self.transducer_ns),
+            simplify_ns: take(&mut self.simplify_ns),
+            sketch_ns: take(&mut self.sketch_ns),
+            saturations: take(&mut self.saturations),
+        }
     }
 }
 
-/// Per-phase solve timing, split out of [`SolverStats`] for callers that
-/// need to account phase work separately from replayed size statistics.
+/// Per-phase solve work (timings plus the saturation count), split out of
+/// [`SolverStats`] for callers that account work performed separately
+/// from replayed size statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseNs {
-    /// Nanoseconds building + saturating constraint graphs.
+    /// Nanoseconds combining SCC constraint sets.
+    pub combine_ns: u64,
+    /// Nanoseconds building + saturating constraint graphs and quotients.
     pub saturate_ns: u64,
     /// Nanoseconds extracting scalar violations via the transducer.
     pub transducer_ns: u64,
-    /// Nanoseconds simplifying type schemes.
+    /// Nanoseconds extracting type schemes.
     pub simplify_ns: u64,
     /// Nanoseconds inferring and refining sketches.
     pub sketch_ns: u64,
+    /// Constraint graphs built and saturated.
+    pub saturations: u64,
+}
+
+/// Runs `f` under the span `name`, adding its wall time to `ns`: the one
+/// phase guard that feeds both the trace and the [`PhaseNs`] fields.
+fn timed<R>(name: &'static str, ns: &mut u64, f: impl FnOnce() -> R) -> R {
+    let _span = retypd_telemetry::span(name);
+    let start = Instant::now();
+    let out = f();
+    *ns += start.elapsed().as_nanos() as u64;
+    out
 }
 
 /// Result of whole-program inference.
@@ -237,10 +255,21 @@ pub struct SccSchemes {
     pub schemes: Vec<(Symbol, TypeScheme)>,
     /// Number of combined constraints processed for this SCC.
     pub constraints: usize,
-    /// Nanoseconds spent building these schemes (the simplify phase). Like
-    /// the [`SolverStats`] phase fields, this measures work performed, so
-    /// the driver counts it only on cache misses.
-    pub simplify_ns: u64,
+    /// Work performed (combine, saturate, simplify, one saturation), which
+    /// the driver counts only on cache misses.
+    pub phases: PhaseNs,
+}
+
+/// One SCC's solved constraint graph, built once and shared by both passes:
+/// the saturated [`ConstraintGraph`] of the SCC's combined constraint set,
+/// its [`ShapeQuotient`] with the additive constraints applied, and the
+/// type constants the set mentions. [`Solver::solve_scc`] returns it after
+/// extracting every member's scheme; [`Solver::refine_scc`] consumes it.
+#[derive(Debug)]
+pub struct SccGraph {
+    graph: ConstraintGraph,
+    quotient: ShapeQuotient,
+    consts: Vec<BaseVar>,
 }
 
 /// Pass-2 output for one SCC: every sketch the SCC's processing inserted
@@ -307,22 +336,7 @@ impl Condensation {
     /// the members of one wave are mutually independent and can be solved
     /// concurrently.
     pub fn waves(&self) -> Vec<Vec<usize>> {
-        let mut level = vec![0usize; self.sccs.len()];
-        let mut out: Vec<Vec<usize>> = Vec::new();
-        for i in 0..self.sccs.len() {
-            let l = self
-                .deps[i]
-                .iter()
-                .map(|&d| level[d] + 1)
-                .max()
-                .unwrap_or(0);
-            level[i] = l;
-            if out.len() <= l {
-                out.resize(l + 1, Vec::new());
-            }
-            out[l].push(i);
-        }
-        out
+        group_waves(0..self.sccs.len(), |i| &self.deps[i])
     }
 
     /// Dependency waves for pass 2 (callers first): wave `k` contains every
@@ -346,23 +360,31 @@ impl Condensation {
                 rdeps[d].push(i);
             }
         }
-        let mut level = vec![0usize; self.sccs.len()];
-        let mut out: Vec<Vec<usize>> = Vec::new();
-        for i in (0..self.sccs.len()).rev() {
-            let l = rdeps[i].iter().map(|&r| level[r] + 1).max().unwrap_or(0);
-            level[i] = l;
-            if out.len() <= l {
-                out.resize(l + 1, Vec::new());
-            }
-            out[l].push(i);
-        }
-        // Within a wave, keep descending SCC order (the sequential rev()
-        // order) so deterministic merges match the sequential solver.
-        for w in &mut out {
-            w.sort_unstable_by(|a, b| b.cmp(a));
-        }
-        out
+        // Visiting in descending order keeps each wave in descending SCC
+        // order (the sequential rev() order), so deterministic merges match
+        // the sequential solver.
+        group_waves((0..self.sccs.len()).rev(), |i| &rdeps[i])
     }
+}
+
+/// Puts each SCC, visited in `order`, in the wave after the latest wave of
+/// its predecessors `preds` (all visited before it); each wave lists its
+/// SCCs in visiting order.
+fn group_waves<'a, P: IntoIterator<Item = &'a usize>>(
+    order: impl ExactSizeIterator<Item = usize>,
+    preds: impl Fn(usize) -> P,
+) -> Vec<Vec<usize>> {
+    let mut level = vec![0usize; order.len()];
+    let mut out: Vec<Vec<usize>> = Vec::new();
+    for i in order {
+        let l = preds(i).into_iter().map(|&d| level[d] + 1).max().unwrap_or(0);
+        level[i] = l;
+        if out.len() <= l {
+            out.resize(l + 1, Vec::new());
+        }
+        out[l].push(i);
+    }
+    out
 }
 
 /// Builds the callsite-actuals index: callee name → tagged variables used
@@ -372,10 +394,7 @@ pub fn callsite_actuals(program: &Program) -> BTreeMap<Symbol, Vec<BaseVar>> {
     let mut actuals: BTreeMap<Symbol, Vec<BaseVar>> = BTreeMap::new();
     for proc in &program.procs {
         for cs in &proc.callsites {
-            let callee_name = match cs.callee {
-                CallTarget::Internal(i) => program.procs[i].name,
-                CallTarget::External(n) => n,
-            };
+            let callee_name = cs.callee_name(program);
             actuals
                 .entry(callee_name)
                 .or_default()
@@ -397,40 +416,34 @@ impl<'l> Solver<'l> {
         Solver { lattice }
     }
 
-    /// The lattice this solver marks sketches with.
-    pub fn lattice(&self) -> &'l Lattice {
-        self.lattice
-    }
-
     /// Runs the two-pass pipeline on a program: sequential composition of
     /// [`Solver::solve_scc`] over the condensation in reverse topological
     /// order, then [`Solver::refine_scc`] in topological order.
     pub fn infer(&self, program: &Program) -> SolverResult {
         let start = Instant::now();
         let cond = Condensation::compute(program);
-        let mut schemes: BTreeMap<Symbol, TypeScheme> = BTreeMap::new();
-        for (name, scheme) in &program.externals {
-            schemes.insert(*name, scheme.clone());
-        }
+        let mut schemes: BTreeMap<Symbol, TypeScheme> = program.externals.clone();
         let mut stats = SolverStats::default();
 
         // ---- Pass 1: INFERPROCTYPES (callees first). ----
+        let mut graphs = Vec::with_capacity(cond.sccs.len());
         for scc in &cond.sccs {
-            let out = self.solve_scc(program, scc, &cond.scc_of, &schemes);
+            let (out, graph) = self.solve_scc(program, scc, &cond.scc_of, &schemes);
             stats.constraints += out.constraints;
-            stats.simplify_ns += out.simplify_ns;
-            for (name, scheme) in out.schemes {
-                schemes.insert(name, scheme);
-            }
+            stats.add_phase_ns(&out.phases);
+            schemes.extend(out.schemes);
+            graphs.push(graph);
         }
 
-        // ---- Pass 2: INFERTYPES (callers first). ----
+        // ---- Pass 2: INFERTYPES (callers first), on pass 1's graphs. ----
         let actuals = callsite_actuals(program);
         let mut sketches: BTreeMap<BaseVar, Sketch> = BTreeMap::new();
         let mut general: BTreeMap<Symbol, Sketch> = BTreeMap::new();
         let mut inconsistencies = Vec::new();
-        for scc in cond.sccs.iter().rev() {
-            let r = self.refine_scc(program, scc, &cond.scc_of, &schemes, &actuals, &sketches);
+        for (scc, graph) in cond.sccs.iter().zip(graphs).rev() {
+            let r = self.refine_scc(
+                program, scc, &cond.scc_of, &schemes, &actuals, &sketches, Some(graph),
+            );
             stats.merge(&r.stats);
             inconsistencies.extend(r.inconsistencies);
             general.extend(r.general);
@@ -463,44 +476,44 @@ impl<'l> Solver<'l> {
     }
 
     /// Pass-1 step (`INFERPROCTYPES`, Algorithm F.1) for one SCC: combines
-    /// the members' constraints with instantiated callee schemes and
-    /// simplifies a type scheme per member. Reads only the `schemes`
-    /// snapshot (which must contain every cross-SCC callee), so independent
-    /// SCCs may run concurrently against the same snapshot.
+    /// the members' constraints with instantiated callee schemes, saturates
+    /// the combined graph once, and extracts a type scheme per member from
+    /// it. The SCC's [`SccGraph`] is returned beside the schemes for pass 2.
+    /// Reads only the `schemes` snapshot (which must contain every
+    /// cross-SCC callee), so independent SCCs may run concurrently against
+    /// the same snapshot.
     pub fn solve_scc(
         &self,
         program: &Program,
         scc: &[usize],
         scc_of: &[usize],
         schemes: &BTreeMap<Symbol, TypeScheme>,
-    ) -> SccSchemes {
-        let _span = retypd_telemetry::span("core.simplify");
-        let phase_start = Instant::now();
+    ) -> (SccSchemes, SccGraph) {
         let builder = SchemeBuilder::new(self.lattice);
-        let combined = crate::addsub::augment_with_addsubs(
-            &self.scc_constraints(program, scc, scc_of, schemes),
-            self.lattice,
-        );
-        let mut out = Vec::with_capacity(scc.len());
-        for &p in scc {
-            let proc = &program.procs[p];
-            let mut interesting: BTreeSet<BaseVar> = program.globals.clone();
-            interesting.insert(BaseVar::Var(proc.name));
-            let scheme =
-                builder.infer_with_interesting(BaseVar::Var(proc.name), &interesting, &combined);
-            out.push((proc.name, scheme));
-        }
-        SccSchemes {
-            schemes: out,
-            constraints: combined.len(),
-            simplify_ns: phase_start.elapsed().as_nanos() as u64,
-        }
+        let mut phases = PhaseNs::default();
+        let (graph, constraints, out) =
+            self.scc_graph(program, scc, scc_of, schemes, &mut phases, |g, quotient| {
+                scc.iter()
+                    .map(|&p| {
+                        let name = program.procs[p].name;
+                        let mut interesting: BTreeSet<BaseVar> = program.globals.clone();
+                        interesting.insert(BaseVar::Var(name));
+                        let (cs, existentials) = builder.extract(g, quotient, &interesting);
+                        (name, TypeScheme::new(BaseVar::Var(name), existentials, cs))
+                    })
+                    .collect()
+            });
+        (SccSchemes { schemes: out, constraints, phases }, graph)
     }
 
     /// Pass-2 step (`INFERTYPES` + `REFINEPARAMETERS`, Algorithms F.2/F.3)
-    /// for one SCC: re-solves the combined constraints into sketches and
+    /// for one SCC: solves the SCC's saturated graph into sketches and
     /// specializes each member by the join of the actual sketches recorded
     /// at its callsites.
+    ///
+    /// `graph` is the [`SccGraph`] pass 1 returned for this SCC; with
+    /// `None` (pass 1 was answered from a cache) it is rebuilt, without
+    /// scheme extraction, from `schemes`.
     ///
     /// `sketches` is a read-only snapshot of the sketches produced by
     /// already-processed (caller-side) SCCs; insertions made while
@@ -515,85 +528,105 @@ impl<'l> Solver<'l> {
         schemes: &BTreeMap<Symbol, TypeScheme>,
         actuals: &BTreeMap<Symbol, Vec<BaseVar>>,
         sketches: &BTreeMap<BaseVar, Sketch>,
+        graph: Option<SccGraph>,
     ) -> SccRefinement {
         let mut stats = SolverStats::default();
-        let combined = crate::addsub::augment_with_addsubs(
-            &self.scc_constraints(program, scc, scc_of, schemes),
-            self.lattice,
-        );
-        let phase_start = Instant::now();
-        let saturate_span = retypd_telemetry::span("core.saturate");
-        let mut g = ConstraintGraph::build(&combined);
-        saturate(&mut g);
-        let mut quotient = ShapeQuotient::build(&combined);
-        apply_addsubs(&combined, &mut quotient, self.lattice);
-        drop(saturate_span);
-        stats.saturate_ns = phase_start.elapsed().as_nanos() as u64;
+        let mut phases = PhaseNs::default();
+        let SccGraph { graph: g, quotient, consts } = match graph {
+            Some(built) => built,
+            None => self.scc_graph(program, scc, scc_of, schemes, &mut phases, |_, _| ()).0,
+        };
         stats.graph_nodes += g.node_count();
         stats.graph_edges += g.edge_count();
         stats.quotient_nodes += quotient.node_count();
-        let consts: Vec<BaseVar> = combined
-            .base_vars()
-            .into_iter()
-            .filter(|b| b.is_const())
-            .collect();
-        let phase_start = Instant::now();
-        let transducer_span = retypd_telemetry::span("core.transducer");
-        let inconsistencies = crate::transducer::scalar_violations(&g, self.lattice);
-        drop(transducer_span);
-        stats.transducer_ns = phase_start.elapsed().as_nanos() as u64;
-        let phase_start = Instant::now();
-        let sketch_span = retypd_telemetry::span("core.sketch_infer");
+        let inconsistencies = timed("core.transducer", &mut phases.transducer_ns, || {
+            crate::transducer::scalar_violations(&g, self.lattice)
+        });
         let mut overlay: BTreeMap<BaseVar, Sketch> = BTreeMap::new();
         let mut general = Vec::new();
-        for &p in scc {
-            let proc = &program.procs[p];
-            let pv = BaseVar::Var(proc.name);
-            let own = Sketch::infer(pv, &g, &quotient, self.lattice, &consts);
-            if let Some(own) = own {
-                stats.sketch_states += own.len();
-                general.push((proc.name, own.clone()));
-                // REFINEPARAMETERS: meet with the join of actual sketches
-                // recorded at processed callsites.
-                let mut refined = own;
-                if let Some(tags) = actuals.get(&proc.name) {
-                    let mut use_join: Option<Sketch> = None;
-                    for a in tags {
-                        if let Some(s) = overlay.get(a).or_else(|| sketches.get(a)) {
-                            use_join = Some(match use_join {
-                                None => s.clone(),
-                                Some(u) => u.join(s, self.lattice),
-                            });
-                        }
-                    }
-                    if let Some(u) = use_join {
-                        refined = refined.meet(&u, self.lattice);
+        timed("core.sketch", &mut phases.sketch_ns, || {
+            for &p in scc {
+                let proc = &program.procs[p];
+                let pv = BaseVar::Var(proc.name);
+                let own = Sketch::infer(pv, &g, &quotient, self.lattice, &consts);
+                if let Some(own) = own {
+                    stats.sketch_states += own.len();
+                    general.push((proc.name, own.clone()));
+                    // REFINEPARAMETERS: meet with the join of actual sketches
+                    // recorded at processed callsites.
+                    let use_join = actuals
+                        .get(&proc.name)
+                        .into_iter()
+                        .flatten()
+                        .filter_map(|a| overlay.get(a).or_else(|| sketches.get(a)))
+                        .fold(None, |u: Option<Sketch>, s| {
+                            Some(u.map_or_else(|| s.clone(), |u| u.join(s, self.lattice)))
+                        });
+                    let refined = match use_join {
+                        Some(u) => own.meet(&u, self.lattice),
+                        None => own,
+                    };
+                    overlay.insert(pv, refined);
+                }
+                // Record sketches for this procedure's callsite actuals so
+                // lower SCCs can specialize against them.
+                for csite in &proc.callsites {
+                    let callee_name = csite.callee_name(program);
+                    let tagged = BaseVar::var(&format!("{callee_name}@{}", csite.tag));
+                    if let Some(s) = Sketch::infer(tagged, &g, &quotient, self.lattice, &consts) {
+                        stats.sketch_states += s.len();
+                        overlay.insert(tagged, s);
                     }
                 }
-                overlay.insert(pv, refined);
             }
-            // Record sketches for this procedure's callsite actuals so
-            // lower SCCs can specialize against them.
-            for csite in &proc.callsites {
-                let callee_name = match csite.callee {
-                    CallTarget::Internal(i) => program.procs[i].name,
-                    CallTarget::External(n) => n,
-                };
-                let tagged = BaseVar::var(&format!("{callee_name}@{}", csite.tag));
-                if let Some(s) = Sketch::infer(tagged, &g, &quotient, self.lattice, &consts) {
-                    stats.sketch_states += s.len();
-                    overlay.insert(tagged, s);
-                }
-            }
-        }
-        drop(sketch_span);
-        stats.sketch_ns = phase_start.elapsed().as_nanos() as u64;
+        });
+        stats.add_phase_ns(&phases);
         SccRefinement {
             sketches: overlay,
             general,
             inconsistencies,
             stats,
         }
+    }
+
+    /// The one builder of an [`SccGraph`]: combines the SCC's constraints,
+    /// saturates their graph, runs `extract` (pass 1's scheme extraction)
+    /// against the plain shape quotient, then applies the additive
+    /// constraints to the quotient for pass 2 and drops the combined set.
+    /// Returns the graph, the combined constraint count and the extraction.
+    fn scc_graph<R>(
+        &self,
+        program: &Program,
+        scc: &[usize],
+        scc_of: &[usize],
+        schemes: &BTreeMap<Symbol, TypeScheme>,
+        phases: &mut PhaseNs,
+        extract: impl FnOnce(&ConstraintGraph, &ShapeQuotient) -> R,
+    ) -> (SccGraph, usize, R) {
+        let combined = timed("core.combine", &mut phases.combine_ns, || {
+            crate::addsub::augment_with_addsubs(
+                &self.scc_constraints(program, scc, scc_of, schemes),
+                self.lattice,
+            )
+        });
+        let (graph, mut quotient) = timed("core.saturate", &mut phases.saturate_ns, || {
+            let mut g = ConstraintGraph::build(&combined);
+            saturate(&mut g);
+            (g, ShapeQuotient::build(&combined))
+        });
+        phases.saturations += 1;
+        let extracted = timed("core.simplify", &mut phases.simplify_ns, || {
+            extract(&graph, &quotient)
+        });
+        let consts = timed("core.saturate", &mut phases.saturate_ns, || {
+            apply_addsubs(&combined, &mut quotient, self.lattice);
+            combined
+                .base_vars()
+                .into_iter()
+                .filter(|b| b.is_const())
+                .collect()
+        });
+        (SccGraph { graph, quotient, consts }, combined.len(), extracted)
     }
 
     /// Combines the constraint sets of an SCC: bodies plus instantiated
@@ -622,14 +655,8 @@ impl<'l> Solver<'l> {
                         combined.add_sub(tagged.clone(), own.clone());
                         combined.add_sub(own, tagged);
                     }
-                    CallTarget::Internal(i) => {
-                        if let Some(s) = schemes.get(&program.procs[i].name) {
-                            let (inst, _) = s.instantiate(&csite.tag, &program.globals);
-                            combined.extend(&inst);
-                        }
-                    }
-                    CallTarget::External(n) => {
-                        if let Some(s) = schemes.get(&n) {
+                    _ => {
+                        if let Some(s) = schemes.get(&csite.callee_name(program)) {
                             let (inst, _) = s.instantiate(&csite.tag, &program.globals);
                             combined.extend(&inst);
                         }
@@ -713,6 +740,13 @@ mod tests {
     use super::*;
     use crate::parse::parse_constraint_set;
 
+    fn call(i: usize, tag: &str) -> Callsite {
+        Callsite {
+            callee: CallTarget::Internal(i),
+            tag: tag.into(),
+        }
+    }
+
     fn proc(name: &str, cs: &str, callsites: Vec<Callsite>) -> Procedure {
         Procedure {
             name: Symbol::intern(name),
@@ -722,37 +756,18 @@ mod tests {
     }
 
     #[test]
-    fn add_proc_maintains_name_index() {
-        let mut prog = Program::new();
-        let a = prog.add_proc(proc("alpha", "", vec![]));
-        let b = prog.add_proc(proc("beta", "", vec![]));
-        assert_eq!(prog.proc_index(Symbol::intern("alpha")), Some(a));
-        assert_eq!(prog.proc_index(Symbol::intern("beta")), Some(b));
-        assert_eq!(prog.proc_index(Symbol::intern("gamma")), None);
-        // Direct pushes bypass the map; the linear fallback still resolves.
-        prog.procs.push(proc("gamma", "", vec![]));
-        assert_eq!(prog.proc_index(Symbol::intern("gamma")), Some(2));
-    }
-
-    #[test]
     fn sccs_respect_call_order() {
         // main → helper → leaf; leaf must come first.
         let mut prog = Program::new();
         prog.add_proc(proc(
             "main",
             "main.in_stack0 <= x",
-            vec![Callsite {
-                callee: CallTarget::Internal(1),
-                tag: "c1".into(),
-            }],
+            vec![call(1, "c1")],
         ));
         prog.add_proc(proc(
             "helper",
             "helper.in_stack0 <= y",
-            vec![Callsite {
-                callee: CallTarget::Internal(2),
-                tag: "c2".into(),
-            }],
+            vec![call(2, "c2")],
         ));
         prog.add_proc(proc("leaf", "leaf.out_eax <= int", vec![]));
         let sccs = tarjan_sccs(&prog);
@@ -765,18 +780,12 @@ mod tests {
         prog.add_proc(proc(
             "even",
             "",
-            vec![Callsite {
-                callee: CallTarget::Internal(1),
-                tag: "e".into(),
-            }],
+            vec![call(1, "e")],
         ));
         prog.add_proc(proc(
             "odd",
             "",
-            vec![Callsite {
-                callee: CallTarget::Internal(0),
-                tag: "o".into(),
-            }],
+            vec![call(0, "o")],
         ));
         let sccs = tarjan_sccs(&prog);
         assert_eq!(sccs.len(), 1);
@@ -804,16 +813,7 @@ mod tests {
                 p <= id@b.in_stack0
                 id@b.out_eax <= r2
             ",
-            vec![
-                Callsite {
-                    callee: CallTarget::Internal(0),
-                    tag: "a".into(),
-                },
-                Callsite {
-                    callee: CallTarget::Internal(0),
-                    tag: "b".into(),
-                },
-            ],
+            vec![call(0, "a"), call(0, "b")],
         ));
         let result = Solver::new(&lattice).infer(&prog);
         // The scheme for id is input ⊑ output, polymorphically.

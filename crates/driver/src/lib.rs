@@ -58,7 +58,6 @@ pub mod store;
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use retypd_core::sync::atomic::{AtomicU64, Ordering};
 use retypd_core::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -69,7 +68,7 @@ use retypd_core::fxhash::FxHashMap;
 use retypd_core::sketch::Sketch;
 use retypd_core::{
     callsite_actuals, Condensation, Lattice, LatticeDescriptor, LatticeError, ProcResult,
-    Program, SccRefinement, Solver, SolverResult, SolverStats, Symbol, TypeScheme,
+    Program, SccGraph, Solver, SolverResult, SolverStats, Symbol, TypeScheme,
 };
 
 pub use cache::{CacheStats, CachedSchemes, SchemeCache};
@@ -92,6 +91,9 @@ struct DriverMetrics {
     store_replay_ns: Arc<Histogram>,
     store_appended: Arc<Counter>,
     store_compactions: Arc<Counter>,
+    /// Pass-2 misses whose SCC graph had to be rebuilt because pass 1 was
+    /// a cache hit (a cold pass 1 hands its graph to pass 2).
+    scc_graph_rebuilds: Arc<Counter>,
 }
 
 fn driver_metrics() -> &'static DriverMetrics {
@@ -108,6 +110,7 @@ fn driver_metrics() -> &'static DriverMetrics {
             store_replay_ns: g.histogram("driver.store_replay_ns"),
             store_appended: g.counter("driver.store_appended_entries"),
             store_compactions: g.counter("driver.store_compactions"),
+            scc_graph_rebuilds: g.counter("driver.scc_graph_rebuilds"),
         }
     })
 }
@@ -601,16 +604,6 @@ impl<'l> AnalysisDriver<'l> {
         let start = Instant::now();
         let solver = Solver::new(lattice);
         let cond = Condensation::compute(program);
-        let hits = AtomicU64::new(0);
-        let misses = AtomicU64::new(0);
-        // Per-phase work performed by *this* solve, accumulated from cache
-        // misses only: cached entries had their phase fields taken before
-        // insertion (see below), so a fully warm solve reports zero phase
-        // time — the breakdown measures work done, not work remembered.
-        let saturate_ns = AtomicU64::new(0);
-        let transducer_ns = AtomicU64::new(0);
-        let simplify_ns = AtomicU64::new(0);
-        let sketch_ns = AtomicU64::new(0);
 
         // Cross-SCC state, updated between waves only.
         let mut schemes: BTreeMap<Symbol, TypeScheme> = BTreeMap::new();
@@ -619,8 +612,16 @@ impl<'l> AnalysisDriver<'l> {
             schemes.insert(*name, scheme.clone());
             scheme_fps.insert(*name, fingerprint::scheme_fp(scheme));
         }
+        // Phase work is added from cache misses only: cached entries had
+        // their phase fields taken before insertion (see below), so a fully
+        // warm solve reports zero phase work — the breakdown measures work
+        // done, not work remembered.
         let mut stats = SolverStats::default();
         let mut scc_fps: Vec<u64> = vec![0; cond.sccs.len()];
+        // Each cold SCC's graph, from its pass-1 solve until its pass-2 wave
+        // takes (and frees) it.
+        let graphs: Vec<Mutex<Option<SccGraph>>> =
+            cond.sccs.iter().map(|_| Mutex::new(None)).collect();
 
         // ---- Pass 1: INFERPROCTYPES, one wave of independent SCCs at a
         // time (callees first). ----
@@ -636,63 +637,62 @@ impl<'l> AnalysisDriver<'l> {
                     &cond.scc_of,
                     &scheme_fps,
                 );
-                let entry = match self.cache.lookup_schemes(fp) {
-                    Some(cached) => {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        cached
-                    }
-                    None => {
-                        misses.fetch_add(1, Ordering::Relaxed);
-                        let out = {
-                            let _span = retypd_telemetry::span("driver.scc_solve");
-                            solver.solve_scc(program, scc, &cond.scc_of, &schemes)
-                        };
-                        simplify_ns.fetch_add(out.simplify_ns, Ordering::Relaxed);
-                        // With persistence on, render each scheme's
-                        // canonical parts once and share the strings with
-                        // the store's writer — the fingerprint covers
-                        // exactly the text that gets persisted, and the
-                        // writer never renders a scheme itself.
-                        let mut texts = self.store.as_ref().map(|_| Vec::new());
-                        let entry = Arc::new(CachedSchemes {
-                            schemes: out
-                                .schemes
-                                .into_iter()
-                                .map(|(n, s)| {
-                                    let fp = match &mut texts {
-                                        Some(texts) => {
-                                            let t = store::SchemeText {
-                                                subject: s.subject().to_string(),
-                                                constraints: s.constraints().to_string(),
-                                            };
-                                            let fp = fingerprint::scheme_fp_parts(
-                                                &t.subject,
-                                                s.existentials(),
-                                                &t.constraints,
-                                            );
-                                            texts.push(t);
-                                            fp
-                                        }
-                                        None => fingerprint::scheme_fp(&s),
-                                    };
-                                    (n, s, fp)
-                                })
-                                .collect(),
-                            constraints: out.constraints,
-                        });
-                        let evicted = self.cache.insert_schemes(fp, entry.clone());
-                        if let Some(store) = &self.store {
-                            store.record_schemes(fp, &entry, texts.unwrap_or_default(), evicted);
-                        }
-                        entry
-                    }
+                if let Some(cached) = self.cache.lookup_schemes(fp) {
+                    return (fp, cached, None);
+                }
+                let (out, graph) = {
+                    let _span = retypd_telemetry::span("driver.scc_solve");
+                    solver.solve_scc(program, scc, &cond.scc_of, &schemes)
                 };
-                (fp, entry)
+                // With persistence on, render each scheme's canonical parts
+                // once and share the strings with the store's writer — the
+                // fingerprint covers exactly the text that gets persisted,
+                // and the writer never renders a scheme itself.
+                let mut texts = self.store.as_ref().map(|_| Vec::new());
+                let entry = Arc::new(CachedSchemes {
+                    schemes: out
+                        .schemes
+                        .into_iter()
+                        .map(|(n, s)| {
+                            let fp = match &mut texts {
+                                Some(texts) => {
+                                    let t = store::SchemeText {
+                                        subject: s.subject().to_string(),
+                                        constraints: s.constraints().to_string(),
+                                    };
+                                    let fp = fingerprint::scheme_fp_parts(
+                                        &t.subject,
+                                        s.existentials(),
+                                        &t.constraints,
+                                    );
+                                    texts.push(t);
+                                    fp
+                                }
+                                None => fingerprint::scheme_fp(&s),
+                            };
+                            (n, s, fp)
+                        })
+                        .collect(),
+                    constraints: out.constraints,
+                });
+                let evicted = self.cache.insert_schemes(fp, entry.clone());
+                if let Some(store) = &self.store {
+                    store.record_schemes(fp, &entry, texts.unwrap_or_default(), evicted);
+                }
+                (fp, entry, Some((out.phases, graph)))
             });
             // Deterministic merge: waves are emitted in ascending SCC order,
             // matching the sequential pass-1 loop.
-            for (k, (fp, entry)) in outputs.into_iter().enumerate() {
+            for (k, (fp, entry, fresh)) in outputs.into_iter().enumerate() {
                 scc_fps[wave[k]] = fp;
+                match fresh {
+                    Some((phases, graph)) => {
+                        stats.cache_misses += 1;
+                        stats.add_phase_ns(&phases);
+                        *graphs[wave[k]].lock().expect("scc graph") = Some(graph);
+                    }
+                    None => stats.cache_hits += 1,
+                }
                 stats.constraints += entry.constraints;
                 for (name, scheme, sfp) in &entry.schemes {
                     schemes.insert(*name, scheme.clone());
@@ -719,50 +719,53 @@ impl<'l> AnalysisDriver<'l> {
                     &actuals,
                     &sketches,
                 );
-                match self.cache.lookup_refine(fp2) {
-                    Some(cached) => {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        cached
-                    }
-                    None => {
-                        misses.fetch_add(1, Ordering::Relaxed);
-                        let mut fresh = {
-                            let _span = retypd_telemetry::span("driver.scc_refine");
-                            solver.refine_scc(
-                                program,
-                                scc,
-                                &cond.scc_of,
-                                &schemes,
-                                &actuals,
-                                &sketches,
-                            )
-                        };
-                        // Strip the phase breakdown *before* the entry is
-                        // cached (and persisted): a later cache hit replays
-                        // the result, not the work, so hits must contribute
-                        // zero phase time. This solve keeps the stripped
-                        // values through the accumulators.
-                        let phases = fresh.stats.take_phase_ns();
-                        saturate_ns.fetch_add(phases.saturate_ns, Ordering::Relaxed);
-                        transducer_ns.fetch_add(phases.transducer_ns, Ordering::Relaxed);
-                        simplify_ns.fetch_add(phases.simplify_ns, Ordering::Relaxed);
-                        sketch_ns.fetch_add(phases.sketch_ns, Ordering::Relaxed);
-                        let r = Arc::new(fresh);
-                        let evicted = self.cache.insert_refine(fp2, r.clone());
-                        if let Some(store) = &self.store {
-                            store.record_refine(fp2, lattice, lattice_fp, &r, evicted);
-                        }
-                        r
-                    }
+                // Taking the graph frees it once this wave is done with it,
+                // hit or miss.
+                let graph = graphs[i].lock().expect("scc graph").take();
+                if let Some(cached) = self.cache.lookup_refine(fp2) {
+                    return (cached, None);
                 }
+                if graph.is_none() {
+                    // Pass 1 hit but pass 2 missed: rebuild the graph.
+                    metrics.scc_graph_rebuilds.inc();
+                }
+                let mut fresh = {
+                    let _span = retypd_telemetry::span("driver.scc_refine");
+                    solver.refine_scc(
+                        program,
+                        scc,
+                        &cond.scc_of,
+                        &schemes,
+                        &actuals,
+                        &sketches,
+                        graph,
+                    )
+                };
+                // Strip the phase work *before* the entry is cached (and
+                // persisted): a later cache hit replays the result, not the
+                // work, so hits must contribute zero phase work. This solve
+                // keeps the stripped values through the merge below.
+                let phases = fresh.stats.take_phase_ns();
+                let r = Arc::new(fresh);
+                let evicted = self.cache.insert_refine(fp2, r.clone());
+                if let Some(store) = &self.store {
+                    store.record_refine(fp2, lattice, lattice_fp, &r, evicted);
+                }
+                (r, Some(phases))
             });
             // Merging per wave is equivalent to the sequential merge:
             // distinct SCCs write disjoint keys (unique procedure names and
             // callsite tags), and reads only target keys that earlier
             // (dependent) waves fully merged — see
             // `Condensation::refine_waves`.
-            for r in &outputs {
-                let r: &SccRefinement = r;
+            for (r, fresh) in &outputs {
+                match fresh {
+                    Some(phases) => {
+                        stats.cache_misses += 1;
+                        stats.add_phase_ns(phases);
+                    }
+                    None => stats.cache_hits += 1,
+                }
                 stats.merge(&r.stats);
                 inconsistencies.extend(r.inconsistencies.iter().cloned());
                 general.extend(r.general.iter().cloned());
@@ -797,15 +800,6 @@ impl<'l> AnalysisDriver<'l> {
             store.solve_finished();
         }
         stats.solve_ns = start.elapsed().as_nanos() as u64;
-        stats.cache_hits = hits.load(Ordering::Relaxed);
-        stats.cache_misses = misses.load(Ordering::Relaxed);
-        // `stats.merge` above only ever added zeros for the phase fields
-        // (cached and fresh entries alike are stripped), so assignment is
-        // the whole story: misses' work this solve, nothing remembered.
-        stats.saturate_ns = saturate_ns.load(Ordering::Relaxed);
-        stats.transducer_ns = transducer_ns.load(Ordering::Relaxed);
-        stats.simplify_ns = simplify_ns.load(Ordering::Relaxed);
-        stats.sketch_ns = sketch_ns.load(Ordering::Relaxed);
         metrics.solves.inc();
         metrics.solve_ns.record(stats.solve_ns);
         metrics.cache_hits.add(stats.cache_hits);

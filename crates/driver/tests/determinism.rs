@@ -46,8 +46,12 @@ fn workers_do_not_change_results_on_bench_generators() {
     let lattice = Lattice::c_types();
     for (seed, functions) in [(3, 10), (7, 18), (11, 26)] {
         let program = generated_program(seed, functions);
+        let sccs = retypd_core::Condensation::compute(&program).sccs.len();
         let seq = Solver::new(&lattice).infer(&program);
         let seq_render = render(&seq);
+        // One saturation per SCC: pass 1 builds each SCC's graph once for
+        // all its members, and pass 2 reuses it.
+        assert_eq!(seq.stats.saturations, sccs as u64, "seed {seed}: Solver::infer");
         for workers in [1usize, 2, 4, 8] {
             let driver = AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(workers));
             let got = driver.solve(&program);
@@ -62,9 +66,14 @@ fn workers_do_not_change_results_on_bench_generators() {
                 "seed {seed}, {functions} fns, {workers} workers: sketch counts diverged"
             );
             // The wave-scheduled solve does exactly one pass-1 and one
-            // pass-2 unit of work per SCC on a cold cache.
-            let sccs = retypd_core::Condensation::compute(&program).sccs.len();
+            // pass-2 unit of work per SCC on a cold cache, and saturates
+            // each SCC once.
             assert_eq!(got.stats.cache_misses, 2 * sccs as u64);
+            assert_eq!(got.stats.saturations, sccs as u64, "seed {seed}, {workers} workers");
+            // A warm solve answers every SCC from cache and saturates none.
+            let warm = driver.solve(&program);
+            assert_eq!(warm.stats.cache_misses, 0);
+            assert_eq!(warm.stats.saturations, 0, "seed {seed}, {workers} workers: warm");
         }
     }
 }

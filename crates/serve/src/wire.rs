@@ -263,16 +263,19 @@ pub struct WireReport {
 }
 
 /// Per-phase timing breakdown of a solve: where the module's nanoseconds
-/// went, split along the paper's pipeline (saturation → transducer →
-/// simplify → sketches). Excluded from [`WireReport::canonical_text`], so
-/// determinism comparisons are unaffected.
+/// went, split along the paper's pipeline (combine → saturation →
+/// simplify → transducer → sketches). Excluded from
+/// [`WireReport::canonical_text`], so determinism comparisons are
+/// unaffected.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WireTiming {
+    /// Nanoseconds combining SCC constraint sets.
+    pub combine_ns: u64,
     /// Nanoseconds building + saturating constraint graphs.
     pub saturate_ns: u64,
     /// Nanoseconds extracting scalar violations via the transducer.
     pub transducer_ns: u64,
-    /// Nanoseconds simplifying type schemes (cache misses only).
+    /// Nanoseconds extracting type schemes (cache misses only).
     pub simplify_ns: u64,
     /// Nanoseconds inferring and refining sketches.
     pub sketch_ns: u64,
@@ -283,6 +286,7 @@ impl WireTiming {
     /// recorded any work.
     pub fn from_stats(s: &SolverStats) -> Option<WireTiming> {
         let t = WireTiming {
+            combine_ns: s.combine_ns,
             saturate_ns: s.saturate_ns,
             transducer_ns: s.transducer_ns,
             simplify_ns: s.simplify_ns,
@@ -879,6 +883,8 @@ fn stats_to_json(s: &SolverStats) -> Json {
         ("transducer_ns".into(), Json::u64(s.transducer_ns)),
         ("simplify_ns".into(), Json::u64(s.simplify_ns)),
         ("sketch_ns".into(), Json::u64(s.sketch_ns)),
+        ("combine_ns".into(), Json::u64(s.combine_ns)),
+        ("saturations".into(), Json::u64(s.saturations)),
     ])
 }
 
@@ -896,10 +902,12 @@ fn stats_from_json(j: &Json) -> Result<SolverStats, WireError> {
         solve_ns: u64_field(j, "solve_ns")?,
         cache_hits: u64_field(j, "cache_hits")?,
         cache_misses: u64_field(j, "cache_misses")?,
+        combine_ns: opt_u64("combine_ns"),
         saturate_ns: opt_u64("saturate_ns"),
         transducer_ns: opt_u64("transducer_ns"),
         simplify_ns: opt_u64("simplify_ns"),
         sketch_ns: opt_u64("sketch_ns"),
+        saturations: opt_u64("saturations"),
     })
 }
 
@@ -958,6 +966,7 @@ impl WireReport {
                     ("transducer_ns".into(), Json::u64(t.transducer_ns)),
                     ("simplify_ns".into(), Json::u64(t.simplify_ns)),
                     ("sketch_ns".into(), Json::u64(t.sketch_ns)),
+                    ("combine_ns".into(), Json::u64(t.combine_ns)),
                 ]),
             ));
         }
@@ -1012,6 +1021,7 @@ impl WireReport {
             timing: j.get("timing").and_then(|t| {
                 let f = |name: &str| t.get(name).and_then(Json::as_u64).unwrap_or(0);
                 let w = WireTiming {
+                    combine_ns: f("combine_ns"),
                     saturate_ns: f("saturate_ns"),
                     transducer_ns: f("transducer_ns"),
                     simplify_ns: f("simplify_ns"),
