@@ -13,6 +13,10 @@
 //!   an entry that earns a `stats` or `solved` reply has drifted into
 //!   dispatchable work and no longer belongs in the corpus;
 //! * `Request::decode` never panics on any committed payload;
+//! * through a gateway fronting one backend the reply bytes equal
+//!   serve's: the gateway runs serve's connection layer and serve's
+//!   pre-admission checks in serve's order, so a free differential check
+//!   covers its front door;
 //! * `gwstats_*` entries — malformed backend `stats` *replies* — are kept
 //!   off the request socket entirely and instead replay through the
 //!   gateway's health-probe classifier, which must reject each one
@@ -23,6 +27,7 @@ use std::time::Duration;
 
 use retypd_fuzz::corpus;
 use retypd_fuzz::oracle::SocketOracle;
+use retypd_gateway::{BackendSpec, GatewayConfig};
 use retypd_serve::{start, Request, Response, ServeConfig};
 
 /// Per-entry socket deadline; a replay exceeding it is a hang.
@@ -71,12 +76,35 @@ fn split_frames(mut bytes: &[u8]) -> Vec<Vec<u8>> {
     frames
 }
 
-/// Replays the whole corpus against a fresh server and returns the raw
-/// reply bytes per entry. The server must still answer a liveness probe
+/// What the corpus is replayed against.
+#[derive(Clone, Copy, Debug)]
+enum Target {
+    /// A serve process with this many shards.
+    Serve(usize),
+    /// A gateway fronting one single-shard serve backend.
+    Gateway,
+}
+
+/// Replays the whole corpus against a fresh target and returns the raw
+/// reply bytes per entry. The target must still answer a liveness probe
 /// after the last entry.
-fn replay_all(shards: usize) -> BTreeMap<String, Vec<u8>> {
+fn replay_all(target: Target) -> BTreeMap<String, Vec<u8>> {
+    let shards = match target {
+        Target::Serve(shards) => shards,
+        Target::Gateway => 1,
+    };
     let handle = start(config(shards)).expect("bind replay server");
-    let mut oracle = SocketOracle::new(handle.addr(), DEADLINE);
+    let gateway = matches!(target, Target::Gateway).then(|| {
+        retypd_gateway::start(
+            GatewayConfig::default(),
+            vec![BackendSpec::External {
+                addr: handle.addr(),
+            }],
+        )
+        .expect("gateway starts")
+    });
+    let addr = gateway.as_ref().map_or(handle.addr(), |g| g.addr());
+    let mut oracle = SocketOracle::new(addr, DEADLINE);
     let mut replies = BTreeMap::new();
     for entry in corpus::load().expect("load committed corpus") {
         if entry.name.starts_with("gwstats_") {
@@ -87,15 +115,18 @@ fn replay_all(shards: usize) -> BTreeMap<String, Vec<u8>> {
         } else {
             frame(&entry.bytes)
         };
-        let context = format!("{} at {shards} shard(s)", entry.name);
+        let context = format!("{} on {target:?}", entry.name);
         let reply = oracle
             .deliver_raw(&wire_bytes, &context)
             .unwrap_or_else(|f| panic!("corpus replay failed: {}", f.describe()));
         replies.insert(entry.name, reply);
     }
     oracle
-        .probe(&format!("post-corpus probe at {shards} shard(s)"))
+        .probe(&format!("post-corpus probe on {target:?}"))
         .expect("server must outlive the whole corpus");
+    if let Some(gateway) = gateway {
+        gateway.shutdown();
+    }
     handle.shutdown();
     replies
 }
@@ -161,8 +192,8 @@ fn gwstats_corpus_replays_through_the_gateway_classifier() {
 
 #[test]
 fn corpus_replays_bit_identically_across_shard_counts() {
-    let one = replay_all(1);
-    let three = replay_all(3);
+    let one = replay_all(Target::Serve(1));
+    let three = replay_all(Target::Serve(3));
     assert_eq!(
         one.keys().collect::<Vec<_>>(),
         three.keys().collect::<Vec<_>>()
@@ -185,5 +216,21 @@ fn corpus_replays_bit_identically_across_shard_counts() {
                 other => panic!("{name}: reply was not an error frame: {other:?}"),
             }
         }
+    }
+}
+
+#[test]
+fn corpus_replays_through_a_gateway_bit_identically_to_serve() {
+    let serve = replay_all(Target::Serve(1));
+    let gateway = replay_all(Target::Gateway);
+    assert_eq!(
+        serve.keys().collect::<Vec<_>>(),
+        gateway.keys().collect::<Vec<_>>()
+    );
+    for (name, reply) in &serve {
+        assert_eq!(
+            &gateway[name], reply,
+            "{name}: reply bytes differ between a gateway and serve"
+        );
     }
 }

@@ -217,17 +217,20 @@ impl Backend {
         }
     }
 
-    /// A connection to the backend: pooled if one is idle, else freshly
-    /// connected with `timeout`.
+    /// A connection to the backend: pooled if a clean one is idle, else
+    /// freshly connected with `timeout`.
     pub fn connect(&self, timeout: Duration) -> Result<TcpStream, String> {
-        let (addr, pooled) = {
-            let mut st = self.state.lock().expect("backend state");
-            (st.addr, st.idle.pop())
-        };
-        if let Some(conn) = pooled {
-            return Ok(conn);
+        loop {
+            let pooled = self.state.lock().expect("backend state").idle.pop();
+            match pooled {
+                Some(conn) if quiet(&conn) => return Ok(conn),
+                Some(_) => {}
+                None => break,
+            }
         }
-        let addr = addr.ok_or_else(|| format!("slot {} has no address", self.slot))?;
+        let addr = self
+            .addr()
+            .ok_or_else(|| format!("slot {} has no address", self.slot))?;
         let conn = TcpStream::connect_timeout(&addr, timeout)
             .map_err(|e| format!("slot {} ({addr}): connect: {e}", self.slot))?;
         // Frames go out prefix-then-payload; nodelay keeps the payload
@@ -243,6 +246,21 @@ impl Backend {
             st.idle.push(conn);
         }
     }
+}
+
+/// Whether a pooled connection is still a clean request/response channel.
+/// A backend closes a connection that sat idle past its read timeout and
+/// leaves a "read timed out" `error` frame behind; reusing that socket
+/// would read the stale frame (or EOF) as the next reply and evict a
+/// healthy backend. A non-blocking peek that finds no byte and no EOF
+/// means the socket is clean.
+fn quiet(conn: &TcpStream) -> bool {
+    if conn.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let idle =
+        matches!(conn.peek(&mut [0u8; 1]), Err(e) if e.kind() == std::io::ErrorKind::WouldBlock);
+    conn.set_nonblocking(false).is_ok() && idle
 }
 
 /// Reads the child's stdout until the readiness banner appears, bounded

@@ -1,14 +1,13 @@
 //! Request forwarding: single-frame exchanges with a backend, plus the
 //! hedged variant that races two backends and takes the first reply.
 //!
-//! ## Why a stateful frame reader
+//! ## Polling two sockets
 //!
-//! `serve`'s own framing reads one frame with blocking I/O; its polled
-//! variant discards partial progress on timeout, which is fine for an
-//! idle-detection loop but fatal here: while a hedge is outstanding the
-//! gateway alternates between *two* sockets, and a frame that arrives
-//! spread across several poll ticks must accumulate. [`FrameReader`]
-//! keeps the partial length prefix and payload across polls, so each
+//! While a hedge is outstanding the gateway alternates short polls
+//! between *two* sockets, so a reply frame that arrives spread across
+//! several poll ticks must accumulate. Each socket gets its own
+//! [`FrameReader`] (the connection layer's one length-prefix reader),
+//! which keeps the partial prefix and payload across read timeouts: each
 //! tick resumes exactly where the last one stopped.
 //!
 //! ## Duplicate-reply suppression
@@ -20,85 +19,25 @@
 //! hedge reply only wins if it is a success kind; a fast `overloaded`
 //! from the hedge target must not beat a slow-but-working primary.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use retypd_serve::wire::{self, Response, MAX_FRAME_BYTES};
+use retypd_serve::conn::{is_timeout, FrameReader, Polled};
+use retypd_serve::wire::{self, Response};
 
-/// Incremental reader for one length-prefixed frame. Feed it a stream
-/// with a short read timeout; every [`FrameReader::poll`] consumes
-/// whatever bytes are available and reports whether the frame completed.
-#[derive(Debug, Default)]
-pub struct FrameReader {
-    /// The 4-byte big-endian length prefix, as received so far.
-    len_buf: [u8; 4],
-    /// Bytes of the length prefix received so far (0..=4).
-    len_filled: usize,
-    /// Payload buffer, sized once the prefix is complete.
-    payload: Vec<u8>,
-    /// Payload bytes received so far.
-    filled: usize,
-    /// Payload length, once the prefix is complete.
-    expected: Option<usize>,
-}
-
-impl FrameReader {
-    /// A reader with no partial progress.
-    pub fn new() -> FrameReader {
-        FrameReader::default()
+/// One poll of `rd`: `Ok(Some(payload))` when the frame completed,
+/// `Ok(None)` when the read timed out with the frame still incomplete
+/// (partial progress is kept), `Err` on EOF, an oversized frame, or a
+/// transport error.
+fn poll(rd: &mut FrameReader, stream: &mut TcpStream) -> Result<Option<Vec<u8>>, String> {
+    match rd.poll(stream) {
+        Ok(Polled::Frame(payload)) => Ok(Some(payload)),
+        Ok(Polled::Eof) => Err("connection closed".into()),
+        Ok(Polled::Oversized(len)) => Err(format!("reply frame of {len} bytes exceeds cap")),
+        Err(e) if is_timeout(&e) => Ok(None),
+        Err(e) => Err(format!("read failed: {e}")),
     }
-
-    /// Reads whatever is available. `Ok(Some(payload))` when the frame
-    /// completed this tick; `Ok(None)` when the read timed out with the
-    /// frame still incomplete (partial progress is kept); `Err` on EOF,
-    /// an oversized frame, or a transport error.
-    pub fn poll(&mut self, stream: &mut TcpStream) -> Result<Option<Vec<u8>>, String> {
-        loop {
-            if self.len_filled < 4 {
-                match stream.read(&mut self.len_buf[self.len_filled..]) {
-                    Ok(0) => return Err("connection closed mid-frame".into()),
-                    Ok(n) => {
-                        self.len_filled += n;
-                        if self.len_filled == 4 {
-                            let len = u32::from_be_bytes(self.len_buf) as usize;
-                            if len > MAX_FRAME_BYTES {
-                                return Err(format!("reply frame of {len} bytes exceeds cap"));
-                            }
-                            self.expected = Some(len);
-                            self.payload = vec![0u8; len];
-                            self.filled = 0;
-                        }
-                    }
-                    Err(e) if would_block(&e) => return Ok(None),
-                    Err(e) => return Err(format!("read failed: {e}")),
-                }
-                continue;
-            }
-            let expected = self.expected.expect("prefix complete implies length");
-            if self.filled == expected {
-                // Zero-length frames complete the instant the prefix does.
-                self.len_filled = 0;
-                self.expected = None;
-                return Ok(Some(std::mem::take(&mut self.payload)));
-            }
-            match stream.read(&mut self.payload[self.filled..]) {
-                Ok(0) => return Err("connection closed mid-frame".into()),
-                Ok(n) => self.filled += n,
-                Err(e) if would_block(&e) => return Ok(None),
-                Err(e) => return Err(format!("read failed: {e}")),
-            }
-        }
-    }
-}
-
-/// Read-timeout expiry surfaces as `WouldBlock` or `TimedOut` depending
-/// on the platform; both mean "no bytes yet, frame still in flight".
-fn would_block(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
 }
 
 /// Who answered a (possibly hedged) exchange.
@@ -147,7 +86,7 @@ pub fn hedged_exchange(
     let start = Instant::now();
     send_frame(primary, request)?;
 
-    let mut primary_rd = FrameReader::new();
+    let mut primary_rd = FrameReader::default();
     // Phase 1: the primary alone, in one long blocking read up to the
     // hedge timer (or the full deadline when hedging is off). The common
     // case — a warm backend answering in microseconds — pays zero
@@ -161,7 +100,7 @@ pub fn hedged_exchange(
             break;
         }
         set_read_timeout(primary, phase1 - elapsed)?;
-        match primary_rd.poll(primary) {
+        match poll(&mut primary_rd, primary) {
             Ok(Some(payload)) => {
                 return Ok(Exchange {
                     payload,
@@ -186,7 +125,7 @@ pub fn hedged_exchange(
     // alternate short polls and let the first eligible frame win.
     let mut hedge = open_hedge().and_then(|mut conn| {
         send_frame(&mut conn, request).ok()?;
-        Some((conn, FrameReader::new()))
+        Some((conn, FrameReader::default()))
     });
     let hedged = hedge.is_some();
     if let Some(pe) = primary_err {
@@ -207,7 +146,7 @@ pub fn hedged_exchange(
             return Err(format!("no reply within {deadline:?}"));
         }
         set_read_timeout(primary, HEDGE_POLL_TICK)?;
-        match primary_rd.poll(primary) {
+        match poll(&mut primary_rd, primary) {
             Ok(Some(payload)) => {
                 return Ok(Exchange {
                     payload,
@@ -234,7 +173,7 @@ pub fn hedged_exchange(
         }
         if let Some((conn, rd)) = hedge.as_mut() {
             set_read_timeout(conn, HEDGE_POLL_TICK)?;
-            match rd.poll(conn) {
+            match poll(rd, conn) {
                 Ok(Some(payload)) => {
                     if hedge_reply_wins(&payload) {
                         let (conn, _) = hedge.take().expect("checked");
@@ -270,7 +209,7 @@ fn hedge_alone(
             return Err(format!("no reply within {deadline:?}"));
         }
         set_read_timeout(&mut conn, deadline - elapsed)?;
-        match rd.poll(&mut conn) {
+        match poll(&mut rd, &mut conn) {
             Ok(Some(payload)) => return Ok(payload),
             Ok(None) => {}
             Err(e) => return Err(e),
@@ -376,11 +315,11 @@ mod tests {
             retypd_core::sync::thread::sleep(Duration::from_millis(200));
         });
         let mut conn = TcpStream::connect(addr).expect("connect");
-        let mut rd = FrameReader::new();
+        let mut rd = FrameReader::default();
         let start = Instant::now();
         loop {
             conn.set_read_timeout(Some(Duration::from_millis(3))).unwrap();
-            match rd.poll(&mut conn) {
+            match poll(&mut rd, &mut conn) {
                 Ok(Some(got)) => {
                     assert_eq!(got, expected);
                     break;

@@ -25,8 +25,11 @@
 //!   to unhealthy, never panic the router.
 //! * [`forward`] — single-frame exchanges plus the hedged variant that
 //!   races two backends and suppresses the duplicate reply.
-//! * [`server`] — the front-end: routing, batch decomposition and
-//!   reassembly, stats/metrics aggregation, drain.
+//! * [`server`] — the front-end's per-frame handler: routing, batch
+//!   decomposition and reassembly, stats/metrics aggregation, drain.
+//!   Client sockets themselves (accept, polled reads, timeouts, budgets,
+//!   the drain join) run on `serve`'s connection layer,
+//!   [`retypd_serve::conn`], the same code `serve` runs.
 //!
 //! Because every backend runs the same deterministic solver, routing
 //! topology is invisible in results: a batch solved through 1, 2, or 4

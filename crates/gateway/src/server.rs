@@ -32,6 +32,12 @@
 //!   reply is forwarded, the loser dropped. Determinism makes this
 //!   safe: both backends compute byte-identical reports, so the race
 //!   only picks *which copy* of the answer arrives.
+//! * **Hardened front door.** Client sockets run on `serve`'s own
+//!   connection layer ([`retypd_serve::conn`]) with
+//!   `ServeConfig::default()`'s limits: read timeout, per-connection
+//!   budgets, accept backoff, `error` replies to oversized frames, and a
+//!   drain that closes each connection at its next frame boundary and
+//!   joins its handler. This module supplies only the per-frame handler.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -39,11 +45,14 @@ use std::time::{Duration, Instant};
 use retypd_core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use retypd_core::sync::thread::JoinHandle;
 use retypd_core::sync::{Arc, Mutex};
-use retypd_core::Lattice;
+use retypd_core::{Lattice, LatticeDescriptor};
+use retypd_driver::LatticeMemo;
+use retypd_serve::conn::{self, Service};
 use retypd_serve::wire::{
-    self, Request, Response, WireBatchDone, WireMetrics, WireReport, WireStats,
+    self, Request, Response, WireBatchDone, WireError, WireMetrics, WireModule, WireReport,
+    WireStats,
 };
-use retypd_serve::RetryPolicy;
+use retypd_serve::{RetryPolicy, ServeConfig};
 use retypd_telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 
 use crate::backend::{Backend, BackendSpec};
@@ -142,8 +151,10 @@ struct Shared {
     epoch: AtomicU64,
     draining: AtomicBool,
     local_addr: SocketAddr,
-    active_conns: AtomicUsize,
     default_lattice_fp: u64,
+    /// Descriptor-built lattices: a bad descriptor is refused here, with
+    /// serve's reply, before anything is forwarded.
+    lattices: LatticeMemo,
     metrics: GatewayMetrics,
     config: GatewayConfig,
 }
@@ -151,6 +162,19 @@ struct Shared {
 impl Shared {
     fn ring_snapshot(&self) -> Arc<Ring> {
         Arc::clone(&self.ring.lock().expect("ring lock"))
+    }
+
+    /// The lattice half of the route key. Runs `serve`'s first
+    /// pre-admission check (the lattice, before any module), so a bad
+    /// descriptor draws the reply serve would send.
+    fn lattice_fp(&self, lattice: Option<&LatticeDescriptor>) -> Result<u64, String> {
+        let Some(d) = lattice else {
+            return Ok(self.default_lattice_fp);
+        };
+        self.lattices
+            .get_or_build(d)
+            .map(|_| d.fingerprint())
+            .map_err(|e| format!("bad lattice: {e}"))
     }
 
     /// Recomputes the ring from current backend health and swaps it in.
@@ -190,17 +214,19 @@ impl Shared {
     /// One probe: connect, `stats` round trip, classify. Pure verdict —
     /// health bookkeeping happens at the caller.
     fn probe(&self, slot: usize) -> Result<crate::health::ProbeReport, String> {
+        let report = classify_stats_reply(&self.ask(slot, &Request::Stats)?)?;
+        self.backends[slot].note_probe(&report);
+        Ok(report)
+    }
+
+    /// One control-plane round trip to `slot` within the probe budget;
+    /// the connection goes back to the pool after a clean exchange.
+    fn ask(&self, slot: usize, request: &Request) -> Result<Vec<u8>, String> {
         let b = &self.backends[slot];
         let mut conn = b.connect(self.config.probe_timeout)?;
-        let reply = exchange(
-            &mut conn,
-            &Request::Stats.encode(),
-            self.config.probe_timeout,
-        )?;
-        let report = classify_stats_reply(&reply)?;
-        b.note_probe(&report);
+        let reply = exchange(&mut conn, &request.encode(), self.config.probe_timeout)?;
         b.pool(conn);
-        Ok(report)
+        Ok(reply)
     }
 
     /// Forwards one already-encoded solve request for `key`, with
@@ -288,15 +314,11 @@ impl Shared {
     /// gateway absorbs admission pushback for them.
     fn solve_batch_module(
         &self,
-        module: &wire::WireModule,
-        lattice: &Option<retypd_core::LatticeDescriptor>,
+        key: u64,
+        module: &WireModule,
+        lattice: &Option<LatticeDescriptor>,
         trace_id: &Option<String>,
     ) -> Result<WireReport, String> {
-        let module_fp = module.to_job().map_err(|e| e.to_string())?.fingerprint();
-        let lattice_fp = lattice
-            .as_ref()
-            .map_or(self.default_lattice_fp, |d| d.fingerprint());
-        let key = route_key(lattice_fp, module_fp);
         let payload = Request::SolveModule {
             module: module.clone(),
             lattice: lattice.clone(),
@@ -329,7 +351,7 @@ impl Shared {
 /// [`GatewayHandle::shutdown`] (or send the wire `shutdown` request).
 pub struct GatewayHandle {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: Option<conn::Acceptor>,
     health: Option<JoinHandle<()>>,
 }
 
@@ -376,9 +398,9 @@ impl GatewayHandle {
         self.shared.metrics.registry.snapshot()
     }
 
-    /// Drains: stops accepting, waits for in-flight connections, shuts
-    /// down spawned backends gracefully (wire `shutdown`, then kill on
-    /// timeout).
+    /// Drains: stops accepting, joins every connection handler (each
+    /// closes at its next frame boundary), shuts down spawned backends
+    /// gracefully (wire `shutdown`, then kill on timeout).
     pub fn shutdown(mut self) {
         begin_drain(&self.shared);
         self.join_threads();
@@ -394,7 +416,7 @@ impl GatewayHandle {
 
     fn join_threads(&mut self) {
         if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+            a.join();
         }
         if let Some(h) = self.health.take() {
             let _ = h.join();
@@ -409,8 +431,7 @@ fn begin_drain(shared: &Shared) {
     if shared.draining.swap(true, Ordering::AcqRel) {
         return;
     }
-    // Unblock the acceptor with a no-op connection.
-    let _ = TcpStream::connect(shared.local_addr);
+    conn::nudge(shared.local_addr);
 }
 
 /// Gracefully stops every spawned backend: wire `shutdown` first (lets
@@ -457,8 +478,8 @@ pub fn start(config: GatewayConfig, specs: Vec<BackendSpec>) -> Result<GatewayHa
         epoch: AtomicU64::new(0),
         draining: AtomicBool::new(false),
         local_addr,
-        active_conns: AtomicUsize::new(0),
         default_lattice_fp: Lattice::c_types().fingerprint(),
+        lattices: LatticeMemo::new(),
         metrics,
         config,
     });
@@ -501,13 +522,13 @@ pub fn start(config: GatewayConfig, specs: Vec<BackendSpec>) -> Result<GatewayHa
         return Err("no backend passed its startup probe".into());
     }
 
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        retypd_core::sync::thread::Builder::new()
-            .name("gateway-acceptor".into())
-            .spawn(move || acceptor_main(listener, shared))
-            .map_err(|e| e.to_string())?
-    };
+    let acceptor = conn::spawn(
+        listener,
+        "gateway",
+        &ServeConfig::default(),
+        Arc::clone(&shared),
+    )
+    .map_err(|e| e.to_string())?;
     let health = {
         let shared = Arc::clone(&shared);
         retypd_core::sync::thread::Builder::new()
@@ -520,34 +541,6 @@ pub fn start(config: GatewayConfig, specs: Vec<BackendSpec>) -> Result<GatewayHa
         acceptor: Some(acceptor),
         health: Some(health),
     })
-}
-
-fn acceptor_main(listener: TcpListener, shared: Arc<Shared>) {
-    for conn in listener.incoming() {
-        if shared.draining.load(Ordering::Relaxed) {
-            break;
-        }
-        let Ok(conn) = conn else { continue };
-        // Replies are written prefix-then-payload; without nodelay the
-        // second write sits out a Nagle/delayed-ACK round (~40ms).
-        conn.set_nodelay(true).ok();
-        shared.active_conns.fetch_add(1, Ordering::Relaxed);
-        let shared2 = Arc::clone(&shared);
-        let spawned = retypd_core::sync::thread::Builder::new()
-            .name("gateway-conn".into())
-            .spawn(move || {
-                handle_conn(conn, &shared2);
-                shared2.active_conns.fetch_sub(1, Ordering::Release);
-            });
-        if spawned.is_err() {
-            shared.active_conns.fetch_sub(1, Ordering::Release);
-        }
-    }
-    // Drain: give in-flight connections a bounded window to finish.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while shared.active_conns.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-        retypd_core::sync::thread::sleep(Duration::from_millis(10));
-    }
 }
 
 /// The supervisor: probe every slot each sweep, evict/restart/re-add.
@@ -604,103 +597,91 @@ fn health_main(shared: Arc<Shared>) {
     }
 }
 
-fn handle_conn(mut conn: TcpStream, shared: &Shared) {
-    loop {
-        let payload = match wire::read_frame(&mut conn) {
-            Ok(Some(p)) => p,
-            Ok(None) => return,
-            Err(_) => return,
-        };
-        shared.metrics.requests.inc();
-        let request = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                let _ = write_reply(&mut conn, &Response::Error(e.to_string()).encode());
-                continue;
-            }
-        };
-        if shared.draining.load(Ordering::Relaxed) {
-            let _ = write_reply(&mut conn, &Response::ShuttingDown.encode());
-            continue;
-        }
-        match request {
-            Request::SolveModule {
+impl Service for Shared {
+    fn draining(&self) -> bool {
+        self.draining.load(Ordering::Relaxed)
+    }
+
+    fn handle(&self, conn: &mut TcpStream, payload: Vec<u8>) -> bool {
+        self.metrics.requests.inc();
+        let reply = match Request::decode(&payload) {
+            Err(e) => Response::Error(e.to_string()),
+            Ok(_) if self.draining() => Response::ShuttingDown,
+            Ok(Request::SolveModule {
                 module, lattice, ..
-            } => {
-                // Forward the client's own frame verbatim — the gateway
+            }) => {
+                // Forward the client's own frame verbatim: the gateway
                 // only needs the routing key from it.
-                let reply = match module.to_job() {
-                    Ok(job) => {
-                        let lattice_fp = lattice
-                            .as_ref()
-                            .map_or(shared.default_lattice_fp, |d| d.fingerprint());
-                        shared.forward_solve(route_key(lattice_fp, job.fingerprint()), &payload)
-                    }
-                    Err(e) => Response::Error(e.to_string()).encode(),
-                };
-                if write_reply(&mut conn, &reply).is_err() {
-                    return;
+                return match self
+                    .lattice_fp(lattice.as_ref())
+                    .and_then(|fp| module_key(fp, &module))
+                {
+                    Ok(key) => wire::write_frame(conn, &self.forward_solve(key, &payload)),
+                    Err(e) => wire::write_frame(conn, &Response::Error(e).encode()),
                 }
+                .is_ok();
             }
-            Request::SolveBatch {
+            Ok(Request::SolveBatch {
                 modules,
                 lattice,
                 stream,
                 trace_id,
-            } => {
-                if handle_batch(&mut conn, shared, modules, lattice, stream, trace_id).is_err() {
-                    return;
-                }
-            }
-            Request::Stats => {
-                let reply = Response::Stats(aggregate_stats(shared)).encode();
-                if write_reply(&mut conn, &reply).is_err() {
-                    return;
-                }
-            }
-            Request::Metrics { text } => {
-                let merged = aggregate_metrics(shared);
-                let reply = if text {
+            }) => return handle_batch(conn, self, modules, lattice, stream, trace_id).is_ok(),
+            Ok(Request::Stats) => Response::Stats(aggregate_stats(self)),
+            Ok(Request::Metrics { text }) => {
+                let merged = aggregate_metrics(self);
+                if text {
                     Response::MetricsText(metrics_to_text(&merged))
                 } else {
                     Response::Metrics(merged)
-                };
-                if write_reply(&mut conn, &reply.encode()).is_err() {
-                    return;
                 }
             }
-            Request::Shutdown => {
-                let _ = write_reply(&mut conn, &Response::ShuttingDown.encode());
-                begin_drain(shared);
-                return;
+            Ok(Request::Shutdown) => {
+                begin_drain(self);
+                Response::ShuttingDown
             }
-        }
+        };
+        wire::write_frame(conn, &reply.encode()).is_ok()
     }
 }
 
-fn write_reply(conn: &mut TcpStream, payload: &[u8]) -> Result<(), String> {
-    use std::io::Write;
-    wire::write_frame(conn, payload).map_err(|e| e.to_string())?;
-    conn.flush().map_err(|e| e.to_string())
+/// A module's route key, or `serve`'s reply to a module that does not
+/// reconstruct into a job.
+fn module_key(lattice_fp: u64, module: &WireModule) -> Result<u64, String> {
+    module
+        .to_job()
+        .map(|job| route_key(lattice_fp, job.fingerprint()))
+        .map_err(|e| e.to_string())
 }
 
 /// Decomposes a batch into per-module forwards (a small worker pool —
 /// modules route to *different* backends, so the fan-out is the whole
 /// point), reassembles the reply in submission order. Streaming batches
-/// emit `report` frames as modules finish, exactly like `serve`.
+/// emit `report` frames as modules finish, exactly like `serve`, which
+/// also sets the pre-forward order: the lattice, then every module (a
+/// single-frame batch fails whole on its first bad module; a streaming
+/// one reports it per module).
 fn handle_batch(
     conn: &mut TcpStream,
     shared: &Shared,
-    modules: Vec<wire::WireModule>,
-    lattice: Option<retypd_core::LatticeDescriptor>,
+    modules: Vec<WireModule>,
+    lattice: Option<LatticeDescriptor>,
     stream: bool,
     trace_id: Option<String>,
-) -> Result<(), String> {
+) -> Result<(), WireError> {
     let started = Instant::now();
     let total = modules.len();
-    let lattice_fp = lattice
-        .as_ref()
-        .map_or(shared.default_lattice_fp, |d| d.fingerprint());
+    let lattice_fp = match shared.lattice_fp(lattice.as_ref()) {
+        Ok(fp) => fp,
+        Err(e) => return wire::write_frame(conn, &Response::Error(e).encode()),
+    };
+    let keys: Vec<Result<u64, String>> =
+        modules.iter().map(|m| module_key(lattice_fp, m)).collect();
+    if !stream {
+        if let Some(Err(e)) = keys.iter().find(|k| k.is_err()) {
+            return wire::write_frame(conn, &Response::Error(e.clone()).encode());
+        }
+    }
     if total == 0 {
         let reply = if stream {
             Response::BatchDone(WireBatchDone {
@@ -713,7 +694,7 @@ fn handle_batch(
         } else {
             Response::Solved(vec![])
         };
-        return write_reply(conn, &reply.encode());
+        return wire::write_frame(conn, &reply.encode());
     }
 
     let healthy = shared.backends.iter().filter(|b| b.healthy()).count().max(1);
@@ -722,11 +703,11 @@ fn handle_batch(
     let (tx, rx) = retypd_core::sync::mpsc::channel::<(usize, Result<WireReport, String>)>();
 
     // retypd-lint: allow(no-raw-thread) scoped spawns are not modeled
-    std::thread::scope(|scope| -> Result<(), String> {
+    std::thread::scope(|scope| -> Result<(), WireError> {
         for _ in 0..workers {
             let tx = tx.clone();
             let next = &next;
-            let modules = &modules;
+            let (modules, keys) = (&modules, &keys);
             let lattice = &lattice;
             let trace_id = &trace_id;
             scope.spawn(move || loop {
@@ -734,7 +715,9 @@ fn handle_batch(
                 if i >= modules.len() {
                     break;
                 }
-                let result = shared.solve_batch_module(&modules[i], lattice, trace_id);
+                let result = keys[i]
+                    .clone()
+                    .and_then(|key| shared.solve_batch_module(key, &modules[i], lattice, trace_id));
                 if tx.send((i, result)).is_err() {
                     break;
                 }
@@ -746,32 +729,14 @@ fn handle_batch(
             let mut delivered = 0usize;
             let mut errors: Vec<String> = Vec::new();
             for (index, result) in rx {
-                match result {
-                    Ok(report) => {
-                        delivered += 1;
-                        write_reply(
-                            conn,
-                            &Response::Report {
-                                index,
-                                result: Ok(Box::new(report)),
-                            }
-                            .encode(),
-                        )?;
-                    }
-                    Err(e) => {
-                        errors.push(format!("module {index}: {e}"));
-                        write_reply(
-                            conn,
-                            &Response::Report {
-                                index,
-                                result: Err(e),
-                            }
-                            .encode(),
-                        )?;
-                    }
+                match &result {
+                    Ok(_) => delivered += 1,
+                    Err(e) => errors.push(format!("module {index}: {e}")),
                 }
+                let result = result.map(Box::new);
+                wire::write_frame(conn, &Response::Report { index, result }.encode())?;
             }
-            write_reply(
+            wire::write_frame(
                 conn,
                 &Response::BatchDone(WireBatchDone {
                     modules: total,
@@ -801,7 +766,7 @@ fn handle_batch(
             } else {
                 Response::Error(errors.join("; "))
             };
-            write_reply(conn, &reply.encode())
+            wire::write_frame(conn, &reply.encode())
         }
     })
 }
@@ -824,17 +789,8 @@ fn aggregate_stats(shared: &Shared) -> WireStats {
         if !b.healthy() {
             continue;
         }
-        let reply = b
-            .connect(shared.config.probe_timeout)
-            .and_then(|mut conn| {
-                let r = exchange(
-                    &mut conn,
-                    &Request::Stats.encode(),
-                    shared.config.probe_timeout,
-                )?;
-                b.pool(conn);
-                Ok(r)
-            })
+        let reply = shared
+            .ask(b.slot, &Request::Stats)
             .and_then(|payload| classify_stats_reply(&payload));
         match reply {
             Ok(report) => {
@@ -862,16 +818,7 @@ fn aggregate_metrics(shared: &Shared) -> WireMetrics {
         if !b.healthy() {
             continue;
         }
-        let reply = b.connect(shared.config.probe_timeout).and_then(|mut conn| {
-            let r = exchange(
-                &mut conn,
-                &Request::Metrics { text: false }.encode(),
-                shared.config.probe_timeout,
-            )?;
-            b.pool(conn);
-            Ok(r)
-        });
-        if let Ok(payload) = reply {
+        if let Ok(payload) = shared.ask(b.slot, &Request::Metrics { text: false }) {
             if let Ok(Response::Metrics(wm)) = Response::decode(&payload) {
                 merged.merge(&wm);
             }

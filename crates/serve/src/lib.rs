@@ -11,15 +11,19 @@
 //!   terminal `batch_done`). Programs travel as canonical constraint
 //!   text, which round-trips exactly through [`retypd_core::parse`], so
 //!   server-side solves are bit-identical to in-process ones.
-//! * [`server`] — an acceptor plus N shard threads, each owning a
+//! * [`conn`] — the one connection layer, shared with the gateway: the
+//!   accept loop, the length-prefix [`conn::FrameReader`], polled reads
+//!   with a read timeout, per-connection frame/byte budgets, and the drain
+//!   rule (close at the next frame boundary; handlers joined), so shutdown
+//!   delivers every final frame before exit. A server supplies only a
+//!   per-frame [`conn::Service`].
+//! * [`server`] — N shard threads behind that layer, each owning a
 //!   long-lived driver with a bounded persistent cache; shards solve
 //!   through the driver's request/session API, so per-request lattices
 //!   segregate cache entries by lattice fingerprint. Modules route by
 //!   content fingerprint, so a re-submitted module always finds its warm
 //!   cache. Admission control refuses work past a queue-depth limit with
-//!   `overloaded` instead of stacking latency; connection handlers are
-//!   tracked and joined on drain (polled reads with a configurable
-//!   timeout), so shutdown delivers every final frame before exit.
+//!   `overloaded` instead of stacking latency.
 //! * [`client`] — a blocking client (plus the [`client::BatchStream`]
 //!   streaming iterator) used by the tests and by the
 //!   [`loadgen`](../loadgen/index.html) binary, which replays a generated
@@ -45,6 +49,7 @@
 
 pub mod admission;
 pub mod client;
+pub mod conn;
 pub mod json;
 pub mod launch;
 pub mod server;

@@ -37,12 +37,10 @@
 //!   `report` frame per module the moment its shard finishes it, plus a
 //!   terminal `batch_done` — time-to-first-report beats whole-batch
 //!   latency because modules stream while siblings still solve.
-//! * **Tracked connections.** Connection handlers are registered and
-//!   *joined* on drain: reads are polled (so an idle handler notices the
-//!   drain within a tick), every written frame reaches the kernel before
-//!   the process can exit, and a stalled or half-open client is bounded by
-//!   [`ServeConfig::read_timeout`] — it gets a protocol `error` reply when
-//!   possible instead of pinning a thread forever.
+//! * **Hardened connections.** Accept, polled reads, read timeouts,
+//!   per-connection budgets and the drain join are [`crate::conn`]'s job;
+//!   this module supplies only the per-frame handler (its metrics, the
+//!   streaming path and `respond`).
 //! * **Graceful drain.** `shutdown` (wire message or
 //!   [`ServerHandle::shutdown`]) stops admissions, lets every queued job
 //!   finish, and joins the shard *and connection* threads; in-flight
@@ -56,8 +54,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use retypd_core::fxhash::FxHashMap;
-use retypd_core::sync::atomic::{AtomicU64, Ordering};
 use retypd_core::sync::thread::JoinHandle;
 use retypd_core::sync::{mpsc, Arc, Mutex};
 use retypd_core::{Lattice, LatticeDescriptor, SolverResult};
@@ -68,6 +64,7 @@ use retypd_driver::{
 use retypd_telemetry::{trace_id_hash, Counter, Histogram, MetricsSnapshot, Registry};
 
 use crate::admission::Admission;
+use crate::conn;
 use crate::stats_cells::ShardStatsCells;
 
 use crate::wire::{
@@ -214,19 +211,6 @@ struct Shared {
     /// accounting, and the sticky drain flag (see [`crate::admission`]).
     admission: Admission,
     local_addr: SocketAddr,
-    /// Per-connection read behavior (see [`ServeConfig::read_timeout`]).
-    read_timeout: Option<Duration>,
-    /// Per-connection budgets (see [`ServeConfig::max_frames_per_conn`]
-    /// and [`ServeConfig::max_bytes_per_conn`]).
-    max_frames_per_conn: Option<u64>,
-    max_bytes_per_conn: Option<u64>,
-    /// Live connection handlers, joined on drain so every final frame
-    /// reaches the kernel before the process exits. The acceptor inserts
-    /// `None` *before* spawning (so a handler that finishes instantly can
-    /// deregister without racing the insert) and fills in the handle
-    /// right after.
-    conns: Mutex<FxHashMap<u64, Option<JoinHandle<()>>>>,
-    next_conn: AtomicU64,
     /// Descriptor-built lattices memoized server-wide (bounded; shared
     /// across all shards and connections).
     lattices: LatticeMemo,
@@ -272,19 +256,7 @@ impl Shared {
         for shard in &self.shards {
             shard.tx.lock().expect("shard tx lock").take();
         }
-        // Nudge the acceptor out of `accept()`. A bind to 0.0.0.0/[::] is
-        // not a connectable destination everywhere, so aim the nudge at
-        // loopback on the same port; residual failure (e.g. ephemeral-port
-        // exhaustion) leaves the acceptor parked until the next real
-        // connection, which also observes `draining` and lets it exit.
-        let mut nudge = self.local_addr;
-        if nudge.ip().is_unspecified() {
-            nudge.set_ip(match nudge.ip() {
-                std::net::IpAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
-                std::net::IpAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
-            });
-        }
-        let _ = TcpStream::connect_timeout(&nudge, std::time::Duration::from_secs(1));
+        conn::nudge(self.local_addr);
     }
 
     fn stats(&self) -> WireStats {
@@ -324,7 +296,7 @@ impl Shared {
 /// A running server: its bound address and lifecycle control.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: Option<conn::Acceptor>,
     shard_threads: Vec<JoinHandle<()>>,
 }
 
@@ -379,27 +351,14 @@ impl ServerHandle {
     }
 
     fn join_threads(&mut self) {
+        // Joining the connection handlers guarantees every final response
+        // frame was handed to the kernel before this returns: the delivery
+        // contract that retired the exit dwell in the `serve` binary.
         if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+            a.join();
         }
         for t in self.shard_threads.drain(..) {
             let _ = t.join();
-        }
-        // With the acceptor gone no new connections can register; joining
-        // what remains guarantees every final response frame was handed to
-        // the kernel before this returns — the delivery contract that
-        // retired the exit dwell in the `serve` binary. Handlers notice
-        // the drain within one read-poll tick, so this is bounded.
-        let conns: Vec<JoinHandle<()>> = self
-            .shared
-            .conns
-            .lock()
-            .expect("connection registry")
-            .drain()
-            .filter_map(|(_, handle)| handle)
-            .collect();
-        for handle in conns {
-            let _ = handle.join();
         }
     }
 }
@@ -463,11 +422,6 @@ fn start_with_hook(config: ServeConfig, hook: SolveHook) -> std::io::Result<Serv
         shards: shard_handles,
         admission: Admission::new(config.queue_depth),
         local_addr,
-        read_timeout: config.read_timeout,
-        max_frames_per_conn: config.max_frames_per_conn,
-        max_bytes_per_conn: config.max_bytes_per_conn,
-        conns: Mutex::new(FxHashMap::default()),
-        next_conn: AtomicU64::new(0),
         lattices: LatticeMemo::new(),
         default_lattice_fp: Lattice::c_types().fingerprint(),
         metrics: ServerMetrics::new(),
@@ -522,13 +476,7 @@ fn start_with_hook(config: ServeConfig, hook: SolveHook) -> std::io::Result<Serv
             .expect("shard thread died before becoming ready");
     }
 
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        retypd_core::sync::thread::Builder::new()
-            .name("retypd-acceptor".into())
-            .spawn(move || acceptor_main(listener, shared))
-            .expect("spawn acceptor thread")
-    };
+    let acceptor = conn::spawn(listener, "retypd", &config, Arc::clone(&shared))?;
 
     Ok(ServerHandle {
         shared,
@@ -650,302 +598,25 @@ fn shard_main(
     }
 }
 
-fn acceptor_main(listener: TcpListener, shared: Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.admission.is_draining() {
-            return;
-        }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => {
-                // Persistent accept errors (e.g. EMFILE under fd
-                // exhaustion) would otherwise spin this loop at 100% CPU;
-                // back off briefly before retrying.
-                retypd_core::sync::thread::sleep(std::time::Duration::from_millis(50));
-                continue;
-            }
-        };
-        // Frames are small request/response pairs; Nagle + delayed ACK
-        // would add ~40ms to every warm hit.
-        stream.set_nodelay(true).ok();
-        // Writes are always bounded: a client that stops reading its
-        // replies must not wedge a handler the drain will join.
-        stream
-            .set_write_timeout(Some(shared.read_timeout.unwrap_or(DEFAULT_WRITE_TIMEOUT)))
-            .ok();
-        // Track the handler so a drain can join it: every written frame
-        // reaches the kernel before the process exits. Register the id
-        // *before* spawning so a handler that finishes instantly (port
-        // scanner, health check) deregisters an existing entry instead of
-        // racing the insert and leaking a dead handle.
-        let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        shared
-            .conns
-            .lock()
-            .expect("connection registry")
-            .insert(id, None);
-        let conn_shared = Arc::clone(&shared);
-        let spawned = retypd_core::sync::thread::Builder::new()
-            .name("retypd-conn".into())
-            .spawn(move || {
-                handle_conn(stream, &conn_shared);
-                // Deregister after the last write: if the drain's sweep
-                // already took this handle, the removal is a no-op and the
-                // join covers us; either way nothing runs after this line.
-                conn_shared
-                    .conns
-                    .lock()
-                    .expect("connection registry")
-                    .remove(&id);
-            });
-        let mut conns = shared.conns.lock().expect("connection registry");
-        match spawned {
-            // The handler may already have deregistered itself; only fill
-            // in the handle if the entry is still live (a missing entry
-            // means the thread is past its final write and exiting).
-            Ok(handle) => {
-                if let Some(slot) = conns.get_mut(&id) {
-                    *slot = Some(handle);
-                }
-            }
-            Err(_) => {
-                conns.remove(&id);
-            }
-        }
+impl conn::Service for Shared {
+    fn draining(&self) -> bool {
+        self.admission.is_draining()
     }
-}
 
-/// One poll tick: how often a blocked read re-checks the drain flag and
-/// the configured read deadline. Bounds how long a drain waits on an idle
-/// connection.
-const READ_POLL: Duration = Duration::from_millis(100);
-
-/// Once a drain begins, a connection mid-frame (or mid-write) gets this
-/// long to finish before the handler gives up and closes — the backstop
-/// that keeps the drain join bounded even with `read_timeout` disabled.
-const DRAIN_GRACE: Duration = Duration::from_secs(5);
-
-/// Blocking writes are always bounded (a client that stops reading its
-/// replies must not wedge the handler the drain will join): the
-/// configured read timeout, or this when reads are unbounded.
-const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Outcome of a polled frame read.
-enum PolledRead {
-    /// A complete frame payload.
-    Frame(Vec<u8>),
-    /// Clean EOF between frames.
-    Eof,
-    /// The server began draining while this connection sat idle (no frame
-    /// byte consumed): close without a reply — an unsolicited frame would
-    /// desynchronize a request/response client.
-    DrainIdle,
-    /// No byte arrived within the configured read timeout (idle or
-    /// stalled mid-frame): answer with a protocol error, then close.
-    TimedOut,
-    /// The peer announced a frame over [`wire::MAX_FRAME_BYTES`]: refuse
-    /// it politely (the stream is desynchronized afterwards).
-    Oversized(usize),
-    /// Truncated frame or socket error: just close.
-    Broken,
-}
-
-/// Reads one frame with a polling loop instead of a single blocking read:
-/// every [`READ_POLL`] tick it re-checks the drain flag (idle connections
-/// notice a drain promptly, which is what lets the server *join* its
-/// connection handlers) and the `read_timeout` deadline (a half-open or
-/// stalled client cannot pin the thread).
-fn read_frame_polled(
-    stream: &mut TcpStream,
-    read_timeout: Option<Duration>,
-    admission: &Admission,
-) -> PolledRead {
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return PolledRead::Broken;
+    fn opened(&self) {
+        self.metrics.conns_opened.inc();
     }
-    let deadline = read_timeout.map(|t| Instant::now() + t);
-    let mut drain_deadline: Option<Instant> = None;
-    let mut len_buf = [0u8; 4];
-    // `None` while the 4-byte prefix is being read; `Some(total)` after.
-    let mut expected: Option<usize> = None;
-    let mut payload: Vec<u8> = Vec::new();
-    let mut filled = 0usize;
-    loop {
-        let read = match expected {
-            None => std::io::Read::read(stream, &mut len_buf[filled..]),
-            Some(total) => {
-                // Grow the buffer only as bytes actually arrive: a peer
-                // that *announces* a near-cap frame and then trickles (or
-                // never sends) it must not cost the announced allocation
-                // up front.
-                if filled == payload.len() {
-                    let take = (total - filled).min(wire::READ_CHUNK);
-                    payload.resize(filled + take, 0);
-                }
-                std::io::Read::read(stream, &mut payload[filled..])
-            }
-        };
-        match read {
-            Ok(0) => {
-                // EOF: clean only between frames.
-                return if expected.is_none() && filled == 0 {
-                    PolledRead::Eof
-                } else {
-                    PolledRead::Broken
-                };
-            }
-            Ok(n) => {
-                filled += n;
-                match expected {
-                    None => {
-                        if filled < 4 {
-                            continue;
-                        }
-                        let len = u32::from_be_bytes(len_buf) as usize;
-                        if len > wire::MAX_FRAME_BYTES {
-                            return PolledRead::Oversized(len);
-                        }
-                        if len == 0 {
-                            return PolledRead::Frame(Vec::new());
-                        }
-                        expected = Some(len);
-                        filled = 0;
-                    }
-                    Some(total) => {
-                        if filled == total {
-                            return PolledRead::Frame(payload);
-                        }
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Poll tick. Only an *idle* connection (no frame byte yet)
-                // may be closed promptly by a drain; a frame in flight is
-                // a request that still deserves its (polite) refusal —
-                // but only for [`DRAIN_GRACE`], so a client stalled
-                // mid-frame cannot hold the drain join hostage even when
-                // `read_timeout` is disabled.
-                if admission.is_draining() {
-                    if expected.is_none() && filled == 0 {
-                        return PolledRead::DrainIdle;
-                    }
-                    let cutoff =
-                        *drain_deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
-                    if Instant::now() >= cutoff {
-                        return PolledRead::Broken;
-                    }
-                }
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return PolledRead::TimedOut;
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return PolledRead::Broken,
-        }
-    }
-}
 
-fn handle_conn(stream: TcpStream, shared: &Shared) {
-    shared.metrics.conns_opened.inc();
-    // Count the close on *every* exit path (there are many), including a
-    // handler panic — the opened/closed pair is how a leak would show.
-    struct ConnClosed<'a>(&'a Counter);
-    impl Drop for ConnClosed<'_> {
-        fn drop(&mut self) {
-            self.0.inc();
-        }
+    fn closed(&self) {
+        self.metrics.conns_closed.inc();
     }
-    let _closed = ConnClosed(&shared.metrics.conns_closed);
-    let mut stream = stream;
-    let mut frames_used = 0u64;
-    let mut bytes_used = 0u64;
-    loop {
-        let payload = match read_frame_polled(&mut stream, shared.read_timeout, &shared.admission)
-        {
-            PolledRead::Frame(p) => p,
-            PolledRead::Eof | PolledRead::DrainIdle | PolledRead::Broken => return,
-            PolledRead::TimedOut => {
-                // The satellite contract: a stalled client gets told why
-                // before the close, when the socket still accepts writes.
-                let secs = shared.read_timeout.unwrap_or_default().as_secs();
-                let _ = wire::write_frame(
-                    &mut stream,
-                    &Response::Error(format!(
-                        "read timed out after {secs}s; closing connection"
-                    ))
-                    .encode(),
-                );
-                return;
-            }
-            PolledRead::Oversized(len) => {
-                // A refused frame leaves the stream in a known state —
-                // only the 4-byte prefix was consumed — so say why before
-                // hanging up instead of a bare connection reset.
-                let _ = wire::write_frame(
-                    &mut stream,
-                    &Response::Error(format!("peer announced {len}-byte frame, over cap"))
-                        .encode(),
-                );
-                // The peer's refused payload is typically still arriving;
-                // closing with unread received data sends an RST that
-                // would destroy the reply in flight. Briefly shed the
-                // incoming bytes (bounded, so a firehosing peer cannot
-                // pin the thread) to let the error frame flush first.
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-                let deadline = Instant::now() + Duration::from_millis(250);
-                let mut sink = [0u8; 8192];
-                while Instant::now() < deadline {
-                    match std::io::Read::read(&mut stream, &mut sink) {
-                        Ok(0) | Err(_) => break,
-                        Ok(_) => {}
-                    }
-                }
-                return;
-            }
-        };
-        // Per-connection budgets: the frame that crosses a cap is refused
-        // with an error naming the exhausted limit, then the connection is
-        // closed — cumulative, so one socket cannot extract unbounded work
-        // or feed unbounded bytes no matter how well-formed each frame is.
-        frames_used += 1;
-        bytes_used += 4 + payload.len() as u64;
-        if let Some(limit) = shared.max_frames_per_conn {
-            if frames_used > limit {
-                let _ = wire::write_frame(
-                    &mut stream,
-                    &Response::Error(format!(
-                        "per-connection frame budget of {limit} frames exhausted; \
-                         closing connection"
-                    ))
-                    .encode(),
-                );
-                return;
-            }
-        }
-        if let Some(limit) = shared.max_bytes_per_conn {
-            if bytes_used > limit {
-                let _ = wire::write_frame(
-                    &mut stream,
-                    &Response::Error(format!(
-                        "per-connection byte budget of {limit} bytes exhausted; \
-                         closing connection"
-                    ))
-                    .encode(),
-                );
-                return;
-            }
-        }
-        shared.metrics.frames.inc();
-        shared.metrics.frame_bytes.record(payload.len() as u64);
+
+    fn handle(&self, stream: &mut TcpStream, payload: Vec<u8>) -> bool {
+        self.metrics.frames.inc();
+        self.metrics.frame_bytes.record(payload.len() as u64);
         let decode_start = Instant::now();
         let decoded = Request::decode(&payload);
-        shared
-            .metrics
+        self.metrics
             .frame_decode_ns
             .record(decode_start.elapsed().as_nanos() as u64);
         let response = match decoded {
@@ -959,28 +630,25 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                 // module plus `batch_done`); a pre-admission refusal falls
                 // through as a single ordinary response.
                 match solve_streaming(
-                    &mut stream,
+                    stream,
                     &modules,
                     lattice.as_ref(),
                     trace_id.as_deref(),
-                    shared,
+                    self,
                 ) {
-                    Ok(()) => continue,
+                    Ok(()) => return true,
                     Err(refusal) => refusal,
                 }
             }
-            Ok(req) => respond(req, shared),
+            Ok(req) => respond(req, self),
             Err(e) => Response::Error(e.to_string()),
         };
         let flush_start = Instant::now();
-        let wrote = wire::write_frame(&mut stream, &response.encode());
-        shared
-            .metrics
+        let wrote = wire::write_frame(stream, &response.encode());
+        self.metrics
             .reply_flush_ns
             .record(flush_start.elapsed().as_nanos() as u64);
-        if wrote.is_err() {
-            return;
-        }
+        wrote.is_ok()
     }
 }
 
@@ -996,7 +664,7 @@ fn respond(req: Request, shared: &Shared) -> Response {
             trace_id.as_deref(),
             shared,
         ),
-        // `stream: true` is intercepted in `handle_conn`; a direct call
+        // `stream: true` is intercepted in `handle`; a direct call
         // (impossible from the socket path) degrades to a single frame.
         Request::SolveBatch {
             modules,
@@ -1020,6 +688,60 @@ fn respond(req: Request, shared: &Shared) -> Response {
     }
 }
 
+/// Per-module replies from the shards, tagged with the module's index.
+type Replies = mpsc::Receiver<(usize, Result<WireReport, String>)>;
+
+/// What every job of one admitted batch shares on its way to a shard.
+struct Batch {
+    lattice: Option<Arc<Lattice>>,
+    trace: u64,
+    trace_id: Option<Arc<str>>,
+    reply: mpsc::Sender<(usize, Result<WireReport, String>)>,
+}
+
+impl Batch {
+    fn new(lattice: Option<Arc<Lattice>>, trace_id: Option<&str>) -> (Batch, Replies) {
+        let (reply, replies) = mpsc::channel();
+        let batch = Batch {
+            lattice,
+            trace: trace_id.map_or(0, trace_id_hash),
+            trace_id: trace_id.map(Arc::from),
+            reply,
+        };
+        (batch, replies)
+    }
+
+    /// Routes job `index` to its shard (`fingerprint % shards`). `false`
+    /// means a drain hung up the queue between admission and dispatch;
+    /// the job's admission slot has then been released here.
+    fn dispatch(&self, shared: &Shared, index: usize, job: ModuleJob) -> bool {
+        let fingerprint = job.fingerprint();
+        let shard = &shared.shards[(fingerprint % shared.shards.len() as u64) as usize];
+        let sent = shard
+            .tx
+            .lock()
+            .expect("shard tx lock")
+            .as_ref()
+            .is_some_and(|tx| {
+                tx.send(ShardJob {
+                    index,
+                    job,
+                    fingerprint,
+                    lattice: self.lattice.clone(),
+                    enqueued: Instant::now(),
+                    trace: self.trace,
+                    trace_id: self.trace_id.clone(),
+                    reply: self.reply.clone(),
+                })
+                .is_ok()
+            });
+        if !sent {
+            shared.admission.release(1);
+        }
+        sent
+    }
+}
+
 /// An admitted, shard-dispatched batch awaiting replies.
 struct Dispatched {
     /// Batch size as submitted.
@@ -1027,7 +749,7 @@ struct Dispatched {
     /// Jobs actually handed to a shard (a drain can race the dispatch).
     dispatched: usize,
     /// Per-module replies, in completion order.
-    reply_rx: mpsc::Receiver<(usize, Result<WireReport, String>)>,
+    reply_rx: Replies,
 }
 
 /// Count-based admission shared by the single-frame and streaming paths:
@@ -1100,38 +822,10 @@ fn admit_and_dispatch(
     }
     admit_batch(n, shared)?;
 
-    let trace = trace_id.map_or(0, trace_id_hash);
-    let trace_str: Option<Arc<str>> = trace_id.map(Arc::from);
-    let (reply_tx, reply_rx) = mpsc::channel();
+    let (batch, reply_rx) = Batch::new(lattice, trace_id);
     let mut dispatched = 0usize;
     for (index, job) in jobs.into_iter().enumerate() {
-        let fingerprint = job.fingerprint();
-        let shard = (fingerprint % shared.shards.len() as u64) as usize;
-        let sent = {
-            let guard = shared.shards[shard].tx.lock().expect("shard tx lock");
-            match guard.as_ref() {
-                Some(tx) => tx
-                    .send(ShardJob {
-                        index,
-                        job,
-                        fingerprint,
-                        lattice: lattice.clone(),
-                        enqueued: Instant::now(),
-                        trace,
-                        trace_id: trace_str.clone(),
-                        reply: reply_tx.clone(),
-                    })
-                    .is_ok(),
-                None => false,
-            }
-        };
-        if sent {
-            dispatched += 1;
-        } else {
-            // Drain raced us between `admit` and dispatch: release the
-            // budget for this job ourselves.
-            shared.admission.release(1);
-        }
+        dispatched += usize::from(batch.dispatch(shared, index, job));
     }
     Ok(Dispatched {
         n,
@@ -1206,9 +900,7 @@ fn solve_streaming(
         // inside the pipeline below.
         admit_batch(n, shared)?;
 
-        let trace = trace_id.map_or(0, trace_id_hash);
-        let trace_str: Option<Arc<str>> = trace_id.map(Arc::from);
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (batch, reply_rx) = Batch::new(lattice, trace_id);
         let mut write_ok = true;
         let mut write_report = |index: usize,
                                 result: Result<WireReport, String>,
@@ -1230,56 +922,22 @@ fn solve_streaming(
             }
         };
         for (index, module) in modules.iter().enumerate() {
-            match module.to_job() {
-                Ok(job) => {
-                    let fingerprint = job.fingerprint();
-                    let shard = (fingerprint % shared.shards.len() as u64) as usize;
-                    let sent = {
-                        let guard = shared.shards[shard].tx.lock().expect("shard tx lock");
-                        match guard.as_ref() {
-                            Some(tx) => tx
-                                .send(ShardJob {
-                                    index,
-                                    job,
-                                    fingerprint,
-                                    lattice: lattice.clone(),
-                                    enqueued: Instant::now(),
-                                    trace,
-                                    trace_id: trace_str.clone(),
-                                    reply: reply_tx.clone(),
-                                })
-                                .is_ok(),
-                            None => false,
-                        }
-                    };
-                    if !sent {
-                        // Drain raced us between `admit` and dispatch:
-                        // release the budget and report it per module.
-                        shared.admission.release(1);
-                        write_report(
-                            index,
-                            Err(format!(
-                                "module {:?} not dispatched: server is draining",
-                                module.name
-                            )),
-                            &mut delivered,
-                            &mut errors,
-                            &mut write_ok,
-                        );
-                    }
-                }
+            let refused = match module.to_job() {
+                Ok(job) => (!batch.dispatch(shared, index, job)).then(|| {
+                    format!(
+                        "module {:?} not dispatched: server is draining",
+                        module.name
+                    )
+                }),
                 Err(e) => {
                     // A malformed module costs its slot only for the time
                     // it took to fail parsing.
                     shared.admission.release(1);
-                    write_report(
-                        index,
-                        Err(e.to_string()),
-                        &mut delivered,
-                        &mut errors,
-                        &mut write_ok,
-                    );
+                    Some(e.to_string())
                 }
+            };
+            if let Some(e) = refused {
+                write_report(index, Err(e), &mut delivered, &mut errors, &mut write_ok);
             }
             // Flush whatever already finished so the first report is on
             // the wire while later modules still parse and dispatch.
@@ -1287,7 +945,7 @@ fn solve_streaming(
                 write_report(index, result, &mut delivered, &mut errors, &mut write_ok);
             }
         }
-        drop(reply_tx);
+        drop(batch);
         for (index, result) in reply_rx {
             write_report(index, result, &mut delivered, &mut errors, &mut write_ok);
         }

@@ -53,6 +53,7 @@ use retypd_core::{LatticeDescriptor, Program, SolverResult, SolverStats, Symbol,
 use retypd_driver::{CacheStats, ModuleJob, ModuleReport};
 use serde::{Deserialize, Serialize};
 
+use crate::conn::{FrameReader, Polled};
 use crate::json::Json;
 
 /// Hard cap on one frame's payload (64 MiB): far above any real module,
@@ -116,46 +117,24 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
     Ok(())
 }
 
-/// Granularity of frame-payload allocation: the buffer grows one chunk at
-/// a time as bytes actually arrive, so a peer that *announces* a large
-/// frame but never delivers it cannot make the reader commit the full
-/// announced allocation up front.
-pub(crate) const READ_CHUNK: usize = 64 << 10;
-
 /// Reads one frame. `Ok(None)` is a clean end-of-stream (the peer closed
 /// between frames); EOF inside a frame is an error.
 ///
-/// Both sides of the protocol use this: the announced length is validated
-/// against [`MAX_FRAME_BYTES`] *before* any allocation (a malicious or
-/// confused server must not make a [`crate::Client`] attempt a multi-GiB
-/// allocation, and vice versa), and the payload buffer then grows in
-/// [`READ_CHUNK`] steps so memory tracks bytes delivered, not bytes
-/// promised.
+/// Both sides of the protocol use this blocking form of
+/// [`crate::conn::FrameReader`]: the announced length is checked against
+/// [`MAX_FRAME_BYTES`] before any allocation, and the payload buffer grows
+/// with the bytes delivered, not the bytes promised.
 ///
 /// # Errors
 ///
-/// Fails on socket errors, truncated frames, or an oversized length prefix.
+/// Fails on socket errors (a read timeout included), truncated frames, or
+/// an oversized length prefix.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e.into()),
+    match FrameReader::default().poll(r)? {
+        Polled::Frame(payload) => Ok(Some(payload)),
+        Polled::Eof => Ok(None),
+        Polled::Oversized(len) => Err(proto(format!("peer announced {len}-byte frame, over cap"))),
     }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(proto(format!("peer announced {len}-byte frame, over cap")));
-    }
-    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
-    while payload.len() < len {
-        let take = (len - payload.len()).min(READ_CHUNK);
-        let start = payload.len();
-        payload.resize(start + take, 0);
-        if let Err(e) = r.read_exact(&mut payload[start..]) {
-            return Err(e.into());
-        }
-    }
-    Ok(Some(payload))
 }
 
 fn encode_msg(j: &Json) -> Vec<u8> {

@@ -424,3 +424,37 @@ fn shutdown_ack_is_delivered_on_every_cycle() {
         handle.join();
     }
 }
+
+#[test]
+fn a_busy_connection_cannot_hold_the_drain_open() {
+    use std::time::Duration;
+
+    // One connection asks for `stats` every 20 ms, the way a gateway's
+    // health probe reuses a pooled socket. Each frame arrives before an
+    // idle poll tick could notice the drain, so the drain must be checked
+    // at frame boundaries for shutdown to finish.
+    let handle = server(1, 8);
+    let addr = handle.addr();
+    let (probing, probed) = retypd_core::sync::mpsc::channel();
+    let prober = retypd_core::sync::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect prober");
+        while client.stats().is_ok() {
+            let _ = probing.send(());
+            retypd_core::sync::thread::sleep(Duration::from_millis(20));
+        }
+    });
+    probed.recv().expect("first probe answered");
+    // The shutdown runs on its own thread and this one is the watchdog:
+    // a drain that hangs fails the test instead of hanging the suite.
+    let (done, finished) = retypd_core::sync::mpsc::channel();
+    let shutdown = retypd_core::sync::thread::spawn(move || {
+        handle.shutdown();
+        let _ = done.send(());
+    });
+    assert!(
+        finished.recv_timeout(Duration::from_secs(2)).is_ok(),
+        "shutdown still blocked after 2 s by a connection that keeps sending"
+    );
+    shutdown.join().expect("shutdown thread");
+    prober.join().expect("prober sees the close");
+}
