@@ -17,35 +17,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use retypd_core::graph::ConstraintGraph;
-use retypd_core::parse::parse_constraint_set;
-use retypd_core::saturation::saturate;
-use retypd_core::shapes::ShapeQuotient;
-use retypd_core::{BaseVar, ConstraintSet, Lattice, Sketch};
+use retypd_core::ConstraintSet;
 use retypd_minic::ast::Module;
 use retypd_minic::genprog::{ClusterSpec, GenConfig, ProgramGenerator};
 
-/// The Figure 2 constraint set used by the `core_solver` benches: the
-/// recursive linked-list walker with a `#FileDescriptor` handle field.
-pub fn figure2_constraints() -> ConstraintSet {
-    parse_constraint_set(
-        "
-        f.in_stack0 <= t
-        t.load.σ32@0 <= t
-        t.load.σ32@4 <= #FileDescriptor
-        t.load.σ32@4 <= int
-        int <= f.out_eax
-        #SuccessZ <= f.out_eax
-        ",
-    )
-    .expect("figure2 constraints parse")
-}
-
 /// A value-flow chain of `n` links with pointer stores/loads every third
-/// link — the `saturate_chain_*` workload shared by the criterion bench,
-/// the JSON emitter, and the determinism regression tests. Keeping one
-/// definition here means the committed `BENCH_*.json` trajectories and the
-/// pinned graph counts always measure the same program.
+/// link — the workload whose graph counts the determinism regression
+/// tests pin.
 pub fn chain_constraints(n: usize) -> ConstraintSet {
     let mut cs = ConstraintSet::new();
     for i in 0..n {
@@ -57,36 +35,6 @@ pub fn chain_constraints(n: usize) -> ConstraintSet {
     }
     cs.add_sub_str("v0", "int");
     cs
-}
-
-/// A constant-heavy recursive-struct constraint set: many sketch states ×
-/// many type constants, the workload dominated by `Sketch::infer`'s bound
-/// queries (the batched-sweep target; see `sketches/sketch_infer_wide` in
-/// the committed `BENCH_*.json` trajectories).
-pub fn wide_bounds_constraints() -> ConstraintSet {
-    let mut src = String::from("f.in_stack0 <= t; t.load.σ32@0 <= t;\n");
-    let consts = [
-        "int", "uint", "int32", "uint32", "int16", "uint16", "int8", "uint8",
-        "#FileDescriptor", "#SuccessZ", "#SignalNumber", "pid_t", "bool_t",
-        "time_t", "size_t", "uintptr_t", "char", "float", "double",
-    ];
-    for (i, k) in consts.iter().enumerate() {
-        src.push_str(&format!("t.load.σ32@{} <= {k};\n", 4 * (i + 1)));
-        src.push_str(&format!("{k} <= f.out_eax;\n"));
-        src.push_str(&format!("g{i} <= t.load.σ32@{};\n", 4 * (i + 1)));
-    }
-    parse_constraint_set(&src).expect("wide bounds constraints parse")
-}
-
-/// Infers `f`'s sketch from a textual constraint set (the `sketches`
-/// bench fixture builder).
-pub fn sketch_for(src: &str, lattice: &Lattice) -> Sketch {
-    let cs = parse_constraint_set(src).expect("sketch fixture parses");
-    let mut g = ConstraintGraph::build(&cs);
-    saturate(&mut g);
-    let q = ShapeQuotient::build(&cs);
-    let consts: Vec<BaseVar> = cs.base_vars().into_iter().filter(|b| b.is_const()).collect();
-    Sketch::infer(BaseVar::var("f"), &g, &q, lattice, &consts).expect("f has a class")
 }
 
 /// A named standalone benchmark (the Figure 7 singles).

@@ -28,8 +28,8 @@
 //!
 //! The `conc-check` binary runs both registries with a fixed seed and
 //! emits a JSON run-stats report (per-model interleaving counts,
-//! completeness, mutation schedules); CI archives it next to the bench
-//! and fuzz smoke artifacts.
+//! completeness, mutation schedules); CI archives it next to the fuzz
+//! smoke artifact.
 
 use loom::{Builder, Report};
 

@@ -9,7 +9,7 @@
 //! `--min-iterations`, when given) AND every mutation model fails with
 //! a schedule that replays to the same failure; 1 otherwise; 2 on
 //! usage errors. The JSON goes to stdout (or `--out FILE`) and CI
-//! archives it next to the bench/fuzz smoke artifacts:
+//! archives it next to the fuzz smoke artifact:
 //!
 //! ```json
 //! {

@@ -178,12 +178,6 @@ impl ConstraintSet {
         self.var_decls.extend(other.var_decls.iter().cloned());
         self.addsubs.extend(other.addsubs.iter().cloned());
     }
-
-    /// True if the exact constraint `lhs ⊑ rhs` is syntactically present.
-    pub fn contains_sub(&self, lhs: &DerivedVar, rhs: &DerivedVar) -> bool {
-        self.subtypes
-            .contains(&SubtypeConstraint::new(lhs.clone(), rhs.clone()))
-    }
 }
 
 impl fmt::Display for ConstraintSet {

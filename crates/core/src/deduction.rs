@@ -193,11 +193,6 @@ impl Oracle {
     pub fn subtype_facts(&self) -> impl Iterator<Item = &(DerivedVar, DerivedVar)> {
         self.subs.iter()
     }
-
-    /// All capability facts in the closure, for inspection.
-    pub fn var_facts(&self) -> impl Iterator<Item = &DerivedVar> {
-        self.vars.iter()
-    }
 }
 
 #[cfg(test)]

@@ -399,16 +399,6 @@ impl ConstraintGraph {
         &self.dtvs[n.dtv_id().index()]
     }
 
-    /// Resolves an interned id.
-    pub fn resolve_dtv(&self, id: DtvId) -> &DerivedVar {
-        &self.dtvs[id.index()]
-    }
-
-    /// Number of interned derived variables.
-    pub fn dtv_count(&self) -> usize {
-        self.dtvs.len()
-    }
-
     /// ε successors of a node (base CSR lane, then the delta lane).
     pub fn eps_out(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let r = self.eps_idx[n.index()] as usize..self.eps_idx[n.index() + 1] as usize;
@@ -617,7 +607,7 @@ mod tests {
         let g = ConstraintGraph::build(&cs);
         let pl = crate::parse::parse_derived_var("p.load").unwrap();
         let id = g.dtv_id(&pl).expect("materialized");
-        assert_eq!(g.resolve_dtv(id), &pl);
+        assert_eq!(&g.dtvs[id.index()], &pl);
         // Unmaterialized words miss without panicking.
         let deep = crate::parse::parse_derived_var("p.load.load").unwrap();
         assert!(g.dtv_id(&deep).is_none());

@@ -103,11 +103,6 @@ impl Label {
         Label::In(Loc::Stack(offset))
     }
 
-    /// Constructs an `.in_REG` label for register parameters.
-    pub fn in_reg(name: &str) -> Label {
-        Label::In(Loc::reg(name))
-    }
-
     /// Constructs the `.out_REG` label (`.out_eax` by convention on x86).
     pub fn out_reg(name: &str) -> Label {
         Label::Out(Loc::reg(name))

@@ -89,24 +89,6 @@ impl PhaseSet {
     }
 }
 
-/// Options controlling scheme extraction.
-#[derive(Clone, Copy, Debug)]
-pub struct SimplifyOptions {
-    /// Also emit the capability skeleton: constraints witnessing `VAR X.u`
-    /// facts that never reach a type constant. Without this, a formal whose
-    /// field is accessed but unconstrained would lose the field in callers'
-    /// sketches.
-    pub keep_capabilities: bool,
-}
-
-impl Default for SimplifyOptions {
-    fn default() -> SimplifyOptions {
-        SimplifyOptions {
-            keep_capabilities: true,
-        }
-    }
-}
-
 /// Infers simplified type schemes from constraint sets.
 ///
 /// ```
@@ -126,22 +108,12 @@ impl Default for SimplifyOptions {
 pub struct SchemeBuilder<'l> {
     #[allow(dead_code)]
     lattice: &'l Lattice,
-    options: SimplifyOptions,
 }
 
 impl<'l> SchemeBuilder<'l> {
-    /// Creates a builder with default options.
+    /// Creates a builder.
     pub fn new(lattice: &'l Lattice) -> SchemeBuilder<'l> {
-        SchemeBuilder {
-            lattice,
-            options: SimplifyOptions::default(),
-        }
-    }
-
-    /// Overrides the extraction options.
-    pub fn with_options(mut self, options: SimplifyOptions) -> SchemeBuilder<'l> {
-        self.options = options;
-        self
+        SchemeBuilder { lattice }
     }
 
     /// Infers the type scheme of procedure `func` from its constraint set,
@@ -242,8 +214,7 @@ impl<'l> SchemeBuilder<'l> {
         // The extraction below covers the relational core; the capability
         // skeleton (VAR facts that never reach a constant) is emitted
         // separately from the shape quotient — see after the edge loop.
-        let _ = &self.options;
-
+        //
         // Emit constraints. Synthesized names are keyed by the graph's
         // interned dtv ids — no derived-variable cloning or path hashing.
         let mut fresh = FreshVars::new();
@@ -321,35 +292,30 @@ impl<'l> SchemeBuilder<'l> {
         // constraints reproduce the capability words, and `X ⊑ τ_root`
         // grafts them onto the interesting variable. The fresh variables
         // carry no lattice constants, so no bounds can leak through them.
-        if self.options.keep_capabilities {
-            let mut class_var: FxHashMap<crate::shapes::ClassId, BaseVar> = FxHashMap::default();
-            let mut emitted: FxHashSet<crate::shapes::ClassId> = FxHashSet::default();
-            for base in interesting {
-                if base.is_const() {
+        let mut class_var: FxHashMap<crate::shapes::ClassId, BaseVar> = FxHashMap::default();
+        let mut emitted: FxHashSet<crate::shapes::ClassId> = FxHashSet::default();
+        for base in interesting {
+            if base.is_const() {
+                continue;
+            }
+            let Some(root) = quotient.walk(*base, &[]) else {
+                continue;
+            };
+            let root_var = *class_var.entry(root).or_insert_with(|| fresh.next());
+            existentials.insert(root_var.name());
+            out.add_sub(DerivedVar::new(*base), DerivedVar::new(root_var));
+            let mut stack = vec![root];
+            while let Some(c) = stack.pop() {
+                if !emitted.insert(c) {
                     continue;
                 }
-                let Some(root) = quotient.walk(*base, &[]) else {
-                    continue;
-                };
-                let root_var = *class_var.entry(root).or_insert_with(|| fresh.next());
-                existentials.insert(root_var.name());
-                out.add_sub(DerivedVar::new(*base), DerivedVar::new(root_var));
-                let mut stack = vec![root];
-                while let Some(c) = stack.pop() {
-                    if !emitted.insert(c) {
-                        continue;
-                    }
-                    let cv = *class_var.entry(c).or_insert_with(|| fresh.next());
-                    existentials.insert(cv.name());
-                    for (l, t) in quotient.successors(c) {
-                        let tv = *class_var.entry(t).or_insert_with(|| fresh.next());
-                        existentials.insert(tv.name());
-                        out.add_sub(
-                            DerivedVar::new(cv).push(l),
-                            DerivedVar::new(tv),
-                        );
-                        stack.push(t);
-                    }
+                let cv = *class_var.entry(c).or_insert_with(|| fresh.next());
+                existentials.insert(cv.name());
+                for (l, t) in quotient.successors(c) {
+                    let tv = *class_var.entry(t).or_insert_with(|| fresh.next());
+                    existentials.insert(tv.name());
+                    out.add_sub(DerivedVar::new(cv).push(l), DerivedVar::new(tv));
+                    stack.push(t);
                 }
             }
         }

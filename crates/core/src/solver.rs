@@ -124,8 +124,8 @@ pub struct ProcResult {
 }
 
 /// Aggregate size statistics, used by the evaluation's memory model, plus
-/// timing and cache counters so driver runs are comparable to plain
-/// [`Solver::infer`] runs in the committed `BENCH_*.json` trajectories.
+/// timing and cache counters, so driver runs and plain [`Solver::infer`]
+/// runs report the same figures.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SolverStats {
     /// Total constraint-graph nodes across SCC solves.

@@ -6,12 +6,10 @@
 //! first pops exactly `u` (interleaved with ε steps) and then pushes exactly
 //! `v` (Appendix D.4's "shadowing" discipline: all pops precede all pushes).
 
-use std::collections::BTreeSet;
-
 use crate::bitset::BitSet;
 use crate::dtv::DerivedVar;
 use crate::graph::{ConstraintGraph, NodeId};
-use crate::lattice::{Lattice, LatticeElem};
+use crate::lattice::Lattice;
 use crate::variance::Variance;
 
 /// True if the saturated graph witnesses `C ⊢ lhs ⊑ rhs` in the pushdown
@@ -100,94 +98,6 @@ fn accepts_trimmed(g: &ConstraintGraph, lhs: &DerivedVar, rhs: &DerivedVar, k: u
     false
 }
 
-
-/// Lattice bounds inferred for the derived type variables of a constraint
-/// set: for each materialized dtv, the set of type constants that bound it
-/// from above and below (the Appendix D.4 queries "which derived type
-/// variables are bound above or below by which type constants").
-#[derive(Clone, Debug, Default)]
-pub struct ConstBounds {
-    /// `uppers[dtv]`: constants κ with `dtv ⊑ κ`.
-    pub uppers: std::collections::BTreeMap<DerivedVar, BTreeSet<crate::Symbol>>,
-    /// `lowers[dtv]`: constants κ with `κ ⊑ dtv`.
-    pub lowers: std::collections::BTreeMap<DerivedVar, BTreeSet<crate::Symbol>>,
-}
-
-impl ConstBounds {
-    /// The meet of all upper bounds of `dv` resolvable in `lattice`
-    /// (defaulting to ⊤ when there are none).
-    pub fn upper_mark(&self, dv: &DerivedVar, lattice: &Lattice) -> LatticeElem {
-        let mut m = lattice.top();
-        if let Some(us) = self.uppers.get(dv) {
-            for sym in us {
-                if let Some(e) = lattice.element_sym(*sym) {
-                    m = lattice.meet(m, e);
-                }
-            }
-        }
-        m
-    }
-
-    /// The join of all lower bounds of `dv` (defaulting to ⊥).
-    pub fn lower_mark(&self, dv: &DerivedVar, lattice: &Lattice) -> LatticeElem {
-        let mut j = lattice.bottom();
-        if let Some(ls) = self.lowers.get(dv) {
-            for sym in ls {
-                if let Some(e) = lattice.element_sym(*sym) {
-                    j = lattice.join(j, e);
-                }
-            }
-        }
-        j
-    }
-}
-
-/// Computes constant bounds for every materialized dtv by ε-reachability on
-/// the saturated graph.
-///
-/// After saturation, any derivation `d ⊑ κ` whose endpoints are materialized
-/// is witnessed by a pure-ε path `(d,⊕) ⇝ (κ,⊕)` (balanced excursions having
-/// been shortcut), and dually `(κ,⊖) ⇝ (d,⊖)`; lower bounds mirror this.
-pub fn const_bounds(g: &ConstraintGraph) -> ConstBounds {
-    let mut bounds = ConstBounds::default();
-    // Collect constant entry nodes.
-    let const_nodes: Vec<(NodeId, crate::Symbol)> = g
-        .nodes()
-        .filter_map(|n| {
-            let d = g.dtv(n);
-            if d.is_empty() && d.base().is_const() {
-                Some((n, d.base().name()))
-            } else {
-                None
-            }
-        })
-        .collect();
-
-    // Forward ε-reachability from (κ,⊕) marks lower bounds; from (κ,⊖) it
-    // marks upper bounds (the dual row runs backwards).
-    for &(n, sym) in &const_nodes {
-        let reached = eps_reachable(g, n);
-        for m in reached {
-            let d = g.dtv(m).clone();
-            if d.base().is_const() && d.is_empty() {
-                continue;
-            }
-            match n.variance() {
-                Variance::Covariant => {
-                    // (κ,⊕) ⇝ (d,⊕): κ ⊑ d. Only same-variance ε edges exist,
-                    // so m is covariant.
-                    bounds.lowers.entry(d).or_default().insert(sym);
-                }
-                Variance::Contravariant => {
-                    // (κ,⊖) ⇝ (d,⊖) is the dual of d ⊑ κ.
-                    bounds.uppers.entry(d).or_default().insert(sym);
-                }
-            }
-        }
-    }
-    bounds
-}
-
 /// Deferred consistency checking (§3): finds entailed scalar constraints
 /// `κ₁ ⊑ κ₂` between type constants that do not hold in the lattice.
 pub fn scalar_violations(g: &ConstraintGraph, lattice: &Lattice) -> Vec<(crate::Symbol, crate::Symbol)> {
@@ -264,45 +174,5 @@ mod tests {
         let z = parse_derived_var("zz").unwrap();
         let a = parse_derived_var("a").unwrap();
         assert!(!accepts(&g, &z, &a));
-    }
-
-    #[test]
-    fn const_bounds_simple() {
-        let g = saturated("x <= int; #FileDescriptor <= x; x <= y");
-        let b = const_bounds(&g);
-        let x = parse_derived_var("x").unwrap();
-        let y = parse_derived_var("y").unwrap();
-        let int = crate::Symbol::intern("int");
-        let fd = crate::Symbol::intern("#FileDescriptor");
-        assert!(b.uppers.get(&x).unwrap().contains(&int));
-        assert!(b.lowers.get(&x).unwrap().contains(&fd));
-        // y inherits the lower bound through x ⊑ y, but not the upper.
-        assert!(b.lowers.get(&y).unwrap().contains(&fd));
-        assert!(!b.uppers.contains_key(&y) || !b.uppers.get(&y).unwrap().contains(&int));
-    }
-
-    #[test]
-    fn const_bounds_through_pointer() {
-        // Storing an int through p and loading it out: the loaded value has
-        // int as a lower bound.
-        let g = saturated("int <= p.store.σ32@0; p.load.σ32@0 <= out");
-        let b = const_bounds(&g);
-        let out = parse_derived_var("out").unwrap();
-        assert!(b
-            .lowers
-            .get(&out)
-            .is_some_and(|s| s.contains(&crate::Symbol::intern("int"))));
-    }
-
-    #[test]
-    fn upper_marks_meet() {
-        let lat = crate::Lattice::c_types();
-        let g = saturated("x <= int32; x <= #FileDescriptor");
-        let b = const_bounds(&g);
-        let x = parse_derived_var("x").unwrap();
-        let mark = b.upper_mark(&x, &lat);
-        assert_eq!(lat.name(mark), "#FileDescriptor");
-        let lower = b.lower_mark(&x, &lat);
-        assert_eq!(lower, lat.bottom());
     }
 }

@@ -30,13 +30,12 @@
 //! * **Request/session API** (the primary entry point): a
 //!   [`SolveRequest`] names *which lattice* to solve against (the driver's
 //!   default, a serializable [`LatticeDescriptor`], or a pre-built shared
-//!   [`retypd_core::Lattice`]), the modules, and per-request options;
+//!   [`retypd_core::Lattice`]) and the modules;
 //!   [`AnalysisDriver::session`] resolves it into an [`AnalysisSession`]
-//!   whose [`AnalysisSession::run_with`] *streams* each [`ModuleReport`]
-//!   to a sink the moment its module completes (completion order) while
-//!   still returning the job-ordered batch. [`AnalysisDriver::solve_batch`]
-//!   and [`AnalysisDriver::solve_stream`] are thin wrappers over a
-//!   default-lattice session.
+//!   whose [`AnalysisSession::run`] returns the job-ordered reports.
+//!   [`AnalysisDriver::solve_batch`] is a thin wrapper over a
+//!   default-lattice session. (`retypd-serve` streams a batch by solving
+//!   each module as its own shard job, not through the driver.)
 //! * **Batch API** ([`AnalysisDriver::solve_batch`]): multiple modules are
 //!   distributed across the same worker pool (each solved with its own
 //!   wave schedule), sharing the cache.
@@ -206,15 +205,7 @@ pub enum LatticeSelector {
     Shared(Arc<Lattice>),
 }
 
-/// Per-request knobs of a [`SolveRequest`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SolveOptions {
-    /// Worker-thread override for this request; `None` uses the driver's
-    /// configured count.
-    pub workers: Option<usize>,
-}
-
-/// A typed analysis request: which lattice, which modules, which options.
+/// A typed analysis request: which lattice and which modules.
 /// Resolve it with [`AnalysisDriver::session`].
 #[derive(Clone, Debug)]
 pub struct SolveRequest<'j> {
@@ -222,17 +213,14 @@ pub struct SolveRequest<'j> {
     pub lattice: LatticeSelector,
     /// The modules to solve, in submission order.
     pub modules: &'j [ModuleJob],
-    /// Request options.
-    pub options: SolveOptions,
 }
 
 impl<'j> SolveRequest<'j> {
-    /// A default-lattice, default-options request over `modules`.
+    /// A default-lattice request over `modules`.
     pub fn batch(modules: &'j [ModuleJob]) -> SolveRequest<'j> {
         SolveRequest {
             lattice: LatticeSelector::Default,
             modules,
-            options: SolveOptions::default(),
         }
     }
 
@@ -240,13 +228,6 @@ impl<'j> SolveRequest<'j> {
     #[must_use]
     pub fn with_lattice(mut self, lattice: LatticeSelector) -> SolveRequest<'j> {
         self.lattice = lattice;
-        self
-    }
-
-    /// Overrides the worker count for this request.
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> SolveRequest<'j> {
-        self.options.workers = Some(workers);
         self
     }
 }
@@ -257,79 +238,46 @@ enum SessionLattice<'d> {
     Owned(Arc<Lattice>),
 }
 
-/// A resolved [`SolveRequest`]: the lattice is built/validated, the worker
-/// count fixed. [`AnalysisSession::run_with`] delivers each module's
-/// [`ModuleReport`] to a sink the moment it completes — the streaming
-/// primitive under `retypd-serve`'s `solve_batch` streaming mode — and
-/// returns the full batch in job order; [`AnalysisSession::run`] is the
-/// collect-only form.
+/// A resolved [`SolveRequest`] with its lattice built and validated;
+/// [`AnalysisSession::run`] solves it.
 pub struct AnalysisSession<'d, 'j> {
     driver: &'d AnalysisDriver<'d>,
     lattice: SessionLattice<'d>,
     lattice_fp: u64,
     modules: &'j [ModuleJob],
-    workers: usize,
 }
 
 impl AnalysisSession<'_, '_> {
     /// The lattice this session solves against.
-    pub fn lattice(&self) -> &Lattice {
+    fn lattice(&self) -> &Lattice {
         match &self.lattice {
             SessionLattice::Borrowed(l) => l,
             SessionLattice::Owned(l) => l,
         }
     }
 
-    /// The session lattice's stable fingerprint (mixed into every cache
-    /// key this session touches).
-    pub fn lattice_fingerprint(&self) -> u64 {
-        self.lattice_fp
-    }
-
-    /// The modules this session will solve.
-    pub fn modules(&self) -> &[ModuleJob] {
-        self.modules
-    }
-
-    /// The resolved worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Solves the request, collecting reports in job order.
+    /// Solves the request and returns the reports in job order. Modules
+    /// are distributed across the worker pool; with spare workers and few
+    /// modules, parallelism moves inside each module's wave schedule
+    /// instead. All requests share the driver's persistent cache,
+    /// segregated by lattice fingerprint.
     pub fn run(&self) -> Vec<ModuleReport> {
-        self.run_with(|_, _| {})
-    }
-
-    /// Solves the request, delivering `(index, report)` to `sink` on the
-    /// worker thread the moment each module completes (completion order —
-    /// use the index to reassemble submission order), and returns the
-    /// job-ordered reports. Modules are distributed across the worker
-    /// pool; with spare workers and few modules, parallelism moves inside
-    /// each module's wave schedule instead. All requests share the
-    /// driver's persistent cache, segregated by lattice fingerprint.
-    pub fn run_with(&self, sink: impl Fn(usize, &ModuleReport) + Sync) -> Vec<ModuleReport> {
         let jobs = self.modules;
-        let workers = self.workers;
+        let workers = self.driver.workers();
         let inner = if jobs.len() >= workers { 1 } else { workers };
         let lattice = self.lattice();
-        scheduler::run_indexed_observed(
-            jobs.len(),
-            workers,
-            |i| {
-                let start = Instant::now();
-                let result =
-                    self.driver
-                        .solve_program(lattice, self.lattice_fp, &jobs[i].program, inner);
-                ModuleReport {
-                    name: jobs[i].name.clone(),
-                    lattice_fp: self.lattice_fp,
-                    result,
-                    wall: start.elapsed(),
-                }
-            },
-            |i, report| sink(i, report),
-        )
+        scheduler::run_indexed(jobs.len(), workers, |i| {
+            let start = Instant::now();
+            let result = self
+                .driver
+                .solve_program(lattice, self.lattice_fp, &jobs[i].program, inner);
+            ModuleReport {
+                name: jobs[i].name.clone(),
+                lattice_fp: self.lattice_fp,
+                result,
+                wall: start.elapsed(),
+            }
+        })
     }
 }
 
@@ -504,8 +452,8 @@ impl<'l> AnalysisDriver<'l> {
 
     /// Resolves a [`SolveRequest`] into an [`AnalysisSession`]: the lattice
     /// selector is validated and built (descriptor-built lattices are
-    /// memoized per driver), and the worker count fixed. This is the
-    /// primary entry point; `solve_batch`/`solve_stream` wrap it.
+    /// memoized per driver). This is the primary entry point;
+    /// `solve_batch` wraps it.
     ///
     /// # Errors
     ///
@@ -535,7 +483,6 @@ impl<'l> AnalysisDriver<'l> {
             lattice,
             lattice_fp,
             modules: request.modules,
-            workers: request.options.workers.unwrap_or_else(|| self.workers()).max(1),
         })
     }
 
@@ -548,9 +495,13 @@ impl<'l> AnalysisDriver<'l> {
         self.lattices.get_or_build(descriptor)
     }
 
-    /// Solves one program with the configured worker count.
+    /// The wave-scheduled two-pass solve of one program over the *default*
+    /// lattice, on the configured worker count. Any worker count produces
+    /// bit-identical results because wave outputs are merged in the
+    /// sequential solver's SCC order.
     pub fn solve(&self, program: &Program) -> SolverResult {
-        self.solve_with_workers(program, self.workers())
+        let lattice = self.lattice();
+        self.solve_program(lattice, lattice.fingerprint(), program, self.workers())
     }
 
     /// Solves a batch of modules against the default lattice. Modules are
@@ -563,28 +514,6 @@ impl<'l> AnalysisDriver<'l> {
         self.session(SolveRequest::batch(jobs))
             .expect("the default lattice is always valid")
             .run()
-    }
-
-    /// [`AnalysisDriver::solve_batch`] with incremental delivery: `sink`
-    /// receives `(index, report)` the moment each module completes, in
-    /// completion order. Thin wrapper over [`AnalysisDriver::session`].
-    pub fn solve_stream(
-        &self,
-        jobs: &[ModuleJob],
-        sink: impl Fn(usize, &ModuleReport) + Sync,
-    ) -> Vec<ModuleReport> {
-        self.session(SolveRequest::batch(jobs))
-            .expect("the default lattice is always valid")
-            .run_with(sink)
-    }
-
-    /// The wave-scheduled two-pass solve over the *default* lattice.
-    /// `workers = 1` degenerates to the sequential order; any worker count
-    /// produces bit-identical results because wave outputs are merged in
-    /// the sequential solver's SCC order.
-    pub fn solve_with_workers(&self, program: &Program, workers: usize) -> SolverResult {
-        let lattice = self.lattice();
-        self.solve_program(lattice, lattice.fingerprint(), program, workers)
     }
 
     /// The solve primitive every session and wrapper funnels into: one

@@ -18,33 +18,12 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_indexed_observed(n, workers, f, |_, _| {})
-}
-
-/// [`run_indexed`] with a completion observer: `observe(i, &result)` runs
-/// on the worker thread the moment task `i` finishes, *before* the scope
-/// joins — this is what streams each module's report out of
-/// [`crate::AnalysisSession::run_with`] while later tasks are still
-/// solving. Observations arrive in completion order (any interleaving);
-/// the returned `Vec` is still in task order.
-pub fn run_indexed_observed<T, F, O>(n: usize, workers: usize, f: F, observe: O) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    O: Fn(usize, &T) + Sync,
-{
     if n == 0 {
         return Vec::new();
     }
     let workers = workers.max(1).min(n);
     if workers == 1 {
-        return (0..n)
-            .map(|i| {
-                let out = f(i);
-                observe(i, &out);
-                out
-            })
-            .collect();
+        return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -63,7 +42,6 @@ where
                         break;
                     }
                     let out = f(i);
-                    observe(i, &out);
                     *slots[i].lock().expect("result slot") = Some(out);
                 }
             });
@@ -95,23 +73,5 @@ mod tests {
     fn zero_and_single_task() {
         assert!(run_indexed(0, 4, |i| i).is_empty());
         assert_eq!(run_indexed(1, 4, |i| i + 1), vec![1]);
-    }
-
-    #[test]
-    fn observer_sees_every_task_exactly_once() {
-        for workers in [1, 4] {
-            let seen = Mutex::new(vec![0u32; 23]);
-            let out = run_indexed_observed(
-                23,
-                workers,
-                |i| i * 2,
-                |i, &v| {
-                    assert_eq!(v, i * 2, "observer gets the task's own result");
-                    seen.lock().expect("seen")[i] += 1;
-                },
-            );
-            assert_eq!(out, (0..23).map(|i| i * 2).collect::<Vec<_>>());
-            assert!(seen.into_inner().expect("seen").iter().all(|&c| c == 1));
-        }
     }
 }

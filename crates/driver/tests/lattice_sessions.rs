@@ -1,10 +1,9 @@
 //! Session-API integration tests: per-request lattices segregate the
 //! scheme cache (two lattices never share entries), descriptor-built
 //! lattices converge to the default lattice's cache when they describe the
-//! same lattice, and the streaming sink delivers exactly the batch result.
+//! same lattice, and a parallel batch is bit-identical to a sequential one.
 
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 use retypd_core::{Lattice, LatticeBuilder, SolverResult};
 use retypd_driver::{
@@ -133,9 +132,9 @@ fn canonical_descriptor_of_the_default_lattice_shares_its_cache() {
 }
 
 #[test]
-fn streaming_sink_matches_the_batch_bit_for_bit() {
+fn parallel_batch_matches_the_sequential_batch_bit_for_bit() {
     let spec = ClusterSpec {
-        name: "stream".into(),
+        name: "batch".into(),
         members: 3,
         shared_functions: 5,
         member_functions: 2,
@@ -165,20 +164,14 @@ fn streaming_sink_matches_the_batch_bit_for_bit() {
 
     for workers in [1usize, 4] {
         let driver = AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(workers));
-        let streamed: Mutex<Vec<Option<String>>> = Mutex::new(vec![None; jobs.len()]);
-        let returned = driver.solve_stream(&jobs, |i, report| {
-            let prev = streamed.lock().expect("streamed")[i].replace(render(&report.result));
-            assert!(prev.is_none(), "module {i} streamed twice");
-        });
-        let streamed = streamed.into_inner().expect("streamed");
+        let returned = driver.solve_batch(&jobs);
         assert_eq!(returned.len(), jobs.len());
         for (i, want) in reference.iter().enumerate() {
             assert_eq!(
-                streamed[i].as_deref(),
-                Some(want.as_str()),
-                "streamed report {i} diverged at {workers} workers"
+                &render(&returned[i].result),
+                want,
+                "report {i} diverged at {workers} workers"
             );
-            assert_eq!(&render(&returned[i].result), want, "returned report {i}");
         }
     }
 }

@@ -15,13 +15,6 @@ pub struct PowerLawFit {
     pub r2: f64,
 }
 
-impl PowerLawFit {
-    /// Predicted value at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.alpha * x.powf(self.beta)
-    }
-}
-
 /// Fits `y = α·x^β` to the samples.
 ///
 /// # Panics

@@ -5,8 +5,7 @@ use std::time::{Duration, Instant};
 
 use retypd_baselines::{infer_tie, infer_unification};
 use retypd_core::solver::SolverStats;
-use retypd_core::{Lattice, LatticeError, Solver};
-use retypd_driver::{AnalysisDriver, LatticeSelector, ModuleJob, SolveRequest};
+use retypd_core::{Lattice, Solver};
 use retypd_minic::ast::Module;
 use retypd_minic::codegen::compile;
 
@@ -39,21 +38,19 @@ pub struct BenchResult {
     pub stats: SolverStats,
 }
 
-/// The shared evaluation body, parameterized by how the Retypd side is
-/// solved (sequential solver or parallel driver) so the two entry points
-/// cannot drift apart.
-fn evaluate_with(
-    name: &str,
-    module: &Module,
-    lattice: &Lattice,
-    solve: impl FnOnce(&retypd_core::Program) -> retypd_core::SolverResult,
-) -> BenchResult {
+/// Compiles and evaluates one module with all three tools.
+///
+/// # Panics
+///
+/// Panics if the module fails to compile — generated benchmark modules are
+/// well-typed by construction.
+pub fn evaluate_module(name: &str, module: &Module, lattice: &Lattice) -> BenchResult {
     let (mir, truth) = compile(module).expect("benchmark module compiles");
     let instructions = mir.instruction_count();
     let program = retypd_congen::generate(&mir);
 
     let start = Instant::now();
-    let solved = solve(&program);
+    let solved = Solver::new(lattice).infer(&program);
     let retypd_time = start.elapsed();
     let stats = solved.stats;
     let retypd_inferred = convert_result(&solved, lattice);
@@ -74,98 +71,15 @@ fn evaluate_with(
     }
 }
 
-/// Runs only the Retypd pipeline, timed, with the given solve function.
-fn time_with(
-    module: &Module,
-    solve: impl FnOnce(&retypd_core::Program) -> retypd_core::SolverResult,
-) -> (usize, Duration, SolverStats) {
+/// Runs only the Retypd pipeline, timed (for the scaling figures).
+pub fn time_retypd(module: &Module, lattice: &Lattice) -> (usize, Duration, SolverStats) {
     let (mir, _) = compile(module).expect("benchmark module compiles");
     let instructions = mir.instruction_count();
     let program = retypd_congen::generate(&mir);
     let start = Instant::now();
-    let solved = solve(&program);
+    let solved = Solver::new(lattice).infer(&program);
     let t = start.elapsed();
     (instructions, t, solved.stats)
-}
-
-/// Compiles and evaluates one module with all three tools.
-///
-/// # Panics
-///
-/// Panics if the module fails to compile — generated benchmark modules are
-/// well-typed by construction.
-pub fn evaluate_module(name: &str, module: &Module, lattice: &Lattice) -> BenchResult {
-    evaluate_with(name, module, lattice, |p| Solver::new(lattice).infer(p))
-}
-
-/// Runs only the Retypd pipeline, timed (for the scaling figures).
-pub fn time_retypd(module: &Module, lattice: &Lattice) -> (usize, Duration, SolverStats) {
-    time_with(module, |p| Solver::new(lattice).infer(p))
-}
-
-/// Runs the Retypd pipeline through the parallel SCC-wave driver instead of
-/// the sequential solver. The returned stats carry the driver's
-/// `solve_ns`/`cache_hits`/`cache_misses` counters, making driver runs
-/// directly comparable to sequential entries in the committed
-/// `BENCH_*.json` trajectories; the schemes themselves are bit-identical by
-/// the driver's determinism guarantee. The driver's cache persists across
-/// calls, so repeated evaluation of related modules exercises the
-/// incremental path.
-pub fn time_retypd_driver(
-    module: &Module,
-    driver: &AnalysisDriver<'_>,
-) -> (usize, Duration, SolverStats) {
-    time_with(module, |p| driver.solve(p))
-}
-
-/// Compiles and evaluates one module with all three tools, solving the
-/// Retypd side through the parallel driver (scores must match
-/// [`evaluate_module`]; timing/cache counters come from the driver).
-pub fn evaluate_module_driver(
-    name: &str,
-    module: &Module,
-    lattice: &Lattice,
-    driver: &AnalysisDriver<'_>,
-) -> BenchResult {
-    evaluate_with(name, module, lattice, |p| driver.solve(p))
-}
-
-/// Evaluates one module through the driver's request/session API against
-/// an arbitrary lattice — the evaluation-side mirror of the serving
-/// stack's per-request lattices. Scores are computed against the *session*
-/// lattice (distances and conservativeness are lattice-relative), and the
-/// solve shares the driver's cache, segregated by lattice fingerprint.
-///
-/// # Errors
-///
-/// Fails when a [`LatticeSelector::Descriptor`] does not describe a valid
-/// lattice.
-pub fn evaluate_module_in(
-    name: &str,
-    module: &Module,
-    driver: &AnalysisDriver<'_>,
-    lattice: LatticeSelector,
-) -> Result<BenchResult, LatticeError> {
-    // Resolve (and validate) the lattice once for scoring; the per-program
-    // solve below re-uses the driver's memo, so this costs one build at
-    // most.
-    let scoring_lattice = driver
-        .session(SolveRequest::batch(&[]).with_lattice(lattice.clone()))?
-        .lattice()
-        .clone();
-    Ok(evaluate_with(name, module, &scoring_lattice, |p| {
-        let jobs = [ModuleJob {
-            name: name.to_owned(),
-            program: p.clone(),
-        }];
-        driver
-            .session(SolveRequest::batch(&jobs).with_lattice(lattice))
-            .expect("selector validated above")
-            .run()
-            .pop()
-            .expect("one job in, one report out")
-            .result
-    }))
 }
 
 /// The estimated resident bytes of the solver structures (memory model for
@@ -210,67 +124,6 @@ mod tests {
             r.scores.retypd.distance,
             r.scores.unification.distance
         );
-    }
-
-    #[test]
-    fn driver_harness_matches_sequential_scores() {
-        let module = ProgramGenerator::new(GenConfig {
-            seed: 17,
-            functions: 8,
-            ..GenConfig::default()
-        })
-        .generate();
-        let lattice = Lattice::c_types();
-        let seq = evaluate_module("gen17", &module, &lattice);
-        let driver = AnalysisDriver::new(&lattice);
-        let par = evaluate_module_driver("gen17", &module, &lattice, &driver);
-        assert_eq!(par.scores.retypd.distance, seq.scores.retypd.distance);
-        assert_eq!(
-            par.scores.retypd.conservativeness,
-            seq.scores.retypd.conservativeness
-        );
-        assert_eq!(par.stats.sketch_states, seq.stats.sketch_states);
-        assert!(par.stats.solve_ns > 0 && seq.stats.solve_ns > 0);
-        // Second evaluation of the same module is answered from the cache.
-        let again = evaluate_module_driver("gen17", &module, &lattice, &driver);
-        assert_eq!(again.stats.cache_misses, 0);
-        assert!(again.stats.cache_hits > 0);
-    }
-
-    #[test]
-    fn session_harness_matches_driver_scores_and_segregates_lattices() {
-        let module = ProgramGenerator::new(GenConfig {
-            seed: 17,
-            functions: 6,
-            ..GenConfig::default()
-        })
-        .generate();
-        let lattice = Lattice::c_types();
-        let driver = AnalysisDriver::new(&lattice);
-        let default_scores = evaluate_module_driver("gen17", &module, &lattice, &driver);
-        let via_session =
-            evaluate_module_in("gen17", &module, &driver, LatticeSelector::Default)
-                .expect("default resolves");
-        assert_eq!(
-            via_session.scores.retypd.distance,
-            default_scores.scores.retypd.distance
-        );
-        assert_eq!(
-            via_session.stats.sketch_states,
-            default_scores.stats.sketch_states
-        );
-        // Same evaluation under a described copy of c_types converges to
-        // the same cache (canonical fingerprints), so it is a pure hit.
-        let descr = lattice.descriptor().clone();
-        let warm = evaluate_module_in(
-            "gen17",
-            &module,
-            &driver,
-            LatticeSelector::Descriptor(descr),
-        )
-        .expect("canonical descriptor builds");
-        assert_eq!(warm.stats.cache_misses, 0);
-        assert!(warm.stats.cache_hits > 0);
     }
 
     #[test]

@@ -164,16 +164,18 @@ impl Shared {
         Arc::clone(&self.ring.lock().expect("ring lock"))
     }
 
-    /// The lattice half of the route key. Runs `serve`'s first
-    /// pre-admission check (the lattice, before any module), so a bad
-    /// descriptor draws the reply serve would send.
+    /// The lattice half of the route key: the built lattice's canonical
+    /// fingerprint, as serve reports it, so descriptions of one lattice
+    /// route together. Runs `serve`'s first pre-admission check (the
+    /// lattice, before any module), so a bad descriptor draws the reply
+    /// serve would send.
     fn lattice_fp(&self, lattice: Option<&LatticeDescriptor>) -> Result<u64, String> {
         let Some(d) = lattice else {
             return Ok(self.default_lattice_fp);
         };
         self.lattices
             .get_or_build(d)
-            .map(|_| d.fingerprint())
+            .map(|l| l.fingerprint())
             .map_err(|e| format!("bad lattice: {e}"))
     }
 
@@ -231,8 +233,8 @@ impl Shared {
 
     /// Forwards one already-encoded solve request for `key`, with
     /// hedging and eviction-driven re-routing. Returns the winning
-    /// reply payload; encodes an error reply if every attempt failed.
-    fn forward_solve(&self, key: u64, payload: &[u8]) -> Vec<u8> {
+    /// reply payload, or why every attempt failed.
+    fn forward_solve(&self, key: u64, payload: &[u8]) -> Result<Vec<u8>, String> {
         let started = Instant::now();
         let mut last_err = String::new();
         for attempt in 0..=self.config.retry.budget {
@@ -293,7 +295,7 @@ impl Shared {
                     self.metrics
                         .forward_ns
                         .record(started.elapsed().as_nanos() as u64);
-                    return ex.payload;
+                    return Ok(ex.payload);
                 }
                 Err(e) => {
                     self.mark_unhealthy(primary, &e);
@@ -301,17 +303,18 @@ impl Shared {
                 }
             }
         }
-        Response::Error(format!(
+        Err(format!(
             "gateway: forwarding failed after {} attempts: {last_err}",
             self.config.retry.budget + 1
         ))
-        .encode()
     }
 
     /// Solves one module of a decomposed batch: route, forward, decode.
     /// `overloaded` backend replies are retried here on the jittered
     /// backoff curve — batch clients cannot retry per module, so the
-    /// gateway absorbs admission pushback for them.
+    /// gateway absorbs admission pushback for them. A backend's own
+    /// error passes through verbatim, as serve would write it; the
+    /// gateway's own failures name the module.
     fn solve_batch_module(
         &self,
         key: u64,
@@ -325,8 +328,9 @@ impl Shared {
             trace_id: trace_id.clone(),
         }
         .encode();
+        let named = |e: String| format!("module {:?}: {e}", module.name);
         for attempt in 0..=self.config.retry.budget {
-            let reply = self.forward_solve(key, &payload);
+            let reply = self.forward_solve(key, &payload).map_err(named)?;
             match Response::decode(&reply) {
                 Ok(Response::Solved(mut reports)) if !reports.is_empty() => {
                     return Ok(reports.swap_remove(0));
@@ -335,15 +339,15 @@ impl Shared {
                     retypd_core::sync::thread::sleep(self.config.retry.backoff(attempt));
                 }
                 Ok(Response::Overloaded { queued, limit }) => {
-                    return Err(format!("backend overloaded ({queued}/{limit})"));
+                    return Err(named(format!("backend overloaded ({queued}/{limit})")));
                 }
                 Ok(Response::Error(e)) => return Err(e),
-                Ok(Response::ShuttingDown) => return Err("backend shutting down".into()),
-                Ok(other) => return Err(format!("unexpected backend reply: {other:?}")),
-                Err(e) => return Err(format!("undecodable backend reply: {e}")),
+                Ok(Response::ShuttingDown) => return Err(named("backend shutting down".into())),
+                Ok(other) => return Err(named(format!("unexpected backend reply: {other:?}"))),
+                Err(e) => return Err(named(format!("undecodable backend reply: {e}"))),
             }
         }
-        Err("backend overloaded past the retry budget".into())
+        Err(named("backend overloaded past the retry budget".into()))
     }
 }
 
@@ -616,7 +620,10 @@ impl Service for Shared {
                     .lattice_fp(lattice.as_ref())
                     .and_then(|fp| module_key(fp, &module))
                 {
-                    Ok(key) => wire::write_frame(conn, &self.forward_solve(key, &payload)),
+                    Ok(key) => match self.forward_solve(key, &payload) {
+                        Ok(reply) => wire::write_frame(conn, &reply),
+                        Err(e) => wire::write_frame(conn, &Response::Error(e).encode()),
+                    },
                     Err(e) => wire::write_frame(conn, &Response::Error(e).encode()),
                 }
                 .is_ok();
@@ -731,7 +738,7 @@ fn handle_batch(
             for (index, result) in rx {
                 match &result {
                     Ok(_) => delivered += 1,
-                    Err(e) => errors.push(format!("module {index}: {e}")),
+                    Err(e) => errors.push(e.clone()),
                 }
                 let result = result.map(Box::new);
                 wire::write_frame(conn, &Response::Report { index, result }.encode())?;
@@ -757,8 +764,11 @@ fn handle_batch(
             for (index, slot) in slots.into_iter().enumerate() {
                 match slot {
                     Some(Ok(report)) => reports.push(report),
-                    Some(Err(e)) => errors.push(format!("module {index}: {e}")),
-                    None => errors.push(format!("module {index}: lost by the gateway")),
+                    Some(Err(e)) => errors.push(e),
+                    None => errors.push(format!(
+                        "module {:?}: lost by the gateway",
+                        modules[index].name
+                    )),
                 }
             }
             let reply = if errors.is_empty() {

@@ -102,11 +102,6 @@ impl Program {
         FuncId(self.funcs.len() - 1)
     }
 
-    /// Looks up a function by name.
-    pub fn by_name(&self, name: &str) -> Option<FuncId> {
-        self.funcs.iter().position(|f| f.name == name).map(FuncId)
-    }
-
     /// Total instruction count (the paper's program-size measure).
     pub fn instruction_count(&self) -> usize {
         self.funcs.iter().map(|f| f.len()).sum()
@@ -140,7 +135,7 @@ mod tests {
                 Inst::Ret,
             ],
         ));
-        assert_eq!(p.by_name("main"), Some(id));
+        assert_eq!(id, FuncId(0));
         assert_eq!(p.instruction_count(), 2);
         let text = p.to_string();
         assert!(text.contains("mov eax, 0x0"));

@@ -327,24 +327,6 @@ impl Client {
         self.with_retry(policy, |c| c.solve_module_in(job, lattice))
     }
 
-    /// [`Client::solve_batch_in`] with retry-on-overloaded, as
-    /// [`Client::solve_module_retry`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::solve_batch_in`]; [`ClientError::Overloaded`] is
-    /// returned only once the retry budget is exhausted. A batch larger
-    /// than the server's whole admission budget fails as
-    /// [`ClientError::Server`] without consuming retries.
-    pub fn solve_batch_retry(
-        &mut self,
-        jobs: &[ModuleJob],
-        lattice: Option<&LatticeDescriptor>,
-        policy: &RetryPolicy,
-    ) -> Result<Vec<WireReport>, ClientError> {
-        self.with_retry(policy, |c| c.solve_batch_in(jobs, lattice))
-    }
-
     fn with_retry<T>(
         &mut self,
         policy: &RetryPolicy,
@@ -502,12 +484,6 @@ impl BatchStream<'_> {
     /// exhausted cleanly.
     pub fn summary(&self) -> Option<&WireBatchDone> {
         self.summary.as_ref()
-    }
-
-    /// True when the stream ended on a wire-level failure; the connection
-    /// is desynchronized and should be dropped.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
     }
 }
 

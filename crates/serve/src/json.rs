@@ -83,14 +83,6 @@ impl Json {
         }
     }
 
-    /// The value as `f64`, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => n.parse().ok(),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

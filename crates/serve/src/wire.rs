@@ -512,17 +512,6 @@ impl Request {
             trace_id: None,
         }
     }
-
-    /// Sets the envelope `trace_id` on a solve request (no-op on control
-    /// requests, which carry no reports to echo it in).
-    pub fn with_trace_id(mut self, id: impl Into<String>) -> Request {
-        match &mut self {
-            Request::SolveModule { trace_id, .. }
-            | Request::SolveBatch { trace_id, .. } => *trace_id = Some(id.into()),
-            _ => {}
-        }
-        self
-    }
 }
 
 /// A response message.

@@ -3,8 +3,8 @@
 //!
 //! The subscriber is **off by default**. When off, [`span`] costs one relaxed
 //! atomic load and its guard's `Drop` does nothing — instrumentation can stay
-//! in release binaries with no measurable cost (the pipeline bench pins
-//! this). When on, finishing a span writes one fixed-size event into a
+//! in release binaries with no measurable cost (perfbench's
+//! `trace.overhead_ratio` measures this). When on, finishing a span writes one fixed-size event into a
 //! preallocated per-thread ring buffer: no locks shared between threads on
 //! the hot path, no allocation after a thread's first span.
 //!
