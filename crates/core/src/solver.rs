@@ -145,21 +145,10 @@ pub struct SolverStats {
     pub cache_hits: u64,
     /// SCC solves that missed the scheme cache (0 for the plain solver).
     pub cache_misses: u64,
-    // The phase fields below count *work performed* (see [`PhaseNs`]): the
-    // driver zeroes them in cached entries, so cache hits replay size
-    // statistics but no phase work, and the store never persists them.
-    /// Nanoseconds combining SCC constraint sets (both passes' input).
-    pub combine_ns: u64,
-    /// Nanoseconds building + saturating graphs and quotients, once per SCC.
-    pub saturate_ns: u64,
-    /// Nanoseconds extracting scalar violations via the transducer (pass 2).
-    pub transducer_ns: u64,
-    /// Nanoseconds extracting type schemes from saturated graphs (pass 1).
-    pub simplify_ns: u64,
-    /// Nanoseconds inferring and refining sketches (pass 2).
-    pub sketch_ns: u64,
-    /// Constraint graphs built and saturated: one per SCC solved cold.
-    pub saturations: u64,
+    /// Phase work *performed*: the driver takes it out of cached entries,
+    /// so cache hits replay size statistics but no phase work, and the
+    /// store never persists it.
+    pub phases: PhaseNs,
 }
 
 impl SolverStats {
@@ -176,12 +165,29 @@ impl SolverStats {
         self.solve_ns += other.solve_ns;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        let mut work = *other;
-        self.add_phase_ns(&work.take_phase_ns());
+        self.phases += other.phases;
     }
+}
 
-    /// Adds phase work to this record's phase fields.
-    pub fn add_phase_ns(&mut self, p: &PhaseNs) {
+/// Per-phase solve work: timings plus the saturation count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PhaseNs {
+    /// Nanoseconds combining SCC constraint sets (both passes' input).
+    pub combine_ns: u64,
+    /// Nanoseconds building + saturating graphs and quotients, once per SCC.
+    pub saturate_ns: u64,
+    /// Nanoseconds extracting scalar violations via the transducer (pass 2).
+    pub transducer_ns: u64,
+    /// Nanoseconds extracting type schemes from saturated graphs (pass 1).
+    pub simplify_ns: u64,
+    /// Nanoseconds inferring and refining sketches (pass 2).
+    pub sketch_ns: u64,
+    /// Constraint graphs built and saturated: one per SCC solved cold.
+    pub saturations: u64,
+}
+
+impl std::ops::AddAssign for PhaseNs {
+    fn add_assign(&mut self, p: PhaseNs) {
         self.combine_ns += p.combine_ns;
         self.saturate_ns += p.saturate_ns;
         self.transducer_ns += p.transducer_ns;
@@ -189,40 +195,6 @@ impl SolverStats {
         self.sketch_ns += p.sketch_ns;
         self.saturations += p.saturations;
     }
-
-    /// Moves the phase fields out, zeroing them here. The driver calls this
-    /// before caching an [`SccRefinement`] so a later cache hit replays the
-    /// SCC's size statistics but not phase work it never did.
-    pub fn take_phase_ns(&mut self) -> PhaseNs {
-        use std::mem::take;
-        PhaseNs {
-            combine_ns: take(&mut self.combine_ns),
-            saturate_ns: take(&mut self.saturate_ns),
-            transducer_ns: take(&mut self.transducer_ns),
-            simplify_ns: take(&mut self.simplify_ns),
-            sketch_ns: take(&mut self.sketch_ns),
-            saturations: take(&mut self.saturations),
-        }
-    }
-}
-
-/// Per-phase solve work (timings plus the saturation count), split out of
-/// [`SolverStats`] for callers that account work performed separately
-/// from replayed size statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseNs {
-    /// Nanoseconds combining SCC constraint sets.
-    pub combine_ns: u64,
-    /// Nanoseconds building + saturating constraint graphs and quotients.
-    pub saturate_ns: u64,
-    /// Nanoseconds extracting scalar violations via the transducer.
-    pub transducer_ns: u64,
-    /// Nanoseconds extracting type schemes.
-    pub simplify_ns: u64,
-    /// Nanoseconds inferring and refining sketches.
-    pub sketch_ns: u64,
-    /// Constraint graphs built and saturated.
-    pub saturations: u64,
 }
 
 /// Runs `f` under the span `name`, adding its wall time to `ns`: the one
@@ -430,7 +402,7 @@ impl<'l> Solver<'l> {
         for scc in &cond.sccs {
             let (out, graph) = self.solve_scc(program, scc, &cond.scc_of, &schemes);
             stats.constraints += out.constraints;
-            stats.add_phase_ns(&out.phases);
+            stats.phases += out.phases;
             schemes.extend(out.schemes);
             graphs.push(graph);
         }
@@ -531,20 +503,21 @@ impl<'l> Solver<'l> {
         graph: Option<SccGraph>,
     ) -> SccRefinement {
         let mut stats = SolverStats::default();
-        let mut phases = PhaseNs::default();
         let SccGraph { graph: g, quotient, consts } = match graph {
             Some(built) => built,
-            None => self.scc_graph(program, scc, scc_of, schemes, &mut phases, |_, _| ()).0,
+            None => {
+                self.scc_graph(program, scc, scc_of, schemes, &mut stats.phases, |_, _| ()).0
+            }
         };
         stats.graph_nodes += g.node_count();
         stats.graph_edges += g.edge_count();
         stats.quotient_nodes += quotient.node_count();
-        let inconsistencies = timed("core.transducer", &mut phases.transducer_ns, || {
+        let inconsistencies = timed("core.transducer", &mut stats.phases.transducer_ns, || {
             crate::transducer::scalar_violations(&g, self.lattice)
         });
         let mut overlay: BTreeMap<BaseVar, Sketch> = BTreeMap::new();
         let mut general = Vec::new();
-        timed("core.sketch", &mut phases.sketch_ns, || {
+        timed("core.sketch", &mut stats.phases.sketch_ns, || {
             for &p in scc {
                 let proc = &program.procs[p];
                 let pv = BaseVar::Var(proc.name);
@@ -580,7 +553,6 @@ impl<'l> Solver<'l> {
                 }
             }
         });
-        stats.add_phase_ns(&phases);
         SccRefinement {
             sketches: overlay,
             general,

@@ -161,7 +161,7 @@ fn write_label(h: &mut Fnv64, label: retypd_core::Label) {
 /// Fingerprint of a sketch: structure, marks, and bound intervals, hashed
 /// field by field. Element indices are descriptor-stable (see
 /// [`retypd_core::LatticeElem::index`]) and labels are absorbed by
-/// discriminant and fields (see [`write_label`]) — no rendering at all,
+/// discriminant and fields (see `write_label`) — no rendering at all,
 /// which matters because the scheme store fingerprints every sketch it
 /// encodes *and* every sketch it replays.
 pub fn sketch_fp(s: &Sketch) -> u64 {

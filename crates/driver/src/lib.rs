@@ -27,25 +27,20 @@
 //!   calls on one driver, so batches containing near-duplicate modules
 //!   (shared library members, re-submitted binaries) re-solve only the
 //!   dirtied SCCs.
-//! * **Request/session API** (the primary entry point): a
-//!   [`SolveRequest`] names *which lattice* to solve against (the driver's
-//!   default, a serializable [`LatticeDescriptor`], or a pre-built shared
-//!   [`retypd_core::Lattice`]) and the modules;
-//!   [`AnalysisDriver::session`] resolves it into an [`AnalysisSession`]
-//!   whose [`AnalysisSession::run`] returns the job-ordered reports.
-//!   [`AnalysisDriver::solve_batch`] is a thin wrapper over a
-//!   default-lattice session. (`retypd-serve` streams a batch by solving
-//!   each module as its own shard job, not through the driver.)
+//! * **Entry points**: [`AnalysisDriver::solve`] solves one program
+//!   against the driver's own lattice; [`AnalysisDriver::solve_in`] solves
+//!   one program against any [`retypd_core::Lattice`] the caller holds
+//!   (`retypd-serve` builds request lattices from their descriptors and
+//!   passes them here, one module per shard job).
 //! * **Batch API** ([`AnalysisDriver::solve_batch`]): multiple modules are
 //!   distributed across the same worker pool (each solved with its own
-//!   wave schedule), sharing the cache.
+//!   wave schedule) against the driver's lattice, sharing the cache.
 //!
 //! The driver assumes procedure names are unique within a program (as the
 //! constraint generator guarantees). One driver serves *any number of
 //! lattices*: every cache key mixes in the lattice's stable fingerprint
 //! ([`retypd_core::Lattice::fingerprint`]), so two lattices never share
-//! scheme-cache entries, and descriptor-built lattices are memoized per
-//! driver so repeated requests don't rebuild the order tables.
+//! scheme-cache entries.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -58,7 +53,7 @@ pub mod store;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use retypd_core::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use retypd_telemetry::{Counter, Histogram};
 
@@ -88,7 +83,7 @@ struct DriverMetrics {
     /// [`PersistStats`] where they can't clobber each other.
     store_replayed: Arc<Counter>,
     store_replay_ns: Arc<Histogram>,
-    store_appended: Arc<Counter>,
+    /// Bumped by the store's writer thread when a compaction lands.
     store_compactions: Arc<Counter>,
     /// Pass-2 misses whose SCC graph had to be rebuilt because pass 1 was
     /// a cache hit (a cold pass 1 hands its graph to pass 2).
@@ -107,7 +102,6 @@ fn driver_metrics() -> &'static DriverMetrics {
             cache_evictions: g.counter("driver.cache_evictions"),
             store_replayed: g.counter("driver.store_replayed_entries"),
             store_replay_ns: g.histogram("driver.store_replay_ns"),
-            store_appended: g.counter("driver.store_appended_entries"),
             store_compactions: g.counter("driver.store_compactions"),
             scc_graph_rebuilds: g.counter("driver.scc_graph_rebuilds"),
         }
@@ -180,105 +174,9 @@ impl ModuleJob {
 pub struct ModuleReport {
     /// Module name.
     pub name: String,
-    /// Fingerprint of the lattice this module was solved against
-    /// ([`retypd_core::Lattice::fingerprint`]) — the cache-segregation
-    /// evidence a streaming consumer can check per report.
-    pub lattice_fp: u64,
     /// The inference result; `result.stats` carries this module's
     /// `solve_ns` and cache hit/miss counters.
     pub result: SolverResult,
-    /// Wall-clock time of this module's solve.
-    pub wall: Duration,
-}
-
-/// Which lattice Λ a [`SolveRequest`] solves against.
-#[derive(Clone, Debug, Default)]
-pub enum LatticeSelector {
-    /// The driver's own lattice (the one it was constructed with).
-    #[default]
-    Default,
-    /// A lattice described as data; the driver builds and memoizes it.
-    /// This is what a wire request's `lattice` field resolves to.
-    Descriptor(LatticeDescriptor),
-    /// A pre-built lattice shared with the caller (no build cost, no memo
-    /// entry) — e.g. one the serving layer already validated and built.
-    Shared(Arc<Lattice>),
-}
-
-/// A typed analysis request: which lattice and which modules.
-/// Resolve it with [`AnalysisDriver::session`].
-#[derive(Clone, Debug)]
-pub struct SolveRequest<'j> {
-    /// The lattice to solve against.
-    pub lattice: LatticeSelector,
-    /// The modules to solve, in submission order.
-    pub modules: &'j [ModuleJob],
-}
-
-impl<'j> SolveRequest<'j> {
-    /// A default-lattice request over `modules`.
-    pub fn batch(modules: &'j [ModuleJob]) -> SolveRequest<'j> {
-        SolveRequest {
-            lattice: LatticeSelector::Default,
-            modules,
-        }
-    }
-
-    /// Selects the lattice to solve against.
-    #[must_use]
-    pub fn with_lattice(mut self, lattice: LatticeSelector) -> SolveRequest<'j> {
-        self.lattice = lattice;
-        self
-    }
-}
-
-/// How a session holds its resolved lattice.
-enum SessionLattice<'d> {
-    Borrowed(&'d Lattice),
-    Owned(Arc<Lattice>),
-}
-
-/// A resolved [`SolveRequest`] with its lattice built and validated;
-/// [`AnalysisSession::run`] solves it.
-pub struct AnalysisSession<'d, 'j> {
-    driver: &'d AnalysisDriver<'d>,
-    lattice: SessionLattice<'d>,
-    lattice_fp: u64,
-    modules: &'j [ModuleJob],
-}
-
-impl AnalysisSession<'_, '_> {
-    /// The lattice this session solves against.
-    fn lattice(&self) -> &Lattice {
-        match &self.lattice {
-            SessionLattice::Borrowed(l) => l,
-            SessionLattice::Owned(l) => l,
-        }
-    }
-
-    /// Solves the request and returns the reports in job order. Modules
-    /// are distributed across the worker pool; with spare workers and few
-    /// modules, parallelism moves inside each module's wave schedule
-    /// instead. All requests share the driver's persistent cache,
-    /// segregated by lattice fingerprint.
-    pub fn run(&self) -> Vec<ModuleReport> {
-        let jobs = self.modules;
-        let workers = self.driver.workers();
-        let inner = if jobs.len() >= workers { 1 } else { workers };
-        let lattice = self.lattice();
-        scheduler::run_indexed(jobs.len(), workers, |i| {
-            let start = Instant::now();
-            let result = self
-                .driver
-                .solve_program(lattice, self.lattice_fp, &jobs[i].program, inner);
-            ModuleReport {
-                name: jobs[i].name.clone(),
-                lattice_fp: self.lattice_fp,
-                result,
-                wall: start.elapsed(),
-            }
-        })
-    }
 }
 
 /// How a driver holds its lattice: borrowed from the caller (the classic
@@ -304,9 +202,6 @@ pub struct AnalysisDriver<'l> {
     lattice: LatticeHandle<'l>,
     config: DriverConfig,
     cache: SchemeCache,
-    /// Descriptor-built lattices, memoized so a stream of requests naming
-    /// the same lattice builds it once.
-    lattices: LatticeMemo,
     /// The persistent scheme store, when [`DriverConfig::persist_path`] is
     /// set and the path is usable (open failure degrades to in-memory-only
     /// caching with a warning — persistence is an accelerator, never a
@@ -317,8 +212,8 @@ pub struct AnalysisDriver<'l> {
 /// A bounded, thread-safe memo of descriptor-built lattices, keyed by
 /// descriptor fingerprint. Past its capacity the memo is cleared
 /// wholesale — rebuilding a lattice is cheap, an unbounded map under a
-/// hostile stream of distinct descriptors is not. Each driver keeps one;
-/// `retypd-serve` shares one server-wide across shards.
+/// hostile stream of distinct descriptors is not. `retypd-serve` and the
+/// gateway share one server-wide; store replay builds a private one.
 #[derive(Debug, Default)]
 pub struct LatticeMemo {
     map: Mutex<FxHashMap<u64, Arc<Lattice>>>,
@@ -381,10 +276,9 @@ impl<'l> AnalysisDriver<'l> {
     /// fast path.
     fn build<'x>(lattice: LatticeHandle<'x>, config: DriverConfig) -> AnalysisDriver<'x> {
         let cache = SchemeCache::with_capacity(config.cache_capacity);
-        let lattices = LatticeMemo::new();
         let store = config.persist_path.as_deref().and_then(|path| {
             let _span = retypd_telemetry::span("driver.store_replay");
-            match store::SchemeStore::open(path, lattice.get(), &lattices, &cache) {
+            match store::SchemeStore::open(path, lattice.get(), &cache) {
                 Ok(s) => {
                     let p = s.stats();
                     let m = driver_metrics();
@@ -405,7 +299,6 @@ impl<'l> AnalysisDriver<'l> {
             lattice,
             config,
             cache,
-            lattices,
             store,
         }
     }
@@ -450,86 +343,43 @@ impl<'l> AnalysisDriver<'l> {
         }
     }
 
-    /// Resolves a [`SolveRequest`] into an [`AnalysisSession`]: the lattice
-    /// selector is validated and built (descriptor-built lattices are
-    /// memoized per driver). This is the primary entry point;
-    /// `solve_batch` wraps it.
-    ///
-    /// # Errors
-    ///
-    /// Fails when a [`LatticeSelector::Descriptor`] does not describe a
-    /// valid lattice.
-    pub fn session<'d, 'j>(
-        &'d self,
-        request: SolveRequest<'j>,
-    ) -> Result<AnalysisSession<'d, 'j>, LatticeError> {
-        let (lattice, lattice_fp) = match request.lattice {
-            LatticeSelector::Default => {
-                let l = self.lattice();
-                (SessionLattice::Borrowed(l), l.fingerprint())
-            }
-            LatticeSelector::Shared(l) => {
-                let fp = l.fingerprint();
-                (SessionLattice::Owned(l), fp)
-            }
-            LatticeSelector::Descriptor(d) => {
-                let l = self.lattice_for(&d)?;
-                let fp = l.fingerprint();
-                (SessionLattice::Owned(l), fp)
-            }
-        };
-        Ok(AnalysisSession {
-            driver: self,
-            lattice,
-            lattice_fp,
-            modules: request.modules,
+    /// The wave-scheduled two-pass solve of one program over the driver's
+    /// own lattice, on the configured worker count. Any worker count
+    /// produces bit-identical results because wave outputs are merged in
+    /// the sequential solver's SCC order.
+    pub fn solve(&self, program: &Program) -> SolverResult {
+        self.solve_in(self.lattice(), program)
+    }
+
+    /// [`AnalysisDriver::solve`] against an explicit lattice. The cache is
+    /// shared across lattices and segregated by lattice fingerprint (mixed
+    /// into every cache key — see [`fingerprint::scc_fingerprint`]), so a
+    /// lattice equal to the driver's own hits the same entries.
+    pub fn solve_in(&self, lattice: &Lattice, program: &Program) -> SolverResult {
+        self.solve_program(lattice, program, self.workers())
+    }
+
+    /// Solves a batch of modules against the driver's lattice. Modules are
+    /// independent, so they are distributed across the worker pool (each
+    /// module's own wave schedule then runs on the thread it landed on);
+    /// with spare workers and few modules, parallelism moves inside each
+    /// module's wave schedule instead. All of them share this driver's
+    /// persistent cache, which is where the incremental win on
+    /// near-duplicate corpora comes from. Reports come back in job order.
+    pub fn solve_batch(&self, jobs: &[ModuleJob]) -> Vec<ModuleReport> {
+        let workers = self.workers();
+        let inner = if jobs.len() >= workers { 1 } else { workers };
+        scheduler::run_indexed(jobs.len(), workers, |i| ModuleReport {
+            name: jobs[i].name.clone(),
+            result: self.solve_program(self.lattice(), &jobs[i].program, inner),
         })
     }
 
-    /// Builds (or returns the memoized) lattice for a descriptor.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the descriptor does not describe a valid lattice.
-    pub fn lattice_for(&self, descriptor: &LatticeDescriptor) -> Result<Arc<Lattice>, LatticeError> {
-        self.lattices.get_or_build(descriptor)
-    }
-
-    /// The wave-scheduled two-pass solve of one program over the *default*
-    /// lattice, on the configured worker count. Any worker count produces
-    /// bit-identical results because wave outputs are merged in the
-    /// sequential solver's SCC order.
-    pub fn solve(&self, program: &Program) -> SolverResult {
-        let lattice = self.lattice();
-        self.solve_program(lattice, lattice.fingerprint(), program, self.workers())
-    }
-
-    /// Solves a batch of modules against the default lattice. Modules are
-    /// independent, so they are distributed across the worker pool (each
-    /// module's own wave schedule then runs on the thread it landed on);
-    /// all of them share this driver's persistent cache, which is where
-    /// the incremental win on near-duplicate corpora comes from. Reports
-    /// come back in job order. Thin wrapper over [`AnalysisDriver::session`].
-    pub fn solve_batch(&self, jobs: &[ModuleJob]) -> Vec<ModuleReport> {
-        self.session(SolveRequest::batch(jobs))
-            .expect("the default lattice is always valid")
-            .run()
-    }
-
-    /// The solve primitive every session and wrapper funnels into: one
-    /// program, an explicit lattice, and that lattice's fingerprint (mixed
-    /// into every cache key — see [`fingerprint::scc_fingerprint`]).
-    fn solve_program(
-        &self,
-        lattice: &Lattice,
-        lattice_fp: u64,
-        program: &Program,
-        workers: usize,
-    ) -> SolverResult {
+    /// One program on an explicit lattice and worker count.
+    fn solve_program(&self, lattice: &Lattice, program: &Program, workers: usize) -> SolverResult {
         let _solve_span = retypd_telemetry::span("driver.solve");
         let metrics = driver_metrics();
-        let before_cache = self.cache.stats();
-        let before_persist = self.persist_stats().unwrap_or_default();
+        let lattice_fp = lattice.fingerprint();
         let start = Instant::now();
         let solver = Solver::new(lattice);
         let cond = Condensation::compute(program);
@@ -542,7 +392,7 @@ impl<'l> AnalysisDriver<'l> {
             scheme_fps.insert(*name, fingerprint::scheme_fp(scheme));
         }
         // Phase work is added from cache misses only: cached entries had
-        // their phase fields taken before insertion (see below), so a fully
+        // their `phases` taken before insertion (see below), so a fully
         // warm solve reports zero phase work — the breakdown measures work
         // done, not work remembered.
         let mut stats = SolverStats::default();
@@ -605,6 +455,7 @@ impl<'l> AnalysisDriver<'l> {
                     constraints: out.constraints,
                 });
                 let evicted = self.cache.insert_schemes(fp, entry.clone());
+                metrics.cache_evictions.add(evicted.len() as u64);
                 if let Some(store) = &self.store {
                     store.record_schemes(fp, &entry, texts.unwrap_or_default(), evicted);
                 }
@@ -617,7 +468,7 @@ impl<'l> AnalysisDriver<'l> {
                 match fresh {
                     Some((phases, graph)) => {
                         stats.cache_misses += 1;
-                        stats.add_phase_ns(&phases);
+                        stats.phases += phases;
                         *graphs[wave[k]].lock().expect("scc graph") = Some(graph);
                     }
                     None => stats.cache_hits += 1,
@@ -674,9 +525,10 @@ impl<'l> AnalysisDriver<'l> {
                 // persisted): a later cache hit replays the result, not the
                 // work, so hits must contribute zero phase work. This solve
                 // keeps the stripped values through the merge below.
-                let phases = fresh.stats.take_phase_ns();
+                let phases = std::mem::take(&mut fresh.stats.phases);
                 let r = Arc::new(fresh);
                 let evicted = self.cache.insert_refine(fp2, r.clone());
+                metrics.cache_evictions.add(evicted.len() as u64);
                 if let Some(store) = &self.store {
                     store.record_refine(fp2, lattice, lattice_fp, &r, evicted);
                 }
@@ -691,7 +543,7 @@ impl<'l> AnalysisDriver<'l> {
                 match fresh {
                     Some(phases) => {
                         stats.cache_misses += 1;
-                        stats.add_phase_ns(phases);
+                        stats.phases += *phases;
                     }
                     None => stats.cache_hits += 1,
                 }
@@ -733,22 +585,6 @@ impl<'l> AnalysisDriver<'l> {
         metrics.solve_ns.record(stats.solve_ns);
         metrics.cache_hits.add(stats.cache_hits);
         metrics.cache_misses.add(stats.cache_misses);
-        let after_cache = self.cache.stats();
-        metrics
-            .cache_evictions
-            .add(after_cache.evictions.saturating_sub(before_cache.evictions));
-        if let Some(after_persist) = self.persist_stats() {
-            metrics.store_appended.add(
-                after_persist
-                    .appended_entries
-                    .saturating_sub(before_persist.appended_entries),
-            );
-            metrics.store_compactions.add(
-                after_persist
-                    .compactions
-                    .saturating_sub(before_persist.compactions),
-            );
-        }
         SolverResult {
             procs,
             inconsistencies,
@@ -767,9 +603,6 @@ const _: () = {
     assert_send_sync::<ModuleJob>();
     assert_send_sync::<ModuleReport>();
     assert_send_sync::<SchemeCache>();
-    assert_send_sync::<LatticeSelector>();
-    assert_send_sync::<SolveRequest<'static>>();
-    assert_send_sync::<AnalysisSession<'static, 'static>>();
 };
 
 #[cfg(test)]

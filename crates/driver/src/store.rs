@@ -661,8 +661,8 @@ impl SchemeStore {
     /// lazily by the first record actually appended, so a store whose
     /// every solve is a replay hit costs no thread at all.
     /// Replayed pass-2 entries are validated against `lattice` when their
-    /// lattice fingerprint matches, or against a descriptor-built lattice
-    /// from `memo` otherwise.
+    /// lattice fingerprint matches, or against the lattice built from the
+    /// log's descriptor record otherwise.
     ///
     /// # Errors
     ///
@@ -671,10 +671,10 @@ impl SchemeStore {
     pub(crate) fn open(
         path: &Path,
         lattice: &Lattice,
-        memo: &LatticeMemo,
         cache: &SchemeCache,
     ) -> io::Result<SchemeStore> {
         let start = Instant::now();
+        let memo = LatticeMemo::new();
         let default_fp = lattice.fingerprint();
         let data = match fs::read(path) {
             Ok(d) => d,
@@ -1180,6 +1180,7 @@ fn writer_loop(
                             log_bytes = MAGIC.len() as u64
                                 + records.iter().map(|p| Mirror::framed_len(p)).sum::<u64>();
                             shared.compactions.fetch_add(1, Ordering::Relaxed);
+                            crate::driver_metrics().store_compactions.inc();
                         }
                         Err(e) => {
                             eprintln!("scheme store {}: compaction failed: {e}", path.display());

@@ -1,4 +1,4 @@
-//! Session-API integration tests: per-request lattices segregate the
+//! Per-lattice solve tests: lattices passed to `solve_in` segregate the
 //! scheme cache (two lattices never share entries), descriptor-built
 //! lattices converge to the default lattice's cache when they describe the
 //! same lattice, and a parallel batch is bit-identical to a sequential one.
@@ -6,9 +6,7 @@
 use std::fmt::Write as _;
 
 use retypd_core::{Lattice, LatticeBuilder, SolverResult};
-use retypd_driver::{
-    AnalysisDriver, DriverConfig, LatticeSelector, ModuleJob, SolveRequest,
-};
+use retypd_driver::{AnalysisDriver, DriverConfig, ModuleJob};
 use retypd_minic::codegen::compile;
 use retypd_minic::genprog::{ClusterSpec, ProgramGenerator};
 
@@ -58,13 +56,10 @@ fn flat_lattice() -> Lattice {
 fn two_lattices_segregate_the_cache_and_answer_per_lattice() {
     let c_types = Lattice::c_types();
     let driver = AnalysisDriver::with_config(&c_types, DriverConfig::with_workers(1));
-    let jobs = [sample_job()];
+    let job = sample_job();
 
     // Cold solve under the default lattice.
-    let under_default = driver
-        .session(SolveRequest::batch(&jobs))
-        .expect("default resolves")
-        .run();
+    let under_default = driver.solve(&job.program);
     let s1 = driver.cache_stats();
     assert_eq!(s1.hits, 0);
     assert!(s1.misses > 0);
@@ -72,11 +67,8 @@ fn two_lattices_segregate_the_cache_and_answer_per_lattice() {
     // The same module under a structurally different lattice carrying the
     // same constant names: every lookup must MISS — cross-lattice hits
     // would silently answer with the wrong lattice's schemes.
-    let flat = flat_lattice().descriptor().clone();
-    let under_flat = driver
-        .session(SolveRequest::batch(&jobs).with_lattice(LatticeSelector::Descriptor(flat.clone())))
-        .expect("flat descriptor builds")
-        .run();
+    let flat = flat_lattice().descriptor().build().expect("flat descriptor builds");
+    let under_flat = driver.solve_in(&flat, &job.program);
     let s2 = driver.cache_stats();
     assert_eq!(s2.hits, 0, "cross-lattice lookups must never hit");
     assert_eq!(s2.misses, 2 * s1.misses);
@@ -88,23 +80,17 @@ fn two_lattices_segregate_the_cache_and_answer_per_lattice() {
 
     // And the answers really are per-lattice: join(int, uint) differs.
     assert_ne!(
-        render(&under_default[0].result),
-        render(&under_flat[0].result),
+        render(&under_default),
+        render(&under_flat),
         "flat lattice must change the inferred bounds"
     );
-    assert_ne!(under_default[0].lattice_fp, under_flat[0].lattice_fp);
+    assert_ne!(c_types.fingerprint(), flat.fingerprint());
 
     // Re-submission under each lattice is a 100% hit *within* its lattice.
-    for selector in [
-        LatticeSelector::Default,
-        LatticeSelector::Descriptor(flat),
-    ] {
-        let warm = driver
-            .session(SolveRequest::batch(&jobs).with_lattice(selector))
-            .expect("resolves")
-            .run();
-        assert_eq!(warm[0].result.stats.cache_misses, 0, "warm per-lattice re-solve");
-        assert!(warm[0].result.stats.cache_hits > 0);
+    for lattice in [&c_types, &flat] {
+        let warm = driver.solve_in(lattice, &job.program);
+        assert_eq!(warm.stats.cache_misses, 0, "warm per-lattice re-solve");
+        assert!(warm.stats.cache_hits > 0);
     }
 }
 
@@ -119,16 +105,11 @@ fn canonical_descriptor_of_the_default_lattice_shares_its_cache() {
     // A request naming c_types *as data* (its canonical descriptor) builds
     // a fingerprint-identical lattice, so it re-hits the default lattice's
     // cache entries — descriptions of the same lattice converge.
-    let via_descriptor = driver
-        .session(
-            SolveRequest::batch(&jobs)
-                .with_lattice(LatticeSelector::Descriptor(c_types.descriptor().clone())),
-        )
-        .expect("canonical c_types descriptor builds")
-        .run();
-    assert_eq!(via_descriptor[0].result.stats.cache_misses, 0);
-    assert_eq!(render(&via_descriptor[0].result), render(&cold[0].result));
-    assert_eq!(via_descriptor[0].lattice_fp, cold[0].lattice_fp);
+    let rebuilt = c_types.descriptor().build().expect("canonical c_types descriptor builds");
+    let via_descriptor = driver.solve_in(&rebuilt, &jobs[0].program);
+    assert_eq!(via_descriptor.stats.cache_misses, 0);
+    assert_eq!(render(&via_descriptor), render(&cold[0].result));
+    assert_eq!(rebuilt.fingerprint(), c_types.fingerprint());
 }
 
 #[test]

@@ -245,12 +245,12 @@ fn shared_graphs_match_the_reference_on_mutual_recursion() {
         let want = reference(&lattice, &program);
         let seq = Solver::new(&lattice).infer(&program);
         assert_eq!(render_result(&seq), want, "seed {seed}: Solver::infer");
-        assert_eq!(seq.stats.saturations, cond.sccs.len() as u64, "seed {seed}");
+        assert_eq!(seq.stats.phases.saturations, cond.sccs.len() as u64, "seed {seed}");
         for workers in [1, 4] {
             let driver = AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(workers));
             let got = driver.solve(&program);
             assert_eq!(render_result(&got), want, "seed {seed}, {workers} workers");
-            assert_eq!(got.stats.saturations, cond.sccs.len() as u64, "seed {seed}");
+            assert_eq!(got.stats.phases.saturations, cond.sccs.len() as u64, "seed {seed}");
         }
     }
 }
@@ -304,13 +304,13 @@ fn rebuilt_graphs_match_the_reference_on_a_cluster_batch() {
             // missed in either pass.
             let stats = &report.result.stats;
             let sccs = Condensation::compute(&job.program).sccs.len() as u64;
-            assert!(stats.saturations <= sccs, "{}", report.name);
+            assert!(stats.phases.saturations <= sccs, "{}", report.name);
             assert!(
-                stats.saturations <= stats.cache_misses
-                    && stats.cache_misses <= 2 * stats.saturations,
+                stats.phases.saturations <= stats.cache_misses
+                    && stats.cache_misses <= 2 * stats.phases.saturations,
                 "{}: {} saturations for {} misses",
                 report.name,
-                stats.saturations,
+                stats.phases.saturations,
                 stats.cache_misses
             );
         }

@@ -11,7 +11,7 @@ use retypd_core::sync::atomic::{AtomicU64, Ordering};
 
 use retypd_core::{Lattice, LatticeDescriptor, SolverResult};
 use retypd_driver::store::{frame_record, MAGIC};
-use retypd_driver::{AnalysisDriver, DriverConfig, LatticeSelector, ModuleJob, SolveRequest};
+use retypd_driver::{AnalysisDriver, DriverConfig, ModuleJob};
 use retypd_minic::codegen::compile;
 use retypd_minic::genprog::{GenConfig, ProgramGenerator};
 
@@ -139,26 +139,16 @@ fn restart_replays_non_default_lattice_entries() {
 
     let reference = {
         let driver = AnalysisDriver::with_config(&c_types, persistent_config(store.path()));
-        let session = driver
-            .session(
-                SolveRequest::batch(std::slice::from_ref(&job))
-                    .with_lattice(LatticeSelector::Descriptor(descriptor.clone())),
-            )
-            .expect("descriptor is valid");
-        render(&session.run()[0].result)
+        let lattice = descriptor.build().expect("descriptor is valid");
+        render(&driver.solve_in(&lattice, &job.program))
     };
 
     let restarted = AnalysisDriver::with_config(&c_types, persistent_config(store.path()));
     assert!(restarted.persist_stats().expect("store").replayed_entries > 0);
-    let session = restarted
-        .session(
-            SolveRequest::batch(std::slice::from_ref(&job))
-                .with_lattice(LatticeSelector::Descriptor(descriptor)),
-        )
-        .expect("descriptor is valid");
-    let report = &session.run()[0];
-    assert_eq!(report.result.stats.cache_misses, 0);
-    assert_eq!(render(&report.result), reference);
+    let lattice = descriptor.build().expect("descriptor is valid");
+    let result = restarted.solve_in(&lattice, &job.program);
+    assert_eq!(result.stats.cache_misses, 0);
+    assert_eq!(render(&result), reference);
 }
 
 /// Kill-at-any-byte: for *every* prefix of a valid log, replay must not

@@ -18,8 +18,8 @@
 //!   delivers every final frame before exit. A server supplies only a
 //!   per-frame [`conn::Service`].
 //! * [`server`] — N shard threads behind that layer, each owning a
-//!   long-lived driver with a bounded persistent cache; shards solve
-//!   through the driver's request/session API, so per-request lattices
+//!   long-lived driver with a bounded persistent cache; shards pass each
+//!   job's lattice to `AnalysisDriver::solve_in`, so per-request lattices
 //!   segregate cache entries by lattice fingerprint. Modules route by
 //!   content fingerprint, so a re-submitted module always finds its warm
 //!   cache. Admission control refuses work past a queue-depth limit with
@@ -226,6 +226,64 @@ mod tests {
         };
         assert_eq!(reports[0].canonical_text(), report.canonical_text());
         assert_eq!(reports[0].stats.constraints, result.stats.constraints);
+
+        // Golden bytes pin the wire format: a hand-set report with phase
+        // work carries a `timing` object, one without omits it.
+        let hand = |name: &str, phase: u64| WireReport {
+            name: name.into(),
+            fingerprint: 11,
+            lattice_fp: 22,
+            shard: 1,
+            procs: vec![crate::wire::WireProcResult {
+                name: "f".into(),
+                scheme: "∀τ. f.in_0 ⊑ int".into(),
+                sketch: Some("sk".into()),
+                general: None,
+            }],
+            inconsistencies: vec![("int".into(), "float".into())],
+            stats: retypd_core::SolverStats {
+                graph_nodes: 5,
+                graph_edges: 8,
+                quotient_nodes: 3,
+                sketch_states: 13,
+                constraints: 21,
+                solve_ns: 34,
+                cache_hits: 2,
+                cache_misses: 1,
+                phases: retypd_core::solver::PhaseNs {
+                    combine_ns: phase,
+                    saturate_ns: 2 * phase,
+                    transducer_ns: 3 * phase,
+                    simplify_ns: 4 * phase,
+                    sketch_ns: 5 * phase,
+                    saturations: phase.min(1),
+                },
+            },
+            wall_ns: 55,
+            trace_id: (phase != 0).then(|| "t-1".to_owned()),
+        };
+        let golden = Response::Solved(vec![hand("cold", 7), hand("warm", 0)]).encode();
+        let want = concat!(
+            r#"{"kind":"solved","reports":["#,
+            r#"{"name":"cold","fingerprint":11,"lattice_fp":22,"shard":1,"#,
+            r#""procs":[{"name":"f","scheme":"∀τ. f.in_0 ⊑ int","sketch":"sk","general":null}],"#,
+            r#""inconsistencies":[["int","float"]],"#,
+            r#""stats":{"graph_nodes":5,"graph_edges":8,"quotient_nodes":3,"sketch_states":13,"#,
+            r#""constraints":21,"solve_ns":34,"cache_hits":2,"cache_misses":1,"#,
+            r#""saturate_ns":14,"transducer_ns":21,"simplify_ns":28,"sketch_ns":35,"combine_ns":7,"#,
+            r#""saturations":1},"wall_ns":55,"trace_id":"t-1","#,
+            r#""timing":{"saturate_ns":14,"transducer_ns":21,"simplify_ns":28,"sketch_ns":35,"combine_ns":7}},"#,
+            r#"{"name":"warm","fingerprint":11,"lattice_fp":22,"shard":1,"#,
+            r#""procs":[{"name":"f","scheme":"∀τ. f.in_0 ⊑ int","sketch":"sk","general":null}],"#,
+            r#""inconsistencies":[["int","float"]],"#,
+            r#""stats":{"graph_nodes":5,"graph_edges":8,"quotient_nodes":3,"sketch_states":13,"#,
+            r#""constraints":21,"solve_ns":34,"cache_hits":2,"cache_misses":1,"#,
+            r#""saturate_ns":0,"transducer_ns":0,"simplify_ns":0,"sketch_ns":0,"combine_ns":0,"#,
+            r#""saturations":0},"wall_ns":55}]}"#,
+        );
+        assert_eq!(String::from_utf8(golden).unwrap(), want);
+        let back = Response::decode(want.as_bytes()).expect("golden decodes");
+        assert_eq!(back.encode(), want.as_bytes(), "golden re-encodes");
     }
 
     #[test]

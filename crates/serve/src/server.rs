@@ -28,8 +28,8 @@
 //!   cache) and keeps serving — one hostile module cannot kill a shard.
 //! * **Per-request lattices (protocol v2).** A solve request may carry a
 //!   [`retypd_core::LatticeDescriptor`]; the server validates and builds
-//!   it once per connection request (memoized server-wide), shards solve
-//!   through the driver's session API with the shared lattice, and every
+//!   it once per connection request (memoized server-wide), shards pass
+//!   it to [`AnalysisDriver::solve_in`], and every
 //!   scheme-cache key mixes in the lattice fingerprint — two lattices
 //!   never share cache entries. Absent descriptor ⇒ `c_types`, exactly the
 //!   v1 behavior.
@@ -57,10 +57,7 @@ use std::time::{Duration, Instant};
 use retypd_core::sync::thread::JoinHandle;
 use retypd_core::sync::{mpsc, Arc, Mutex};
 use retypd_core::{Lattice, LatticeDescriptor, SolverResult};
-use retypd_driver::{
-    AnalysisDriver, DriverConfig, LatticeMemo, LatticeSelector, ModuleJob, ModuleReport,
-    SolveRequest,
-};
+use retypd_driver::{AnalysisDriver, DriverConfig, LatticeMemo, ModuleJob};
 use retypd_telemetry::{trace_id_hash, Counter, Histogram, MetricsSnapshot, Registry};
 
 use crate::admission::Admission;
@@ -143,10 +140,9 @@ struct ShardJob {
     index: usize,
     job: ModuleJob,
     fingerprint: u64,
-    /// The lattice to solve against; `None` is the shard driver's default
-    /// (`c_types`). Pre-built and validated by the connection handler, so
-    /// the shard's session resolution is infallible.
-    lattice: Option<Arc<Lattice>>,
+    /// The lattice to solve against, pre-built and validated by the
+    /// connection handler (`c_types` when the request named none).
+    lattice: Arc<Lattice>,
     /// When the connection handler enqueued the job — the shard measures
     /// queue wait as `dequeue − enqueued`.
     enqueued: Instant,
@@ -214,9 +210,9 @@ struct Shared {
     /// Descriptor-built lattices memoized server-wide (bounded; shared
     /// across all shards and connections).
     lattices: LatticeMemo,
-    /// `Lattice::c_types().fingerprint()` — what reports carry for
-    /// default-lattice (v1) requests.
-    default_lattice_fp: u64,
+    /// `Lattice::c_types()`, built once: the lattice of requests that name
+    /// none (v1 requests included).
+    default_lattice: Arc<Lattice>,
     /// Server-wide instruments (connection lifecycle, frame decode,
     /// admission, reply flush).
     metrics: ServerMetrics,
@@ -237,11 +233,12 @@ impl Shared {
     fn resolve_lattice(
         &self,
         descriptor: Option<&LatticeDescriptor>,
-    ) -> Result<Option<Arc<Lattice>>, String> {
-        let Some(d) = descriptor else { return Ok(None) };
+    ) -> Result<Arc<Lattice>, String> {
+        let Some(d) = descriptor else {
+            return Ok(Arc::clone(&self.default_lattice));
+        };
         self.lattices
             .get_or_build(d)
-            .map(Some)
             .map_err(|e| format!("bad lattice: {e}"))
     }
 }
@@ -363,32 +360,15 @@ impl ServerHandle {
     }
 }
 
-/// How a shard runs one job. Production always goes through the driver's
-/// session API (default or shared lattice); tests inject a panicking hook
-/// to pin the shard's panic isolation end to end over a real socket.
-type SolveHook = Arc<
-    dyn Fn(&AnalysisDriver<'static>, &ModuleJob, Option<&Arc<Lattice>>) -> SolverResult
-        + Send
-        + Sync,
->;
+/// How a shard runs one job. Production is [`solve_job`]; tests inject a
+/// panicking hook to pin the shard's panic isolation end to end over a
+/// real socket.
+type SolveHook =
+    Arc<dyn Fn(&AnalysisDriver<'static>, &ModuleJob, &Lattice) -> SolverResult + Send + Sync>;
 
-/// The production solve: one-module session against the request lattice.
-fn session_solve(
-    driver: &AnalysisDriver<'static>,
-    job: &ModuleJob,
-    lattice: Option<&Arc<Lattice>>,
-) -> SolverResult {
-    let selector = match lattice {
-        None => LatticeSelector::Default,
-        Some(l) => LatticeSelector::Shared(Arc::clone(l)),
-    };
-    driver
-        .session(SolveRequest::batch(std::slice::from_ref(job)).with_lattice(selector))
-        .expect("pre-built lattices always resolve")
-        .run()
-        .pop()
-        .expect("one job in, one report out")
-        .result
+/// The production solve: the job's program against the request lattice.
+fn solve_job(driver: &AnalysisDriver<'static>, job: &ModuleJob, lattice: &Lattice) -> SolverResult {
+    driver.solve_in(lattice, &job.program)
 }
 
 /// Starts a server.
@@ -397,7 +377,7 @@ fn session_solve(
 ///
 /// Fails if the listen address cannot be bound.
 pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
-    start_with_hook(config, Arc::new(session_solve))
+    start_with_hook(config, Arc::new(solve_job))
 }
 
 fn start_with_hook(config: ServeConfig, hook: SolveHook) -> std::io::Result<ServerHandle> {
@@ -423,7 +403,7 @@ fn start_with_hook(config: ServeConfig, hook: SolveHook) -> std::io::Result<Serv
         admission: Admission::new(config.queue_depth),
         local_addr,
         lattices: LatticeMemo::new(),
-        default_lattice_fp: Lattice::c_types().fingerprint(),
+        default_lattice: Arc::new(Lattice::c_types()),
         metrics: ServerMetrics::new(),
         pid: std::process::id() as u64,
         start_ns: std::time::SystemTime::now()
@@ -548,26 +528,22 @@ fn shard_main(
         // Catch the panic, answer with an error, and rebuild the driver —
         // its caches may hold state from the half-finished solve.
         let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            hook(&driver, &msg.job, msg.lattice.as_ref())
+            hook(&driver, &msg.job, &msg.lattice)
         }));
         drop(solve_span);
         drop(trace_guard);
-        solve_ns.record(start.elapsed().as_nanos() as u64);
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        solve_ns.record(wall_ns);
         jobs_counter.inc();
         let reply = match solved {
             Ok(result) => {
-                let report = ModuleReport {
-                    name: msg.job.name.clone(),
-                    lattice_fp: msg
-                        .lattice
-                        .as_ref()
-                        .map_or_else(|| driver.lattice().fingerprint(), |l| l.fingerprint()),
-                    result,
-                    wall: start.elapsed(),
-                };
                 jobs_done += 1;
-                let mut wire = WireReport::from_report(&report, msg.fingerprint, shard_id);
+                let mut wire = WireReport::from_result(&msg.job.name, &result);
+                wire.fingerprint = msg.fingerprint;
+                wire.lattice_fp = msg.lattice.fingerprint();
+                wire.shard = shard_id;
                 wire.trace_id = msg.trace_id.as_deref().map(str::to_owned);
+                wire.wall_ns = wall_ns;
                 Ok(wire)
             }
             Err(panic) => {
@@ -693,14 +669,14 @@ type Replies = mpsc::Receiver<(usize, Result<WireReport, String>)>;
 
 /// What every job of one admitted batch shares on its way to a shard.
 struct Batch {
-    lattice: Option<Arc<Lattice>>,
+    lattice: Arc<Lattice>,
     trace: u64,
     trace_id: Option<Arc<str>>,
     reply: mpsc::Sender<(usize, Result<WireReport, String>)>,
 }
 
 impl Batch {
-    fn new(lattice: Option<Arc<Lattice>>, trace_id: Option<&str>) -> (Batch, Replies) {
+    fn new(lattice: Arc<Lattice>, trace_id: Option<&str>) -> (Batch, Replies) {
         let (reply, replies) = mpsc::channel();
         let batch = Batch {
             lattice,
@@ -727,7 +703,7 @@ impl Batch {
                     index,
                     job,
                     fingerprint,
-                    lattice: self.lattice.clone(),
+                    lattice: Arc::clone(&self.lattice),
                     enqueued: Instant::now(),
                     trace: self.trace,
                     trace_id: self.trace_id.clone(),
@@ -888,9 +864,7 @@ fn solve_streaming(
         return Err(Response::ShuttingDown);
     }
     let lattice = shared.resolve_lattice(lattice).map_err(Response::Error)?;
-    let lattice_fp = lattice
-        .as_ref()
-        .map_or(shared.default_lattice_fp, |l| l.fingerprint());
+    let lattice_fp = lattice.fingerprint();
     let n = modules.len();
     let mut delivered = 0usize;
     let mut errors: Vec<String> = Vec::new();
@@ -986,7 +960,7 @@ mod tests {
         // real socket.
         let hook: SolveHook = Arc::new(|driver, job, lattice| {
             assert!(!job.name.contains("boom"), "injected solver bug");
-            session_solve(driver, job, lattice)
+            solve_job(driver, job, lattice)
         });
         let handle = start_with_hook(ServeConfig::default(), hook).expect("bind");
         let mut client = Client::connect(handle.addr()).expect("connect");
@@ -1024,7 +998,7 @@ mod tests {
             if job.name.starts_with("blocker") {
                 let _ = release_rx.lock().expect("release channel").recv();
             }
-            session_solve(driver, job, lattice)
+            solve_job(driver, job, lattice)
         });
         let config = ServeConfig {
             queue_depth: 1,

@@ -48,9 +48,9 @@ use std::fmt;
 use std::io::{Read, Write};
 
 use retypd_core::parse::{parse_constraint_set, parse_derived_var};
-use retypd_core::solver::{CallTarget, Callsite, Procedure};
+use retypd_core::solver::{CallTarget, Callsite, PhaseNs, Procedure};
 use retypd_core::{LatticeDescriptor, Program, SolverResult, SolverStats, Symbol, TypeScheme};
-use retypd_driver::{CacheStats, ModuleJob, ModuleReport};
+use retypd_driver::{CacheStats, ModuleJob};
 use serde::{Deserialize, Serialize};
 
 use crate::conn::{FrameReader, Polled};
@@ -229,50 +229,17 @@ pub struct WireReport {
     pub procs: Vec<WireProcResult>,
     /// Scalar consistency violations.
     pub inconsistencies: Vec<(String, String)>,
-    /// Solver statistics (includes `solve_ns` and cache counters).
+    /// Solver statistics (includes `solve_ns`, cache counters and phase
+    /// work). The encoder also writes the phase timings as a `timing`
+    /// object, present when any phase recorded work (cache hits replay no
+    /// phase work, so a fully warm report omits it); the object is excluded
+    /// from [`WireReport::canonical_text`].
     pub stats: SolverStats,
     /// Wall-clock nanoseconds the shard spent on this module.
     pub wall_ns: u64,
     /// The client-supplied `trace_id`, echoed verbatim; `None` when the
     /// request carried none.
     pub trace_id: Option<String>,
-    /// Per-phase solve timing, present when any phase recorded work (cache
-    /// hits replay no phase work, so a fully warm report omits it).
-    pub timing: Option<WireTiming>,
-}
-
-/// Per-phase timing breakdown of a solve: where the module's nanoseconds
-/// went, split along the paper's pipeline (combine → saturation →
-/// simplify → transducer → sketches). Excluded from
-/// [`WireReport::canonical_text`], so determinism comparisons are
-/// unaffected.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireTiming {
-    /// Nanoseconds combining SCC constraint sets.
-    pub combine_ns: u64,
-    /// Nanoseconds building + saturating constraint graphs.
-    pub saturate_ns: u64,
-    /// Nanoseconds extracting scalar violations via the transducer.
-    pub transducer_ns: u64,
-    /// Nanoseconds extracting type schemes (cache misses only).
-    pub simplify_ns: u64,
-    /// Nanoseconds inferring and refining sketches.
-    pub sketch_ns: u64,
-}
-
-impl WireTiming {
-    /// Extracts the phase breakdown from solver stats; `None` when no phase
-    /// recorded any work.
-    pub fn from_stats(s: &SolverStats) -> Option<WireTiming> {
-        let t = WireTiming {
-            combine_ns: s.combine_ns,
-            saturate_ns: s.saturate_ns,
-            transducer_ns: s.transducer_ns,
-            simplify_ns: s.simplify_ns,
-            sketch_ns: s.sketch_ns,
-        };
-        (t != WireTiming::default()).then_some(t)
-    }
 }
 
 /// The merged telemetry registry on the wire: the `metrics` reply.
@@ -673,19 +640,10 @@ impl WireModule {
 }
 
 impl WireReport {
-    /// Builds a report from a driver [`ModuleReport`].
-    pub fn from_report(report: &ModuleReport, fingerprint: u64, shard: usize) -> WireReport {
-        let mut w = WireReport::from_result(&report.name, &report.result);
-        w.fingerprint = fingerprint;
-        w.lattice_fp = report.lattice_fp;
-        w.shard = shard;
-        w.wall_ns = report.wall.as_nanos() as u64;
-        w
-    }
-
     /// Builds a report from a bare [`SolverResult`] (fingerprints, shard,
-    /// and wall clock zeroed) — the shape used for in-process references in
-    /// the determinism tests and `loadgen`.
+    /// and wall clock zeroed; the serve shard sets them) — also the shape
+    /// used for in-process references in the determinism tests and
+    /// `loadgen`.
     pub fn from_result(name: &str, result: &SolverResult) -> WireReport {
         WireReport {
             name: name.to_owned(),
@@ -710,7 +668,6 @@ impl WireReport {
             stats: result.stats,
             wall_ns: 0,
             trace_id: None,
-            timing: WireTiming::from_stats(&result.stats),
         }
     }
 
@@ -847,12 +804,12 @@ fn stats_to_json(s: &SolverStats) -> Json {
         ("solve_ns".into(), Json::u64(s.solve_ns)),
         ("cache_hits".into(), Json::u64(s.cache_hits)),
         ("cache_misses".into(), Json::u64(s.cache_misses)),
-        ("saturate_ns".into(), Json::u64(s.saturate_ns)),
-        ("transducer_ns".into(), Json::u64(s.transducer_ns)),
-        ("simplify_ns".into(), Json::u64(s.simplify_ns)),
-        ("sketch_ns".into(), Json::u64(s.sketch_ns)),
-        ("combine_ns".into(), Json::u64(s.combine_ns)),
-        ("saturations".into(), Json::u64(s.saturations)),
+        ("saturate_ns".into(), Json::u64(s.phases.saturate_ns)),
+        ("transducer_ns".into(), Json::u64(s.phases.transducer_ns)),
+        ("simplify_ns".into(), Json::u64(s.phases.simplify_ns)),
+        ("sketch_ns".into(), Json::u64(s.phases.sketch_ns)),
+        ("combine_ns".into(), Json::u64(s.phases.combine_ns)),
+        ("saturations".into(), Json::u64(s.phases.saturations)),
     ])
 }
 
@@ -870,12 +827,14 @@ fn stats_from_json(j: &Json) -> Result<SolverStats, WireError> {
         solve_ns: u64_field(j, "solve_ns")?,
         cache_hits: u64_field(j, "cache_hits")?,
         cache_misses: u64_field(j, "cache_misses")?,
-        combine_ns: opt_u64("combine_ns"),
-        saturate_ns: opt_u64("saturate_ns"),
-        transducer_ns: opt_u64("transducer_ns"),
-        simplify_ns: opt_u64("simplify_ns"),
-        sketch_ns: opt_u64("sketch_ns"),
-        saturations: opt_u64("saturations"),
+        phases: PhaseNs {
+            combine_ns: opt_u64("combine_ns"),
+            saturate_ns: opt_u64("saturate_ns"),
+            transducer_ns: opt_u64("transducer_ns"),
+            simplify_ns: opt_u64("simplify_ns"),
+            sketch_ns: opt_u64("sketch_ns"),
+            saturations: opt_u64("saturations"),
+        },
     })
 }
 
@@ -926,16 +885,18 @@ impl WireReport {
         if let Some(t) = &self.trace_id {
             fields.push(("trace_id".into(), Json::str(t)));
         }
-        if let Some(t) = &self.timing {
+        let t = &self.stats.phases;
+        let timing = [
+            ("saturate_ns", t.saturate_ns),
+            ("transducer_ns", t.transducer_ns),
+            ("simplify_ns", t.simplify_ns),
+            ("sketch_ns", t.sketch_ns),
+            ("combine_ns", t.combine_ns),
+        ];
+        if timing.iter().any(|&(_, ns)| ns != 0) {
             fields.push((
                 "timing".into(),
-                Json::Obj(vec![
-                    ("saturate_ns".into(), Json::u64(t.saturate_ns)),
-                    ("transducer_ns".into(), Json::u64(t.transducer_ns)),
-                    ("simplify_ns".into(), Json::u64(t.simplify_ns)),
-                    ("sketch_ns".into(), Json::u64(t.sketch_ns)),
-                    ("combine_ns".into(), Json::u64(t.combine_ns)),
-                ]),
+                Json::Obj(timing.map(|(k, ns)| (k.into(), Json::u64(ns))).into()),
             ));
         }
         obj
@@ -984,19 +945,6 @@ impl WireReport {
             )?,
             wall_ns: u64_field(j, "wall_ns")?,
             trace_id: opt_str_field(j, "trace_id")?,
-            // Optional phase breakdown; tolerate absence (older servers)
-            // and decode sub-fields tolerantly like the stats additions.
-            timing: j.get("timing").and_then(|t| {
-                let f = |name: &str| t.get(name).and_then(Json::as_u64).unwrap_or(0);
-                let w = WireTiming {
-                    combine_ns: f("combine_ns"),
-                    saturate_ns: f("saturate_ns"),
-                    transducer_ns: f("transducer_ns"),
-                    simplify_ns: f("simplify_ns"),
-                    sketch_ns: f("sketch_ns"),
-                };
-                (w != WireTiming::default()).then_some(w)
-            }),
         })
     }
 }

@@ -20,6 +20,7 @@
 
 use std::time::Duration;
 
+use retypd_core::solver::PhaseNs;
 use retypd_driver::ModuleJob;
 use retypd_minic::codegen::compile;
 use retypd_minic::genprog::{ClusterSpec, ProgramGenerator};
@@ -118,7 +119,7 @@ fn trace_id_echoes_and_cold_reports_carry_phase_timing() {
         .solve_module_traced(&jobs[0], None, Some("pr8-cold-trace"))
         .expect("traced solve");
     assert_eq!(cold.trace_id.as_deref(), Some("pr8-cold-trace"));
-    let timing = cold.timing.expect("cold solve performed phase work");
+    let timing = cold.stats.phases;
     assert!(
         timing.saturate_ns > 0 || timing.simplify_ns > 0 || timing.sketch_ns > 0,
         "cold timing breakdown is all-zero: {timing:?}"
@@ -131,7 +132,7 @@ fn trace_id_echoes_and_cold_reports_carry_phase_timing() {
         .solve_module_traced(&jobs[0], None, Some("pr8-warm-trace"))
         .expect("warm traced solve");
     assert_eq!(warm.trace_id.as_deref(), Some("pr8-warm-trace"));
-    assert!(warm.timing.is_none(), "warm cache hit reported timing {:?}", warm.timing);
+    assert_eq!(warm.stats.phases, PhaseNs::default(), "warm cache hit reported phase work");
 
     // Untraced requests stay untraced.
     let plain = client.solve_module(&jobs[1]).expect("untraced solve");
