@@ -12,7 +12,7 @@
 //!   recursive types (bounded-depth structural results).
 //!
 //! Both consume the *same* constraint programs produced by
-//! [`retypd_congen`], so comparisons isolate the type-system differences
+//! `retypd_congen`, so comparisons isolate the type-system differences
 //! the paper credits (polymorphism, subtyping, recursive sketches).
 //!
 //! The shared [`common::InfTy`] tree is the output format scored by the

@@ -56,11 +56,7 @@ pub fn infer_tie(program: &Program, lattice: &Lattice) -> InferredProgram {
     let mut g = ConstraintGraph::build(&cs);
     saturate(&mut g);
     let quotient = ShapeQuotient::build(&cs);
-    let consts: Vec<BaseVar> = cs
-        .base_vars()
-        .into_iter()
-        .filter(|b| b.is_const())
-        .collect();
+    let consts = cs.constants();
 
     let mut out = InferredProgram::new();
     for proc in &program.procs {

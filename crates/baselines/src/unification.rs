@@ -10,7 +10,7 @@
 //! is visible in the evaluation as lost conservativeness and larger
 //! distances.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use retypd_core::shapes::ShapeQuotient;
 use retypd_core::{
@@ -63,23 +63,16 @@ pub fn infer_unification(program: &Program, lattice: &Lattice) -> InferredProgra
     let cs = retypd_core::addsub::augment_with_addsubs(&cs, lattice);
     let quotient = ShapeQuotient::build(&cs);
 
-    // Single type per class: the meet of constants in the class.
+    // Single type per class: the meet of the bare constants in the class.
+    let mut class_meet = BTreeMap::new();
+    for (b, class) in quotient.bases().filter(|(b, _)| b.is_const()) {
+        if let Some(e) = lattice.element_sym(b.name()) {
+            let m = class_meet.entry(class).or_insert_with(|| lattice.top());
+            *m = lattice.meet(*m, e);
+        }
+    }
     let class_type = |class: retypd_core::shapes::ClassId| -> Option<String> {
-        let mut m = lattice.top();
-        let mut found = false;
-        for d in quotient.members(class) {
-            if d.is_empty() && d.base().is_const() {
-                if let Some(e) = lattice.element_sym(d.base().name()) {
-                    m = lattice.meet(m, e);
-                    found = true;
-                }
-            }
-        }
-        if found {
-            Some(lattice.name(m).to_owned())
-        } else {
-            None
-        }
+        class_meet.get(&class).map(|&m| lattice.name(m).to_owned())
     };
 
     let mut out = InferredProgram::new();

@@ -32,6 +32,12 @@
 //! the shape quotient: `p ± i` shares its pointee shape with `p` (the
 //! common array-indexing idiom), which is how "new subtype constraints are
 //! added as the additive constraints are applied".
+//!
+//! The fixpoint starts from seed marks: pointer-like for a class with a
+//! `.load` or `.store` edge, integer-like for one holding an integral
+//! constant, found in one pass over the quotient's bare base variables.
+//! The rules act only through additive constraints, so a set without any
+//! is left unchanged by augmentation and skipped by the solver.
 
 use std::collections::HashMap;
 
@@ -100,22 +106,17 @@ pub fn apply_addsubs(
 ) -> AddSubSolution {
     let mut sol = AddSubSolution::default();
 
-    // Seed marks: pointer-like if the class has a pointer capability;
-    // integer-like if it contains an integral constant.
+    // Seed marks (see module docs); marks only ever grow.
     let seed = |q: &ShapeQuotient, sol: &mut AddSubSolution| {
         for c in q.classes() {
-            let mut m = sol.marks.get(&c).copied().unwrap_or_default();
-            for (l, _) in q.successors(c) {
-                if l.is_pointer_access() {
-                    m.ptr_like = true;
-                }
+            if q.successors(c).iter().any(|(l, _)| l.is_pointer_access()) {
+                sol.marks.entry(c).or_default().ptr_like = true;
             }
-            for d in q.members(c) {
-                if d.is_empty() && d.base().is_const() && is_integral(lattice, d.base().name()) {
-                    m.int_like = true;
-                }
+        }
+        for (b, c) in q.bases() {
+            if b.is_const() && is_integral(lattice, b.name()) {
+                sol.marks.entry(c).or_default().int_like = true;
             }
-            sol.marks.insert(c, m);
         }
     };
     seed(quotient, &mut sol);
@@ -262,17 +263,22 @@ pub fn integral_bound_constraints(
 /// Applies additive constraints and folds the implied integral bounds back
 /// into a copy of the constraint set (one augmentation round).
 pub fn augment_with_addsubs(cs: &ConstraintSet, lattice: &Lattice) -> ConstraintSet {
+    let mut out = cs.clone();
+    augment_in_place(&mut out, lattice);
+    out
+}
+
+/// [`augment_with_addsubs`] without the copy. A set with no additive
+/// constraints is left as it is, without building a quotient.
+pub(crate) fn augment_in_place(cs: &mut ConstraintSet, lattice: &Lattice) {
+    if cs.addsubs().next().is_none() {
+        return;
+    }
     let mut quotient = ShapeQuotient::build(cs);
     let sol = apply_addsubs(cs, &mut quotient, lattice);
-    let extra = integral_bound_constraints(cs, &quotient, &sol, lattice);
-    if extra.is_empty() {
-        return cs.clone();
+    for (l, r) in integral_bound_constraints(cs, &quotient, &sol, lattice) {
+        cs.add_sub(l, r);
     }
-    let mut out = cs.clone();
-    for (l, r) in extra {
-        out.add_sub(l, r);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -355,6 +361,36 @@ mod tests {
         );
         let cy = q.walk(dv("y").base(), &[]).unwrap();
         assert!(sol.mark(cy).ptr_like);
+    }
+
+    #[test]
+    fn seeding_reaches_constants_through_unions() {
+        // x meets int32 only through the chain x ~ y ~ z ~ int32.
+        let (q, sol, _) = run("x <= y; z <= y; z <= int32", &[]);
+        let cx = q.walk(dv("x").base(), &[]).unwrap();
+        assert!(sol.mark(cx).int_like);
+        assert!(!sol.mark(cx).ptr_like);
+    }
+
+    #[test]
+    fn seeding_ignores_non_integral_constants() {
+        let (q, sol, _) = run("x <= y; y <= float32", &[]);
+        let cx = q.walk(dv("x").base(), &[]).unwrap();
+        assert_eq!(sol.mark(cx), PiMark::default());
+    }
+
+    #[test]
+    fn seeding_marks_pointer_capabilities() {
+        let (q, sol, _) = run("x <= y; y.store <= w", &[]);
+        let cx = q.walk(dv("x").base(), &[]).unwrap();
+        assert!(sol.mark(cx).ptr_like);
+        assert!(!sol.mark(cx).int_like);
+    }
+
+    #[test]
+    fn augment_without_addsubs_is_identity() {
+        let cs = parse_constraint_set("x <= int32; p.load.σ32@0 <= x; y <= p.store").unwrap();
+        assert_eq!(augment_with_addsubs(&cs, &Lattice::c_types()), cs);
     }
 
     #[test]

@@ -147,29 +147,33 @@ impl ConstraintSet {
         self.subtypes.is_empty() && self.var_decls.is_empty() && self.addsubs.is_empty()
     }
 
+    /// Every mention of a derived type variable, repeats included.
+    fn mentions(&self) -> impl Iterator<Item = &DerivedVar> {
+        let sides = self.subtypes.iter().flat_map(|c| [&c.lhs, &c.rhs]);
+        let addsubs = self.addsubs.iter().flat_map(|a| [&a.x, &a.y, &a.z]);
+        sides.chain(&self.var_decls).chain(addsubs)
+    }
+
     /// Returns every derived type variable mentioned anywhere in the set
     /// (both sides of subtype constraints, `VAR` declarations, and additive
     /// constraints), without prefix-closure.
     pub fn mentioned_vars(&self) -> BTreeSet<DerivedVar> {
-        let mut out = BTreeSet::new();
-        for c in &self.subtypes {
-            out.insert(c.lhs.clone());
-            out.insert(c.rhs.clone());
-        }
-        for v in &self.var_decls {
-            out.insert(v.clone());
-        }
-        for a in &self.addsubs {
-            out.insert(a.x.clone());
-            out.insert(a.y.clone());
-            out.insert(a.z.clone());
-        }
-        out
+        self.mentions().cloned().collect()
     }
 
     /// Returns all base variables mentioned in the set.
     pub fn base_vars(&self) -> BTreeSet<crate::BaseVar> {
-        self.mentioned_vars().iter().map(|d| d.base()).collect()
+        self.mentions().map(DerivedVar::base).collect()
+    }
+
+    /// The type constants mentioned in the set, sorted and deduplicated.
+    pub fn constants(&self) -> Vec<crate::BaseVar> {
+        let consts: BTreeSet<_> = self
+            .mentions()
+            .map(DerivedVar::base)
+            .filter(|b| b.is_const())
+            .collect();
+        consts.into_iter().collect()
     }
 
     /// Merges another constraint set into this one.

@@ -432,11 +432,7 @@ mod tests {
         let mut g = ConstraintGraph::build(&cs);
         saturate(&mut g);
         let quotient = ShapeQuotient::build(&cs);
-        let consts: Vec<BaseVar> = cs
-            .base_vars()
-            .into_iter()
-            .filter(|b| b.is_const())
-            .collect();
+        let consts = cs.constants();
         let sk = Sketch::infer(BaseVar::var(base), &g, &quotient, &lattice, &consts).unwrap();
         (sk, lattice)
     }

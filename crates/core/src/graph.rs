@@ -451,7 +451,7 @@ impl ConstraintGraph {
     /// partitioned accessors ([`ConstraintGraph::eps_out`],
     /// [`ConstraintGraph::pop_out`], [`ConstraintGraph::push_out`]) in hot
     /// loops — this combined view exists for whole-graph walks (display,
-    /// reverse adjacency, extraction).
+    /// extraction).
     pub fn edges_out(&self, n: NodeId) -> impl Iterator<Item = Edge> + '_ {
         self.eps_out(n)
             .map(|to| Edge {
@@ -502,17 +502,6 @@ impl ConstraintGraph {
     /// The set of base variables appearing in the graph.
     pub fn bases(&self) -> BTreeSet<BaseVar> {
         self.dtvs.iter().map(|d| d.base()).collect()
-    }
-
-    /// Builds the reverse adjacency list (for backward reachability).
-    pub fn reverse_adjacency(&self) -> Vec<Vec<Edge>> {
-        let mut rev = vec![Vec::new(); self.node_count()];
-        for n in self.nodes() {
-            for e in self.edges_out(n) {
-                rev[e.to.index()].push(Edge { to: n, kind: e.kind });
-            }
-        }
-        rev
     }
 }
 

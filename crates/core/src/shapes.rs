@@ -251,13 +251,11 @@ impl ShapeQuotient {
         }
     }
 
-    /// All materialized derived variables in a class.
-    pub fn members(&self, c: ClassId) -> Vec<DerivedVar> {
-        let r = self.find_ro(c.0);
-        (0..self.parent.len())
-            .filter(|&n| self.find_ro(n as u32) == r)
-            .map(|n| self.dtvs[n].clone())
-            .collect()
+    /// Every bare base variable with its class, in no particular order.
+    pub fn bases(&self) -> impl Iterator<Item = (BaseVar, ClassId)> + '_ {
+        self.base_nodes
+            .iter()
+            .map(|(&b, &n)| (b, ClassId(self.find_ro(n))))
     }
 
     /// Iterates over all representative classes.

@@ -17,6 +17,15 @@
 //! the derived type variable it names; completeness follows from the
 //! invariant that a pop-phase state `(d,⊕)` reached from entry `X` with pop
 //! word `u` witnesses `X.u ⊑ d` (and dually for `⊖`).
+//!
+//! The restriction needs reachability in both directions, and the backward
+//! walk reads predecessors from forward edges. By Lemma D.7 the saturated
+//! graph is symmetric under the mirror involution `(d,v) ↦ (d,¬v)` with pop
+//! and push exchanged (`k̄`): `s --k--> n` exists iff `n.mirror() --k̄-->
+//! s.mirror()` does. ε edges are only inserted in mirrored pairs (the
+//! build's constraint duals and [`ConstraintGraph::add_eps_pair`]), and
+//! the pop edge `(x,v) → (x.ℓ, v·⟨ℓ⟩)` is built beside its mirror, the push
+//! edge `(x.ℓ, ¬(v·⟨ℓ⟩)) → (x, ¬v)`. So no reverse adjacency is built.
 
 use std::collections::BTreeSet;
 
@@ -323,11 +332,11 @@ impl<'l> SchemeBuilder<'l> {
     }
 }
 
-fn phase_transitions(kind: EdgeKind) -> Vec<(Phase, Phase)> {
+fn phase_transitions(kind: EdgeKind) -> &'static [(Phase, Phase)] {
     match kind {
-        EdgeKind::Eps => vec![(Phase::Pop, Phase::Pop), (Phase::Push, Phase::Push)],
-        EdgeKind::Pop(_) => vec![(Phase::Pop, Phase::Pop)],
-        EdgeKind::Push(_) => vec![(Phase::Pop, Phase::Push), (Phase::Push, Phase::Push)],
+        EdgeKind::Eps => &[(Phase::Pop, Phase::Pop), (Phase::Push, Phase::Push)],
+        EdgeKind::Pop(_) => &[(Phase::Pop, Phase::Pop)],
+        EdgeKind::Push(_) => &[(Phase::Pop, Phase::Push), (Phase::Push, Phase::Push)],
     }
 }
 
@@ -348,7 +357,7 @@ fn forward_states(
             if !is_real(e.to) {
                 continue;
             }
-            for (ps, pt) in phase_transitions(e.kind) {
+            for &(ps, pt) in phase_transitions(e.kind) {
                 if ps == p && seen.insert(e.to, pt) {
                     stack.push((e.to, pt));
                 }
@@ -358,12 +367,13 @@ fn forward_states(
     seen
 }
 
+/// Backward phase-aware reachability to `exits`: `s --k--> n` exists iff
+/// `n.mirror() --k̄--> s.mirror()` does (Lemma D.7, see module docs).
 fn backward_states(
     g: &ConstraintGraph,
     exits: &[NodeId],
     is_real: &dyn Fn(NodeId) -> bool,
 ) -> PhaseSet {
-    let rev = g.reverse_adjacency();
     let mut seen = PhaseSet::new(g.node_count());
     let mut stack: Vec<(NodeId, Phase)> = Vec::new();
     for &n in exits {
@@ -374,14 +384,19 @@ fn backward_states(
         }
     }
     while let Some((n, p)) = stack.pop() {
-        for e in &rev[n.0 as usize] {
-            // e.to is the forward-source.
-            if !is_real(e.to) {
+        for e in g.edges_out(n.mirror()) {
+            let src = e.to.mirror();
+            if !is_real(src) {
                 continue;
             }
-            for (ps, pt) in phase_transitions(e.kind) {
-                if pt == p && seen.insert(e.to, ps) {
-                    stack.push((e.to, ps));
+            let kind = match e.kind {
+                EdgeKind::Eps => EdgeKind::Eps,
+                EdgeKind::Pop(l) => EdgeKind::Push(l),
+                EdgeKind::Push(l) => EdgeKind::Pop(l),
+            };
+            for &(ps, pt) in phase_transitions(kind) {
+                if pt == p && seen.insert(src, ps) {
+                    stack.push((src, ps));
                 }
             }
         }
@@ -427,6 +442,55 @@ mod tests {
             "scheme lost the bound: {}",
             scheme
         );
+    }
+
+    #[test]
+    fn backward_walk_matches_reversed_edges() {
+        // The mirrored walk must reach exactly the states a walk over
+        // explicitly reversed edges reaches, from every bare exit.
+        for src in [
+            "f.in_stack0 <= v; v.load.σ32@0 <= w; w <= int",
+            "f.in_stack0 <= p; int <= p.store.σ32@0; p.load.σ32@4 <= f.out_eax",
+            "f.in_stack0 <= v; v.load.σ32@0 <= v; int <= f.out_eax",
+            "x <= p.store.σ32@0; p.load.σ32@0 <= y; y <= q.store; q.load <= f.out_eax",
+        ] {
+            let g = saturated_graph(&parse_constraint_set(src).unwrap());
+            let mut rev = vec![Vec::new(); g.node_count()];
+            for n in g.nodes() {
+                for e in g.edges_out(n) {
+                    rev[e.to.0 as usize].push((n, e.kind));
+                }
+            }
+            for exit in g.nodes().filter(|&n| g.dtv(n).is_empty()) {
+                let mut want = PhaseSet::new(g.node_count());
+                let mut stack = Vec::new();
+                for p in [Phase::Pop, Phase::Push] {
+                    want.insert(exit, p);
+                    stack.push((exit, p));
+                }
+                while let Some((n, p)) = stack.pop() {
+                    for &(s, kind) in &rev[n.0 as usize] {
+                        for &(ps, pt) in phase_transitions(kind) {
+                            if pt == p && want.insert(s, ps) {
+                                stack.push((s, ps));
+                            }
+                        }
+                    }
+                }
+                let got = backward_states(&g, &[exit], &|_| true);
+                for n in g.nodes() {
+                    for p in [Phase::Pop, Phase::Push] {
+                        assert_eq!(
+                            got.contains(n, p),
+                            want.contains(n, p),
+                            "{src}: exit {}, state ({}, {p:?})",
+                            g.dtv(exit),
+                            g.dtv(n)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -576,11 +576,7 @@ mod tests {
         let mut g = ConstraintGraph::build(&cs);
         saturate(&mut g);
         let quotient = ShapeQuotient::build(&cs);
-        let consts: Vec<BaseVar> = cs
-            .base_vars()
-            .into_iter()
-            .filter(|b| b.is_const())
-            .collect();
+        let consts = cs.constants();
         let sk = Sketch::infer(BaseVar::var(base), &g, &quotient, &lattice, &consts)
             .expect("base has a class");
         (sk, lattice)
@@ -681,11 +677,7 @@ mod tests {
             let mut g = ConstraintGraph::build(&cs);
             saturate(&mut g);
             let quotient = ShapeQuotient::build(&cs);
-            let consts: Vec<BaseVar> = cs
-                .base_vars()
-                .into_iter()
-                .filter(|b| b.is_const())
-                .collect();
+            let consts = cs.constants();
             let base = BaseVar::var("f");
             let sk =
                 Sketch::infer(base, &g, &quotient, &lattice, &consts).expect("f has a class");

@@ -30,7 +30,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use crate::addsub::apply_addsubs;
+use crate::addsub::{apply_addsubs, augment_in_place};
 use crate::constraint::ConstraintSet;
 use crate::dtv::BaseVar;
 use crate::graph::ConstraintGraph;
@@ -576,10 +576,9 @@ impl<'l> Solver<'l> {
         extract: impl FnOnce(&ConstraintGraph, &ShapeQuotient) -> R,
     ) -> (SccGraph, usize, R) {
         let combined = timed("core.combine", &mut phases.combine_ns, || {
-            crate::addsub::augment_with_addsubs(
-                &self.scc_constraints(program, scc, scc_of, schemes),
-                self.lattice,
-            )
+            let mut cs = self.scc_constraints(program, scc, scc_of, schemes);
+            augment_in_place(&mut cs, self.lattice);
+            cs
         });
         let (graph, mut quotient) = timed("core.saturate", &mut phases.saturate_ns, || {
             let mut g = ConstraintGraph::build(&combined);
@@ -591,12 +590,11 @@ impl<'l> Solver<'l> {
             extract(&graph, &quotient)
         });
         let consts = timed("core.saturate", &mut phases.saturate_ns, || {
-            apply_addsubs(&combined, &mut quotient, self.lattice);
-            combined
-                .base_vars()
-                .into_iter()
-                .filter(|b| b.is_const())
-                .collect()
+            // Without additive constraints the call changes nothing.
+            if combined.addsubs().next().is_some() {
+                apply_addsubs(&combined, &mut quotient, self.lattice);
+            }
+            combined.constants()
         });
         (SccGraph { graph, quotient, consts }, combined.len(), extracted)
     }

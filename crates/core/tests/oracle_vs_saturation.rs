@@ -17,7 +17,7 @@
 
 use proptest::prelude::*;
 use retypd_core::deduction::Oracle;
-use retypd_core::graph::ConstraintGraph;
+use retypd_core::graph::{ConstraintGraph, EdgeKind};
 use retypd_core::saturation::saturate;
 use retypd_core::shapes::ShapeQuotient;
 use retypd_core::transducer::accepts;
@@ -276,6 +276,31 @@ proptest! {
                 accepts(&g, l, r),
                 "oracle derives {l} ⊑ {r} but transducer rejects it\nconstraints:\n{cs}"
             );
+        }
+    }
+
+    #[test]
+    fn saturated_graph_is_mirror_symmetric(cs in constraint_set_strategy(2, 5)) {
+        // Lemma D.7 over every edge kind: `a --k--> b` implies
+        // `mirror(b) --k̄--> mirror(a)`, where k̄ swaps pop ℓ and push ℓ.
+        // Extraction's backward walk reads predecessors through this.
+        let mut g = ConstraintGraph::build(&cs);
+        saturate(&mut g);
+        for a in g.nodes() {
+            for e in g.edges_out(a) {
+                let dual = match e.kind {
+                    EdgeKind::Eps => EdgeKind::Eps,
+                    EdgeKind::Pop(l) => EdgeKind::Push(l),
+                    EdgeKind::Push(l) => EdgeKind::Pop(l),
+                };
+                prop_assert!(
+                    g.edges_out(e.to.mirror())
+                        .any(|m| m.to == a.mirror() && m.kind == dual),
+                    "edge {a:?} --{:?}--> {:?} has no mirror\nconstraints:\n{cs}",
+                    e.kind,
+                    e.to
+                );
+            }
         }
     }
 

@@ -39,11 +39,7 @@ fn sketch_from_seed(ops: &[(u8, u8, i32)], lattice: &Lattice) -> Sketch {
     let mut g = ConstraintGraph::build(&cs);
     saturate(&mut g);
     let quotient = ShapeQuotient::build(&cs);
-    let consts: Vec<BaseVar> = cs
-        .base_vars()
-        .into_iter()
-        .filter(|b| b.is_const())
-        .collect();
+    let consts = cs.constants();
     Sketch::infer(BaseVar::var("f"), &g, &quotient, &lattice.clone(), &consts)
         .expect("f is mentioned")
 }
