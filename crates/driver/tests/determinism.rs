@@ -6,7 +6,7 @@
 
 use std::fmt::Write as _;
 
-use retypd_core::{Lattice, Solver, SolverResult};
+use retypd_core::{Condensation, Lattice, Solver, SolverResult};
 use retypd_driver::{AnalysisDriver, DriverConfig, ModuleJob};
 use retypd_minic::codegen::compile;
 use retypd_minic::genprog::{ClusterSpec, GenConfig, ProgramGenerator};
@@ -46,7 +46,7 @@ fn workers_do_not_change_results_on_bench_generators() {
     let lattice = Lattice::c_types();
     for (seed, functions) in [(3, 10), (7, 18), (11, 26)] {
         let program = generated_program(seed, functions);
-        let sccs = retypd_core::Condensation::compute(&program).sccs.len();
+        let sccs = Condensation::compute(&program).sccs.len();
         let seq = Solver::new(&lattice).infer(&program);
         let seq_render = render(&seq);
         // One saturation per SCC: pass 1 builds each SCC's graph once for
@@ -103,42 +103,63 @@ fn resubmitted_module_is_pure_fingerprint_hit() {
 fn batch_shares_scheme_work_across_cluster_members() {
     // Cluster members share a library module; the driver must recognize the
     // shared SCCs by fingerprint and re-solve only member-specific code.
+    // The deep input appends a `call_depth`-long call chain to every member,
+    // so each module condenses to at least that many waves. Each batch ends
+    // with a verbatim re-submission of its first member.
     let lattice = Lattice::c_types();
-    let spec = ClusterSpec {
-        name: "t".into(),
-        members: 3,
-        shared_functions: 6,
-        member_functions: 3,
-        seed: 99,
-        call_depth: 0,
-    };
-    let jobs: Vec<ModuleJob> = ProgramGenerator::generate_cluster(&spec)
-        .iter()
-        .map(|(name, module)| {
-            let (mir, _) = compile(module).expect("cluster member compiles");
-            ModuleJob {
-                name: name.clone(),
-                program: retypd_congen::generate(&mir),
-            }
-        })
-        .collect();
-    // Sequential batch: deterministic hit accounting.
-    let driver = AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(1));
-    let reports = driver.solve_batch(&jobs);
-    assert_eq!(reports[0].result.stats.cache_hits, 0);
-    for r in &reports[1..] {
-        assert!(
-            r.result.stats.cache_hits > 0,
-            "member {} shares library SCCs but hit nothing",
-            r.name
-        );
-    }
-    // A parallel batch produces the same per-module results.
-    let par = AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(4));
-    let preports = par.solve_batch(&jobs);
-    for (a, b) in reports.iter().zip(&preports) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(render(&a.result), render(&b.result), "module {}", a.name);
+    for call_depth in [0usize, 6] {
+        let spec = ClusterSpec {
+            name: "t".into(),
+            members: 3,
+            shared_functions: 6,
+            member_functions: 3,
+            seed: 99,
+            call_depth,
+        };
+        let mut jobs: Vec<ModuleJob> = ProgramGenerator::generate_cluster(&spec)
+            .iter()
+            .map(|(name, module)| {
+                let (mir, _) = compile(module).expect("cluster member compiles");
+                ModuleJob {
+                    name: name.clone(),
+                    program: retypd_congen::generate(&mir),
+                }
+            })
+            .collect();
+        let members = jobs.len();
+        jobs.push(ModuleJob {
+            name: format!("{}+resubmit", jobs[0].name),
+            program: jobs[0].program.clone(),
+        });
+        for j in &jobs {
+            let waves = Condensation::compute(&j.program).waves().len();
+            assert!(
+                waves >= call_depth,
+                "call_depth {call_depth}: {} condenses to only {waves} waves",
+                j.name
+            );
+        }
+        // Sequential batch: deterministic hit accounting.
+        let driver = AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(1));
+        let reports = driver.solve_batch(&jobs);
+        assert_eq!(reports[0].result.stats.cache_hits, 0);
+        for r in &reports[1..members] {
+            assert!(
+                r.result.stats.cache_hits > 0,
+                "member {} shares library SCCs but hit nothing",
+                r.name
+            );
+        }
+        for r in &reports[members..] {
+            assert_eq!(r.result.stats.cache_misses, 0, "{} was not a pure hit", r.name);
+        }
+        // A parallel batch produces the same per-module results.
+        let par = AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(4));
+        let preports = par.solve_batch(&jobs);
+        for (a, b) in reports.iter().zip(&preports) {
+            assert_eq!(a.name, b.name);
+            assert_eq!(render(&a.result), render(&b.result), "module {}", a.name);
+        }
     }
 }
 

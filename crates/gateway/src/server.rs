@@ -11,8 +11,8 @@
 //!   stats/metrics ─ fan-in: sum / merge across healthy backends
 //! ```
 //!
-//! * **Transparent protocol.** A client (or `loadgen`) pointed at the
-//!   gateway sees a bit-identical protocol: `solve_module` forwards,
+//! * **Transparent protocol.** A client pointed at the gateway sees a
+//!   bit-identical protocol: `solve_module` forwards,
 //!   `solve_batch` is decomposed into per-module forwards and
 //!   reassembled in submission order (streaming batches emit `report`
 //!   frames as modules finish), `stats` sums the fleet, `metrics`

@@ -5,9 +5,14 @@
 //! must restart the child onto its original persist dir; and the
 //! restarted process must answer its first re-routed request from the
 //! replayed persistent store. Also pins the stdout readiness banner and
-//! the `pid`/`start_ns` liveness fields end to end.
+//! the `pid`/`start_ns` liveness fields end to end, and drives the
+//! `gateway` binary itself: its banners, a kill -9 of one of its
+//! backends, metrics text through it, and a drain that stops every
+//! backend before the gateway exits 0.
 
-use std::path::PathBuf;
+use std::io::BufRead;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use retypd_core::{Lattice, Solver};
@@ -43,17 +48,26 @@ fn backend_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_serve_backend"))
 }
 
-/// A scratch dir under the target-adjacent temp root, unique per test.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "retypd-gw-{tag}-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::SystemTime::UNIX_EPOCH)
-            .map_or(0, |d| d.as_nanos())
-    ));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
+/// A scratch dir under the system temp dir, unique per test and removed
+/// on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("retypd-gw-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        Scratch(dir)
+    }
+
+    fn join(&self, name: impl AsRef<Path>) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 #[test]
@@ -68,7 +82,7 @@ fn kill9_mid_batch_reroutes_restarts_and_warm_replays() {
         })
         .collect();
 
-    let store = scratch("kill9");
+    let store = Scratch::new("kill9");
     let spec = |slot: usize| BackendSpec::Spawn {
         program: backend_bin(),
         args: vec!["--shards".into(), "1".into()],
@@ -166,7 +180,6 @@ fn kill9_mid_batch_reroutes_restarts_and_warm_replays() {
     assert!(get("gateway.readded") >= 1, "re-add counted");
 
     gw.shutdown();
-    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -187,9 +200,9 @@ fn readiness_banner_and_liveness_fields_work_end_to_end() {
     assert!(stats.start_ns > 0, "start_ns exposed for restart detection");
     b.kill();
 
-    // Via a banner *file* on an ephemeral port — the path CI's scripts
-    // use instead of assuming a fixed free port.
-    let dir = scratch("banner");
+    // Via a banner *file* on an ephemeral port — how a harness finds a
+    // server without assuming a fixed free port.
+    let dir = Scratch::new("banner");
     let banner_path = dir.join("serve.banner");
     let mut child = std::process::Command::new(backend_bin())
         .args([
@@ -222,5 +235,138 @@ fn readiness_banner_and_liveness_fields_work_end_to_end() {
     assert_eq!(stats.pid, pid as u64);
     client.shutdown().expect("graceful drain");
     let _ = child.wait();
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spawned `gateway` process. On drop it and every backend pid it
+/// announced are killed, so a failing assertion leaks no process.
+struct GatewayProcess {
+    child: Child,
+    backend_pids: Vec<u32>,
+}
+
+impl Drop for GatewayProcess {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        for pid in &self.backend_pids {
+            if alive(*pid) {
+                kill9(*pid);
+            }
+        }
+    }
+}
+
+/// Whether `pid` names a live (not zombie) process.
+fn alive(pid: u32) -> bool {
+    std::fs::read_to_string(format!("/proc/{pid}/stat"))
+        .ok()
+        .and_then(|stat| {
+            let state = stat.rsplit_once(") ")?.1.chars().next()?;
+            Some(state != 'Z' && state != 'X')
+        })
+        .unwrap_or(false)
+}
+
+fn kill9(pid: u32) {
+    let _ = Command::new("kill")
+        .args(["-9", &pid.to_string()])
+        .stderr(Stdio::null())
+        .status();
+}
+
+/// The value of `key=` in a whitespace-separated banner line.
+fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    line.split_whitespace()
+        .find_map(|f| f.strip_prefix(key)?.strip_prefix('='))
+}
+
+#[test]
+fn gateway_binary_echoes_backends_survives_kill9_and_drains_them() {
+    let jobs = corpus();
+    let dir = Scratch::new("binary");
+    let banner = dir.join("gateway.banner");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gateway"))
+        .arg("--addr")
+        .arg("127.0.0.1:0")
+        .args(["--backends", "2", "--persist-dir"])
+        .arg(dir.join("store"))
+        .arg("--banner-file")
+        .arg(&banner)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn gateway");
+    let stdout = child.stdout.take().expect("stdout was piped");
+    let mut gw = GatewayProcess {
+        child,
+        backend_pids: Vec::new(),
+    };
+    let (tx, lines) = retypd_core::sync::mpsc::channel::<String>();
+    retypd_core::sync::thread::spawn(move || {
+        for line in std::io::BufReader::new(stdout).lines() {
+            if tx.send(line.unwrap_or_default()).is_err() {
+                break;
+            }
+        }
+    });
+    // Reads stdout until slot `i` has echoed `want[i]` backend lines in
+    // all, recording each pid so the drop guard can reap it, and returns
+    // each slot's latest pid.
+    let mut echoes: Vec<Vec<u32>> = vec![Vec::new(); 2];
+    let mut await_echoes = |gw: &mut GatewayProcess, want: [usize; 2]| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while echoes.iter().zip(want).any(|(e, w)| e.len() < w) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let line = lines.recv_timeout(left).expect("backend echo line");
+            if !line.starts_with("RETYPD_GATEWAY_BACKEND ") {
+                continue;
+            }
+            let slot: usize = field(&line, "slot").and_then(|v| v.parse().ok()).expect("slot");
+            let pid: u32 = field(&line, "pid").and_then(|v| v.parse().ok()).expect("pid");
+            gw.backend_pids.push(pid);
+            echoes[slot].push(pid);
+        }
+        [*echoes[0].last().unwrap(), *echoes[1].last().unwrap()]
+    };
+    let first = await_echoes(&mut gw, [1, 1]);
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let line = loop {
+        let text = std::fs::read_to_string(&banner).unwrap_or_default();
+        if text.starts_with("RETYPD_GATEWAY_READY ") {
+            break text;
+        }
+        assert!(Instant::now() < deadline, "gateway banner file never appeared");
+        retypd_core::sync::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(field(&line, "pid"), Some(gw.child.id().to_string().as_str()));
+    assert_eq!(field(&line, "backends"), Some("2"));
+    let addr: std::net::SocketAddr = field(&line, "addr").expect("addr").parse().expect("addr");
+    let mut client = Client::connect_retry(addr, Duration::from_secs(10)).expect("connect");
+    client.solve_batch(&jobs).expect("batch through the gateway");
+
+    // kill -9 one backend: the supervisor echoes its replacement.
+    kill9(first[1]);
+    let restarted = await_echoes(&mut gw, [1, 2]);
+    assert_ne!(restarted[1], first[1], "slot 1 must be a new process");
+    assert_eq!(restarted[0], first[0]);
+    client.solve_batch(&jobs).expect("batch after the kill");
+
+    let text = client.metrics_text().expect("metrics text through the gateway");
+    assert!(text.contains("# TYPE gateway_requests counter"), "{text}");
+    assert!(text.contains("# TYPE shard_solve_ns histogram"), "{text}");
+
+    client.shutdown().expect("shutdown is acked");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = gw.child.try_wait().expect("try_wait") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "gateway did not exit after shutdown");
+        retypd_core::sync::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "gateway exited with {status}");
+    for pid in restarted {
+        assert!(!alive(pid), "backend {pid} outlived the gateway's drain");
+    }
 }

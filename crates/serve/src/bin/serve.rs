@@ -9,8 +9,8 @@
 //! Prints a human log line to stderr and the machine-readable
 //! `RETYPD_SERVE_READY addr=… pid=… shards=…` banner to stdout once the
 //! socket is bound and every shard is warm, then blocks until a `shutdown`
-//! wire message drains it (CI and the gateway start this in the background
-//! and read the banner instead of sleeping).
+//! wire message drains it (the gateway and the process tests start this
+//! in the background and read the banner instead of sleeping).
 //!
 //! The whole main lives in [`retypd_serve::launch`] so the gateway crate
 //! can ship the identical server as its own `serve_backend` test binary.

@@ -2,7 +2,7 @@
 //!
 //! One [`Client`] owns one TCP connection and issues requests serially
 //! (the protocol is request/response). Concurrency comes from owning
-//! several clients — the `loadgen` binary drives one per worker thread.
+//! several clients, one per thread.
 //!
 //! Protocol v2 surfaces: the `*_in` request variants carry a
 //! [`LatticeDescriptor`] (absent ⇒ the server's default `c_types`), and
@@ -81,31 +81,24 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-/// Retry policy for [`ClientError::Overloaded`] refusals: jittered
-/// exponential backoff under a bounded retry budget.
-///
-/// Admission refusals are transient by design — the server sheds load
-/// instead of queueing unboundedly — so the productive client response
-/// is to back off and resubmit. Only `Overloaded` is retried: every
-/// other error (protocol trouble, server shutdown, invalid input) is
-/// returned immediately.
+/// Retry policy for `overloaded` refusals: jittered exponential backoff
+/// under a bounded retry budget. The gateway schedules its re-routes and
+/// hedged duplicates with it ([`RetryPolicy::backoff`]).
 ///
 /// The wait before retry `k` (0-based) is drawn uniformly from
 /// `[d/2, d]` where `d = min(cap, base · 2^k)` ("equal jitter"), so
-/// concurrent clients refused together do not resubmit in lockstep.
-/// Total added latency is bounded by `budget · cap`; a policy never
-/// spins forever.
+/// requests refused together do not resubmit in lockstep. Total added
+/// latency is bounded by `budget · cap`; a policy never spins forever.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
-    /// Maximum number of retries after the initial attempt. `0` means
-    /// the retry calls behave exactly like their plain counterparts.
+    /// Maximum number of retries after the initial attempt; `0` means
+    /// none.
     pub budget: u32,
     /// Backoff before the first retry; doubles each refusal.
     pub base: Duration,
     /// Upper bound on any single backoff.
     pub cap: Duration,
-    /// Seed for the jitter PRNG — give each concurrent client a
-    /// distinct seed so their backoff schedules decorrelate.
+    /// Seed for the jitter PRNG.
     pub seed: u64,
 }
 
@@ -119,13 +112,6 @@ impl RetryPolicy {
             cap: Duration::from_millis(500),
             seed: 0x9e37_79b9_7f4a_7c15,
         }
-    }
-
-    /// The same policy with a different jitter seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> RetryPolicy {
-        self.seed = seed;
-        self
     }
 
     /// The jittered wait before retry `attempt` (0-based): equal-jitter
@@ -170,8 +156,7 @@ impl Client {
     }
 
     /// Connects, retrying until `timeout` elapses — for racing a server
-    /// that is still binding its socket (the CI load test starts the
-    /// server as a background process).
+    /// that is still binding its socket (a freshly spawned process).
     ///
     /// # Errors
     ///
@@ -276,25 +261,10 @@ impl Client {
     /// admitted — split it instead of retrying; other variants for
     /// protocol or server failures.
     pub fn solve_batch(&mut self, jobs: &[ModuleJob]) -> Result<Vec<WireReport>, ClientError> {
-        self.solve_batch_in(jobs, None)
-    }
-
-    /// [`Client::solve_batch`] against a described lattice (`None` = the
-    /// server's default `c_types`).
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::solve_batch`], plus [`ClientError::Server`] for an
-    /// invalid lattice descriptor.
-    pub fn solve_batch_in(
-        &mut self,
-        jobs: &[ModuleJob],
-        lattice: Option<&LatticeDescriptor>,
-    ) -> Result<Vec<WireReport>, ClientError> {
         let modules = jobs.iter().map(WireModule::from_job).collect();
         let resp = self.roundtrip(&Request::SolveBatch {
             modules,
-            lattice: lattice.cloned(),
+            lattice: None,
             stream: false,
             trace_id: None,
         })?;
@@ -307,41 +277,6 @@ impl Client {
             )));
         }
         Ok(reports)
-    }
-
-    /// [`Client::solve_module_in`] with retry-on-overloaded: admission
-    /// refusals are retried under `policy` (jittered exponential
-    /// backoff, at most `policy.budget` retries); every other error
-    /// returns immediately.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::solve_module_in`]; [`ClientError::Overloaded`] is
-    /// returned only once the retry budget is exhausted.
-    pub fn solve_module_retry(
-        &mut self,
-        job: &ModuleJob,
-        lattice: Option<&LatticeDescriptor>,
-        policy: &RetryPolicy,
-    ) -> Result<WireReport, ClientError> {
-        self.with_retry(policy, |c| c.solve_module_in(job, lattice))
-    }
-
-    fn with_retry<T>(
-        &mut self,
-        policy: &RetryPolicy,
-        mut op: impl FnMut(&mut Client) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            match op(self) {
-                Err(ClientError::Overloaded { .. }) if attempt < policy.budget => {
-                    retypd_core::sync::thread::sleep(policy.backoff(attempt));
-                    attempt += 1;
-                }
-                done => return done,
-            }
-        }
     }
 
     /// Submits a streaming batch: the server answers with one `report`

@@ -25,11 +25,8 @@
 //!   cache. Admission control refuses work past a queue-depth limit with
 //!   `overloaded` instead of stacking latency.
 //! * [`client`] — a blocking client (plus the [`client::BatchStream`]
-//!   streaming iterator) used by the tests and by the
-//!   [`loadgen`](../loadgen/index.html) binary, which replays a generated
-//!   corpus at a target concurrency and reports p50/p95 latency,
-//!   time-to-first-report, throughput, and per-shard cache hit rates as
-//!   JSON.
+//!   streaming iterator) used by the tests, the gateway's tests and the
+//!   benchmark.
 //! * [`json`] — the dependency-free JSON model backing the protocol (the
 //!   offline vendor set has no `serde_json`; the wire structs still carry
 //!   serde derives so the real serde can slot in later).

@@ -982,79 +982,4 @@ mod tests {
         assert_eq!(report.name, "after");
         handle.shutdown();
     }
-
-    #[test]
-    fn retry_budget_is_bounded_against_a_saturated_server() {
-        use crate::client::RetryPolicy;
-        use retypd_core::sync::mpsc;
-        use std::time::{Duration, Instant};
-
-        // One admission slot, and a hook that parks the job occupying it
-        // until released — the server is *saturated*, not slow, for as
-        // long as the test wants.
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let release_rx = Mutex::new(release_rx);
-        let hook: SolveHook = Arc::new(move |driver, job, lattice| {
-            if job.name.starts_with("blocker") {
-                let _ = release_rx.lock().expect("release channel").recv();
-            }
-            solve_job(driver, job, lattice)
-        });
-        let config = ServeConfig {
-            queue_depth: 1,
-            shards: 1,
-            ..ServeConfig::default()
-        };
-        let handle = start_with_hook(config, hook).expect("bind");
-        let addr = handle.addr();
-
-        let blocker = retypd_core::sync::thread::spawn(move || {
-            let mut c = Client::connect(addr).expect("connect blocker");
-            c.solve_module(&job("blocker")).expect("blocker eventually solves")
-        });
-        // Wait until the blocker actually holds the only slot.
-        let mut client = Client::connect(addr).expect("connect");
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while client.stats().expect("stats").queued < 1 {
-            assert!(Instant::now() < deadline, "blocker never admitted");
-            retypd_core::sync::thread::sleep(Duration::from_millis(5));
-        }
-
-        // A bounded budget against permanent saturation must terminate
-        // with `Overloaded` — never spin forever. The whole schedule is
-        // at most (budget + 1) attempts and budget * cap of sleep.
-        let tight = RetryPolicy {
-            budget: 3,
-            base: Duration::from_millis(2),
-            cap: Duration::from_millis(10),
-            seed: 42,
-        };
-        let t0 = Instant::now();
-        match client.solve_module_retry(&job("starved"), None, &tight) {
-            Err(ClientError::Overloaded { queued, limit }) => {
-                assert_eq!((queued, limit), (1, 1));
-            }
-            other => panic!("expected overloaded after budget exhaustion, got {other:?}"),
-        }
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "retry schedule overran its bound: {:?}",
-            t0.elapsed()
-        );
-
-        // With the saturation lifting mid-schedule, a retrying client
-        // rides the backoff to success instead of surfacing the refusal.
-        let releaser = retypd_core::sync::thread::spawn(move || {
-            retypd_core::sync::thread::sleep(Duration::from_millis(100));
-            release_tx.send(()).expect("release the blocker");
-        });
-        let patient = RetryPolicy::new(400).with_seed(7);
-        let report = client
-            .solve_module_retry(&job("waited"), None, &patient)
-            .expect("retry succeeds once the slot frees");
-        assert_eq!(report.name, "waited");
-        releaser.join().expect("releaser");
-        blocker.join().expect("blocker thread");
-        handle.shutdown();
-    }
 }

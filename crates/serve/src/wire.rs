@@ -40,8 +40,8 @@
 //!
 //! Reports carry schemes and sketches in their canonical rendered form plus
 //! the full [`SolverStats`]; [`WireReport::canonical_text`] is the
-//! timing-free projection the determinism tests and `loadgen` compare
-//! byte-for-byte against in-process and sequential solves.
+//! timing-free projection the determinism tests compare byte-for-byte
+//! against in-process and sequential solves.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -642,8 +642,8 @@ impl WireModule {
 impl WireReport {
     /// Builds a report from a bare [`SolverResult`] (fingerprints, shard,
     /// and wall clock zeroed; the serve shard sets them) — also the shape
-    /// used for in-process references in the determinism tests and
-    /// `loadgen`.
+    /// used for in-process references in the determinism tests and the
+    /// benchmark.
     pub fn from_result(name: &str, result: &SolverResult) -> WireReport {
         WireReport {
             name: name.to_owned(),
@@ -674,8 +674,7 @@ impl WireReport {
     /// The timing-free canonical projection: schemes, sketches, and
     /// inconsistencies. Two solves of the same module — over the wire, in
     /// process, sequential — must produce byte-identical canonical text;
-    /// the determinism tests and the `loadgen` verifier compare exactly
-    /// this.
+    /// the determinism tests compare exactly this.
     pub fn canonical_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
