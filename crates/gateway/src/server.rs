@@ -12,11 +12,14 @@
 //! ```
 //!
 //! * **Transparent protocol.** A client pointed at the gateway sees a
-//!   bit-identical protocol: `solve_module` forwards,
-//!   `solve_batch` is decomposed into per-module forwards and
-//!   reassembled in submission order (streaming batches emit `report`
-//!   frames as modules finish), `stats` sums the fleet, `metrics`
-//!   merges every backend registry with the gateway's own.
+//!   bit-identical protocol: `solve_module` forwards, and
+//!   `solve_batch` is decomposed into per-module forwards whose results
+//!   feed serve's own [`BatchReply`] (streaming batches emit `report`
+//!   frames as modules finish; single-frame ones are reassembled in
+//!   submission order), so batch replies match serve's byte for byte
+//!   (`tests/gateway_parity.rs`). `stats` sums the fleet; `metrics`
+//!   merges every backend's [`MetricsSnapshot`] into the gateway's own
+//!   with [`MetricsSnapshot::merge`].
 //! * **Warm affinity.** Routing is a pure function of
 //!   `(lattice_fp, module_fp)` and the healthy slot set — a
 //!   re-submitted module lands on the backend whose per-process
@@ -49,8 +52,7 @@ use retypd_core::{Lattice, LatticeDescriptor};
 use retypd_driver::LatticeMemo;
 use retypd_serve::conn::{self, Service};
 use retypd_serve::wire::{
-    self, Request, Response, WireBatchDone, WireError, WireMetrics, WireModule, WireReport,
-    WireStats,
+    self, BatchReply, Request, Response, WireError, WireModule, WireReport, WireStats,
 };
 use retypd_serve::{RetryPolicy, ServeConfig};
 use retypd_telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
@@ -616,14 +618,12 @@ impl Service for Shared {
             }) => {
                 // Forward the client's own frame verbatim: the gateway
                 // only needs the routing key from it.
-                return match self
+                let forwarded = self
                     .lattice_fp(lattice.as_ref())
                     .and_then(|fp| module_key(fp, &module))
-                {
-                    Ok(key) => match self.forward_solve(key, &payload) {
-                        Ok(reply) => wire::write_frame(conn, &reply),
-                        Err(e) => wire::write_frame(conn, &Response::Error(e).encode()),
-                    },
+                    .and_then(|key| self.forward_solve(key, &payload));
+                return match forwarded {
+                    Ok(reply) => wire::write_frame(conn, &reply),
                     Err(e) => wire::write_frame(conn, &Response::Error(e).encode()),
                 }
                 .is_ok();
@@ -635,14 +635,10 @@ impl Service for Shared {
                 trace_id,
             }) => return handle_batch(conn, self, modules, lattice, stream, trace_id).is_ok(),
             Ok(Request::Stats) => Response::Stats(aggregate_stats(self)),
-            Ok(Request::Metrics { text }) => {
-                let merged = aggregate_metrics(self);
-                if text {
-                    Response::MetricsText(metrics_to_text(&merged))
-                } else {
-                    Response::Metrics(merged)
-                }
+            Ok(Request::Metrics { text: true }) => {
+                Response::MetricsText(aggregate_metrics(self).to_text())
             }
+            Ok(Request::Metrics { text: false }) => Response::Metrics(aggregate_metrics(self)),
             Ok(Request::Shutdown) => {
                 begin_drain(self);
                 Response::ShuttingDown
@@ -663,11 +659,11 @@ fn module_key(lattice_fp: u64, module: &WireModule) -> Result<u64, String> {
 
 /// Decomposes a batch into per-module forwards (a small worker pool —
 /// modules route to *different* backends, so the fan-out is the whole
-/// point), reassembles the reply in submission order. Streaming batches
-/// emit `report` frames as modules finish, exactly like `serve`, which
-/// also sets the pre-forward order: the lattice, then every module (a
-/// single-frame batch fails whole on its first bad module; a streaming
-/// one reports it per module).
+/// point) and feeds the results to a [`wire::BatchReply`], the writer
+/// `serve` uses, so both reply modes match serve's bytes. The pre-forward
+/// order is serve's too: the lattice, then every module (a single-frame
+/// batch fails whole on its first bad module; a streaming one reports it
+/// per module).
 fn handle_batch(
     conn: &mut TcpStream,
     shared: &Shared,
@@ -676,8 +672,6 @@ fn handle_batch(
     stream: bool,
     trace_id: Option<String>,
 ) -> Result<(), WireError> {
-    let started = Instant::now();
-    let total = modules.len();
     let lattice_fp = match shared.lattice_fp(lattice.as_ref()) {
         Ok(fp) => fp,
         Err(e) => return wire::write_frame(conn, &Response::Error(e).encode()),
@@ -689,34 +683,18 @@ fn handle_batch(
             return wire::write_frame(conn, &Response::Error(e.clone()).encode());
         }
     }
-    if total == 0 {
-        let reply = if stream {
-            Response::BatchDone(WireBatchDone {
-                modules: 0,
-                delivered: 0,
-                errors: vec![],
-                wall_ns: 0,
-                lattice_fp,
-            })
-        } else {
-            Response::Solved(vec![])
-        };
-        return wire::write_frame(conn, &reply.encode());
-    }
-
+    let mut reply = BatchReply::new(modules.len(), stream, lattice_fp);
     let healthy = shared.backends.iter().filter(|b| b.healthy()).count().max(1);
-    let workers = total.min((2 * healthy).max(2));
+    let workers = modules.len().min((2 * healthy).max(2));
     let next = AtomicUsize::new(0);
     let (tx, rx) = retypd_core::sync::mpsc::channel::<(usize, Result<WireReport, String>)>();
 
     // retypd-lint: allow(no-raw-thread) scoped spawns are not modeled
-    std::thread::scope(|scope| -> Result<(), WireError> {
+    std::thread::scope(|scope| {
+        let (next, modules, keys) = (&next, &modules, &keys);
+        let (lattice, trace_id) = (&lattice, &trace_id);
         for _ in 0..workers {
             let tx = tx.clone();
-            let next = &next;
-            let (modules, keys) = (&modules, &keys);
-            let lattice = &lattice;
-            let trace_id = &trace_id;
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= modules.len() {
@@ -731,54 +709,15 @@ fn handle_batch(
             });
         }
         drop(tx);
-
-        if stream {
-            let mut delivered = 0usize;
-            let mut errors: Vec<String> = Vec::new();
-            for (index, result) in rx {
-                match &result {
-                    Ok(_) => delivered += 1,
-                    Err(e) => errors.push(e.clone()),
-                }
-                let result = result.map(Box::new);
-                wire::write_frame(conn, &Response::Report { index, result }.encode())?;
+        // A failed write ends the loop and drops `rx`, so the workers
+        // stop forwarding modules for a client that is gone.
+        for (index, result) in rx {
+            if !reply.push(conn, index, result) {
+                break;
             }
-            wire::write_frame(
-                conn,
-                &Response::BatchDone(WireBatchDone {
-                    modules: total,
-                    delivered,
-                    errors,
-                    wall_ns: started.elapsed().as_nanos() as u64,
-                    lattice_fp,
-                })
-                .encode(),
-            )
-        } else {
-            let mut slots: Vec<Option<Result<WireReport, String>>> = (0..total).map(|_| None).collect();
-            for (index, result) in rx {
-                slots[index] = Some(result);
-            }
-            let mut reports = Vec::with_capacity(total);
-            let mut errors: Vec<String> = Vec::new();
-            for (index, slot) in slots.into_iter().enumerate() {
-                match slot {
-                    Some(Ok(report)) => reports.push(report),
-                    Some(Err(e)) => errors.push(e),
-                    None => errors.push(format!(
-                        "module {:?}: lost by the gateway",
-                        modules[index].name
-                    )),
-                }
-            }
-            let reply = if errors.is_empty() {
-                Response::Solved(reports)
-            } else {
-                Response::Error(errors.join("; "))
-            };
-            wire::write_frame(conn, &reply.encode())
         }
-    })
+    });
+    reply.finish(conn)
 }
 
 /// Fleet-wide stats: admission counters sum, shard lists concatenate
@@ -822,35 +761,13 @@ fn aggregate_stats(shared: &Shared) -> WireStats {
 
 /// The gateway's registry merged with every healthy backend's: the v2
 /// `metrics` request answers for the whole fleet through one socket.
-fn aggregate_metrics(shared: &Shared) -> WireMetrics {
-    let mut merged = WireMetrics::from_snapshot(&shared.metrics.registry.snapshot());
-    for b in &shared.backends {
-        if !b.healthy() {
-            continue;
-        }
-        if let Ok(payload) = shared.ask(b.slot, &Request::Metrics { text: false }) {
-            if let Ok(Response::Metrics(wm)) = Response::decode(&payload) {
-                merged.merge(&wm);
-            }
+fn aggregate_metrics(shared: &Shared) -> MetricsSnapshot {
+    let mut merged = shared.metrics.registry.snapshot();
+    for b in shared.backends.iter().filter(|b| b.healthy()) {
+        let reply = shared.ask(b.slot, &Request::Metrics { text: false });
+        if let Ok(Ok(Response::Metrics(snap))) = reply.map(|payload| Response::decode(&payload)) {
+            merged.merge(&snap);
         }
     }
     merged
-}
-
-/// Renders a merged wire snapshot as exposition text by rebuilding a
-/// telemetry snapshot from the wire buckets — same format the backends
-/// themselves produce.
-fn metrics_to_text(wm: &WireMetrics) -> String {
-    let mut snap = MetricsSnapshot {
-        counters: wm.counters.clone(),
-        gauges: wm.gauges.clone(),
-        histograms: vec![],
-    };
-    for h in &wm.histograms {
-        snap.histograms.push((
-            h.name.clone(),
-            retypd_telemetry::HistogramSnapshot::from_buckets(&h.buckets, h.sum),
-        ));
-    }
-    snap.to_text()
 }

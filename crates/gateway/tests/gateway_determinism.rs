@@ -155,20 +155,33 @@ fn warm_affinity_makes_resubmissions_pure_cache_hits() {
 
     // Merged metrics carry both gateway and backend instruments.
     let metrics = client.metrics().expect("merged metrics");
-    let get = |name: &str| {
-        metrics
-            .counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-    assert!(get("gateway.requests") > 0, "gateway's own counters present");
+    assert!(metrics.counter("gateway.requests") > 0, "gateway's own counters present");
     assert_eq!(
-        get("serve.admitted_jobs"),
+        metrics.counter("serve.admitted_jobs"),
         2 * jobs.len() as u64,
         "backend registries merged (summed across the fleet)"
     );
+    // A merged histogram is the bucket-wise sum of each backend's own
+    // `metrics` reply.
+    let mut want = retypd_telemetry::HistogramSnapshot::default();
+    for b in &backends {
+        let own = Client::connect(b.addr())
+            .and_then(|mut c| c.metrics())
+            .expect("backend metrics");
+        let h = own
+            .histogram("shard.job_constraints")
+            .expect("backend job_constraints");
+        want.count += h.count;
+        want.sum += h.sum;
+        for (w, c) in want.buckets.iter_mut().zip(&h.buckets) {
+            *w += c;
+        }
+    }
+    let merged = metrics
+        .histogram("shard.job_constraints")
+        .expect("merged job_constraints");
+    assert_eq!(merged, &want, "gateway merge is not the bucket-wise sum");
+    assert_eq!(merged.count, 2 * jobs.len() as u64);
     gw.shutdown();
     for b in backends {
         b.shutdown();

@@ -1,7 +1,10 @@
-//! A streaming batch through a 1-backend gateway answers with the same
-//! frames `serve` sends for it directly: per-module errors unprefixed,
-//! and `batch_done.lattice_fp` the built lattice's canonical fingerprint
-//! even when the request's descriptor declares a redundant edge.
+//! Batch-reply parity: a batch through a 1-backend gateway answers with
+//! the same frames `serve` sends for it directly, because both write it
+//! with `wire::BatchReply`. Streaming: per-module errors unprefixed, and
+//! `batch_done.lattice_fp` the built lattice's canonical fingerprint even
+//! when the request's descriptor declares a redundant edge. Single-frame:
+//! the same `error` bytes for the good/bad pair, and the same `solved`
+//! frame for the good module alone.
 
 use std::net::{SocketAddr, TcpStream};
 
@@ -101,6 +104,15 @@ fn streamed_frames(addr: SocketAddr, request: &[u8]) -> Vec<String> {
     }
 }
 
+/// Sends `request` and returns its one reply frame, masked.
+fn single_frame(addr: SocketAddr, request: &[u8]) -> String {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    write_frame(&mut conn, request).expect("send batch");
+    let frame = read_frame(&mut conn).expect("read frame").expect("one reply");
+    let json = Json::parse(std::str::from_utf8(&frame).expect("utf-8 frame")).expect("JSON");
+    mask_ns(json).encode()
+}
+
 #[test]
 fn streaming_batch_frames_match_serve() {
     let lattice = redundant_c_types();
@@ -142,6 +154,26 @@ fn streaming_batch_frames_match_serve() {
     assert_eq!(errors.len(), 1, "{}", done.encode());
     assert!(!errors[0].as_str().expect("string").starts_with("module "));
     assert_eq!(done.get("lattice_fp").and_then(Json::as_u64), Some(canonical_fp));
+
+    // The same pair as a single-frame batch: one `error` frame, the same
+    // bytes from both.
+    let pair = modules();
+    let single = |modules: Vec<WireModule>| Request::SolveBatch {
+        modules,
+        lattice: None,
+        stream: false,
+        trace_id: None,
+    }
+    .encode();
+    let want = single_frame(direct.addr(), &single(pair.clone()));
+    assert_eq!(single_frame(gw.addr(), &single(pair.clone())), want);
+    let reply = Json::parse(&want).expect("JSON");
+    assert_eq!(reply.get("kind").and_then(Json::as_str), Some("error"), "{want}");
+    // The good module alone: the same `solved` frame.
+    let good = single(pair[..1].to_vec());
+    let want = single_frame(direct.addr(), &good);
+    assert_eq!(single_frame(gw.addr(), &good), want);
+    assert!(want.starts_with(r#"{"kind":"solved","#), "{want}");
 
     gw.shutdown();
     direct.shutdown();

@@ -17,9 +17,9 @@ use std::time::{Duration, Instant};
 use retypd_core::LatticeDescriptor;
 use retypd_driver::ModuleJob;
 
-use crate::wire::{
-    self, Request, Response, WireBatchDone, WireMetrics, WireModule, WireReport, WireStats,
-};
+use retypd_telemetry::MetricsSnapshot;
+
+use crate::wire::{self, Request, Response, WireBatchDone, WireModule, WireReport, WireStats};
 
 /// A client-side failure.
 #[derive(Debug)]
@@ -138,6 +138,16 @@ impl RetryPolicy {
     }
 }
 
+/// The error a reply stands for when it is not the one a call expects.
+fn refusal(resp: Response) -> ClientError {
+    match resp {
+        Response::Overloaded { queued, limit } => ClientError::Overloaded { queued, limit },
+        Response::ShuttingDown => ClientError::ShuttingDown,
+        Response::Error(m) => ClientError::Server(m),
+        other => ClientError::Unexpected(format!("{other:?}")),
+    }
+}
+
 /// A blocking connection to a `retypd-serve` server.
 pub struct Client {
     stream: TcpStream,
@@ -182,15 +192,15 @@ impl Client {
         Ok(Response::decode(&payload)?)
     }
 
-    fn expect_solved(resp: Response) -> Result<Vec<WireReport>, ClientError> {
+    /// The reports of a `solved` reply to a request for `n` modules.
+    fn expect_solved(resp: Response, n: usize) -> Result<Vec<WireReport>, ClientError> {
         match resp {
-            Response::Solved(reports) => Ok(reports),
-            Response::Overloaded { queued, limit } => {
-                Err(ClientError::Overloaded { queued, limit })
-            }
-            Response::ShuttingDown => Err(ClientError::ShuttingDown),
-            Response::Error(m) => Err(ClientError::Server(m)),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
+            Response::Solved(reports) if reports.len() == n => Ok(reports),
+            Response::Solved(reports) => Err(ClientError::Unexpected(format!(
+                "{} reports for {n} modules",
+                reports.len()
+            ))),
+            other => Err(refusal(other)),
         }
     }
 
@@ -239,14 +249,7 @@ impl Client {
             lattice: lattice.cloned(),
             trace_id: trace_id.map(str::to_owned),
         })?;
-        let mut reports = Self::expect_solved(resp)?;
-        if reports.len() != 1 {
-            return Err(ClientError::Unexpected(format!(
-                "{} reports for one module",
-                reports.len()
-            )));
-        }
-        Ok(reports.remove(0))
+        Ok(Self::expect_solved(resp, 1)?.remove(0))
     }
 
     /// Solves a batch against the server's default lattice; reports come
@@ -262,21 +265,8 @@ impl Client {
     /// protocol or server failures.
     pub fn solve_batch(&mut self, jobs: &[ModuleJob]) -> Result<Vec<WireReport>, ClientError> {
         let modules = jobs.iter().map(WireModule::from_job).collect();
-        let resp = self.roundtrip(&Request::SolveBatch {
-            modules,
-            lattice: None,
-            stream: false,
-            trace_id: None,
-        })?;
-        let reports = Self::expect_solved(resp)?;
-        if reports.len() != jobs.len() {
-            return Err(ClientError::Unexpected(format!(
-                "{} reports for {} modules",
-                reports.len(),
-                jobs.len()
-            )));
-        }
-        Ok(reports)
+        let resp = self.roundtrip(&Request::solve_batch(modules))?;
+        Self::expect_solved(resp, jobs.len())
     }
 
     /// Submits a streaming batch: the server answers with one `report`
@@ -312,12 +302,7 @@ impl Client {
         let first = Self::read_stream_frame(&mut self.stream)?;
         let pending = match first {
             Response::Report { .. } | Response::BatchDone(_) => first,
-            Response::Overloaded { queued, limit } => {
-                return Err(ClientError::Overloaded { queued, limit })
-            }
-            Response::ShuttingDown => return Err(ClientError::ShuttingDown),
-            Response::Error(m) => return Err(ClientError::Server(m)),
-            other => return Err(ClientError::Unexpected(format!("{other:?}"))),
+            other => return Err(refusal(other)),
         };
         Ok(BatchStream {
             client: self,
@@ -342,23 +327,22 @@ impl Client {
     pub fn stats(&mut self) -> Result<WireStats, ClientError> {
         match self.roundtrip(&Request::Stats)? {
             Response::Stats(s) => Ok(s),
-            Response::Error(m) => Err(ClientError::Server(m)),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
+            other => Err(refusal(other)),
         }
     }
 
     /// Fetches the merged telemetry registry (v2): counters, gauges, and
-    /// histogram buckets with server-extracted p50/p95/p99.
+    /// histogram buckets (quantiles via
+    /// [`retypd_telemetry::HistogramSnapshot::quantile`]).
     ///
     /// # Errors
     ///
     /// Fails on protocol or server errors (a pre-v2 server answers
     /// `error: unknown request kind`).
-    pub fn metrics(&mut self) -> Result<WireMetrics, ClientError> {
+    pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
         match self.roundtrip(&Request::Metrics { text: false })? {
             Response::Metrics(m) => Ok(m),
-            Response::Error(m) => Err(ClientError::Server(m)),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
+            other => Err(refusal(other)),
         }
     }
 
@@ -370,8 +354,7 @@ impl Client {
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
         match self.roundtrip(&Request::Metrics { text: true })? {
             Response::MetricsText(t) => Ok(t),
-            Response::Error(m) => Err(ClientError::Server(m)),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
+            other => Err(refusal(other)),
         }
     }
 
@@ -389,8 +372,7 @@ impl Client {
         match wire::read_frame(&mut self.stream)? {
             Some(payload) => match Response::decode(&payload)? {
                 Response::ShuttingDown => Ok(()),
-                Response::Error(m) => Err(ClientError::Server(m)),
-                other => Err(ClientError::Unexpected(format!("{other:?}"))),
+                other => Err(refusal(other)),
             },
             None => Err(ClientError::Unexpected(
                 "server hung up before acknowledging shutdown".into(),

@@ -8,7 +8,8 @@
 //!   request envelope (`"v": 2`; absent ⇒ v1 compatibility), an optional
 //!   `lattice` descriptor per solve request (absent ⇒ `c_types`), and a
 //!   streaming `solve_batch` mode (`report` frame per module plus a
-//!   terminal `batch_done`). Programs travel as canonical constraint
+//!   terminal `batch_done`), every solve reply written by one
+//!   [`wire::BatchReply`]. Programs travel as canonical constraint
 //!   text, which round-trips exactly through [`retypd_core::parse`], so
 //!   server-side solves are bit-identical to in-process ones.
 //! * [`conn`] — the one connection layer, shared with the gateway: the
@@ -188,8 +189,19 @@ mod tests {
         let job = sample_job();
         let result = retypd_core::Solver::new(&lattice).infer(&job.program);
         let report = WireReport::from_result(&job.name, &result);
+        // A fixed metrics snapshot: one counter, one negative gauge, and
+        // one histogram with three non-empty buckets.
+        let registry = retypd_telemetry::Registry::new();
+        registry.counter("serve.frames").add(7);
+        registry.gauge("cache.drift").set(-5);
+        let wait = registry.histogram("shard.wait_ns");
+        for v in [3u64, 3, 40, 1000] {
+            wait.record(v);
+        }
+        let metrics = registry.snapshot();
         for resp in [
             Response::Solved(vec![report.clone()]),
+            Response::Metrics(metrics.clone()),
             Response::Report {
                 index: 3,
                 result: Ok(Box::new(report.clone())),
@@ -281,6 +293,20 @@ mod tests {
         assert_eq!(String::from_utf8(golden).unwrap(), want);
         let back = Response::decode(want.as_bytes()).expect("golden decodes");
         assert_eq!(back.encode(), want.as_bytes(), "golden re-encodes");
+
+        // Golden bytes pin the `metrics` reply; the quantiles are derived
+        // from the buckets.
+        let want = concat!(
+            r#"{"kind":"metrics","counters":{"serve.frames":7},"gauges":{"cache.drift":-5},"#,
+            r#""histograms":[{"name":"shard.wait_ns","count":4,"sum":1046,"#,
+            r#""buckets":[[3,2],[47,1],[1023,1]],"p50":3,"p95":1023,"p99":1023}]}"#,
+        );
+        assert_eq!(String::from_utf8(Response::Metrics(metrics).encode()).unwrap(), want);
+        let back = Response::decode(want.as_bytes()).expect("golden decodes");
+        assert_eq!(back.encode(), want.as_bytes(), "golden re-encodes");
+        // A histogram entry without its p95 is refused.
+        let no_p95 = want.replace(r#""p95":1023,"#, "");
+        assert!(Response::decode(no_p95.as_bytes()).is_err(), "{no_p95}");
     }
 
     #[test]

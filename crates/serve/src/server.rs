@@ -33,14 +33,18 @@
 //!   scheme-cache key mixes in the lattice fingerprint — two lattices
 //!   never share cache entries. Absent descriptor ⇒ `c_types`, exactly the
 //!   v1 behavior.
-//! * **Streaming batches.** `solve_batch` with `stream: true` writes one
-//!   `report` frame per module the moment its shard finishes it, plus a
-//!   terminal `batch_done` — time-to-first-report beats whole-batch
-//!   latency because modules stream while siblings still solve.
+//! * **One solve path.** `solve_module` and both `solve_batch` modes go
+//!   through one function: pre-admission checks, admission, shard
+//!   dispatch, and a [`wire::BatchReply`] fed with the shards' results.
+//!   With `stream: true` it writes one `report` frame per module the
+//!   moment its shard finishes it, plus a terminal `batch_done` —
+//!   time-to-first-report beats whole-batch latency because modules
+//!   stream while siblings still solve. Otherwise it writes one frame,
+//!   with failures joined in submission order.
 //! * **Hardened connections.** Accept, polled reads, read timeouts,
 //!   per-connection budgets and the drain join are [`crate::conn`]'s job;
 //!   this module supplies only the per-frame handler (its metrics, the
-//!   streaming path and `respond`).
+//!   solve path and the control replies).
 //! * **Graceful drain.** `shutdown` (wire message or
 //!   [`ServerHandle::shutdown`]) stops admissions, lets every queued job
 //!   finish, and joins the shard *and connection* threads; in-flight
@@ -64,9 +68,7 @@ use crate::admission::Admission;
 use crate::conn;
 use crate::stats_cells::ShardStatsCells;
 
-use crate::wire::{
-    self, Request, Response, WireBatchDone, WireMetrics, WireModule, WireReport, WireStats,
-};
+use crate::wire::{self, Request, Response, WireModule, WireReport, WireStats};
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -596,142 +598,71 @@ impl conn::Service for Shared {
             .frame_decode_ns
             .record(decode_start.elapsed().as_nanos() as u64);
         let response = match decoded {
+            // A module is a batch of one: the same path, the same reply.
+            Ok(Request::SolveModule {
+                module,
+                lattice,
+                trace_id,
+            }) => return solve(stream, &[module], &lattice, false, &trace_id, self),
             Ok(Request::SolveBatch {
                 modules,
                 lattice,
-                stream: true,
+                stream: streaming,
                 trace_id,
-            }) => {
-                // Streaming mode writes its own frames (one `report` per
-                // module plus `batch_done`); a pre-admission refusal falls
-                // through as a single ordinary response.
-                match solve_streaming(
-                    stream,
-                    &modules,
-                    lattice.as_ref(),
-                    trace_id.as_deref(),
-                    self,
-                ) {
-                    Ok(()) => return true,
-                    Err(refusal) => refusal,
-                }
+            }) => return solve(stream, &modules, &lattice, streaming, &trace_id, self),
+            Ok(Request::Stats) => Response::Stats(self.stats()),
+            Ok(Request::Metrics { text: true }) => {
+                Response::MetricsText(self.merged_metrics().to_text())
             }
-            Ok(req) => respond(req, self),
+            Ok(Request::Metrics { text: false }) => Response::Metrics(self.merged_metrics()),
+            Ok(Request::Shutdown) => {
+                self.begin_drain();
+                Response::ShuttingDown
+            }
             Err(e) => Response::Error(e.to_string()),
         };
+        self.write_reply(stream, |w| wire::write_frame(w, &response.encode()))
+    }
+}
+
+impl Shared {
+    /// Writes a reply through `write`, timing it as `serve.reply_flush_ns`;
+    /// `false` means the client is gone.
+    fn write_reply(
+        &self,
+        stream: &mut TcpStream,
+        write: impl FnOnce(&mut TcpStream) -> Result<(), wire::WireError>,
+    ) -> bool {
         let flush_start = Instant::now();
-        let wrote = wire::write_frame(stream, &response.encode());
+        let wrote = write(stream);
         self.metrics
             .reply_flush_ns
             .record(flush_start.elapsed().as_nanos() as u64);
         wrote.is_ok()
     }
-}
 
-fn respond(req: Request, shared: &Shared) -> Response {
-    match req {
-        Request::SolveModule {
-            module,
-            lattice,
-            trace_id,
-        } => solve(
-            std::slice::from_ref(&module),
-            lattice.as_ref(),
-            trace_id.as_deref(),
-            shared,
-        ),
-        // `stream: true` is intercepted in `handle`; a direct call
-        // (impossible from the socket path) degrades to a single frame.
-        Request::SolveBatch {
-            modules,
-            lattice,
-            trace_id,
-            ..
-        } => solve(&modules, lattice.as_ref(), trace_id.as_deref(), shared),
-        Request::Stats => Response::Stats(shared.stats()),
-        Request::Metrics { text } => {
-            let snap = shared.merged_metrics();
-            if text {
-                Response::MetricsText(snap.to_text())
-            } else {
-                Response::Metrics(WireMetrics::from_snapshot(&snap))
-            }
-        }
-        Request::Shutdown => {
-            shared.begin_drain();
-            Response::ShuttingDown
-        }
-    }
-}
-
-/// Per-module replies from the shards, tagged with the module's index.
-type Replies = mpsc::Receiver<(usize, Result<WireReport, String>)>;
-
-/// What every job of one admitted batch shares on its way to a shard.
-struct Batch {
-    lattice: Arc<Lattice>,
-    trace: u64,
-    trace_id: Option<Arc<str>>,
-    reply: mpsc::Sender<(usize, Result<WireReport, String>)>,
-}
-
-impl Batch {
-    fn new(lattice: Arc<Lattice>, trace_id: Option<&str>) -> (Batch, Replies) {
-        let (reply, replies) = mpsc::channel();
-        let batch = Batch {
-            lattice,
-            trace: trace_id.map_or(0, trace_id_hash),
-            trace_id: trace_id.map(Arc::from),
-            reply,
-        };
-        (batch, replies)
-    }
-
-    /// Routes job `index` to its shard (`fingerprint % shards`). `false`
-    /// means a drain hung up the queue between admission and dispatch;
-    /// the job's admission slot has then been released here.
-    fn dispatch(&self, shared: &Shared, index: usize, job: ModuleJob) -> bool {
-        let fingerprint = job.fingerprint();
-        let shard = &shared.shards[(fingerprint % shared.shards.len() as u64) as usize];
+    /// Routes a job to its shard (`fingerprint % shards`). `false` means a
+    /// drain hung up the queue between admission and dispatch; the job's
+    /// admission slot has then been released here.
+    fn dispatch(&self, job: ShardJob) -> bool {
+        let shard = &self.shards[(job.fingerprint % self.shards.len() as u64) as usize];
         let sent = shard
             .tx
             .lock()
             .expect("shard tx lock")
             .as_ref()
-            .is_some_and(|tx| {
-                tx.send(ShardJob {
-                    index,
-                    job,
-                    fingerprint,
-                    lattice: Arc::clone(&self.lattice),
-                    enqueued: Instant::now(),
-                    trace: self.trace,
-                    trace_id: self.trace_id.clone(),
-                    reply: self.reply.clone(),
-                })
-                .is_ok()
-            });
+            .is_some_and(|tx| tx.send(job).is_ok());
         if !sent {
-            shared.admission.release(1);
+            self.admission.release(1);
         }
         sent
     }
 }
 
-/// An admitted, shard-dispatched batch awaiting replies.
-struct Dispatched {
-    /// Batch size as submitted.
-    n: usize,
-    /// Jobs actually handed to a shard (a drain can race the dispatch).
-    dispatched: usize,
-    /// Per-module replies, in completion order.
-    reply_rx: Replies,
-}
-
-/// Count-based admission shared by the single-frame and streaming paths:
-/// the oversized-batch permanent error, the all-or-nothing admit, and the
-/// accepted/rejected accounting. Callers have already checked the drain
-/// flag; `Err` carries the single refusal response to send.
+/// Count-based admission: the oversized-batch permanent error, the
+/// all-or-nothing admit, and the accepted/rejected accounting. The caller
+/// has already checked the drain flag; `Err` carries the single refusal
+/// response to send.
 fn admit_batch(n: usize, shared: &Shared) -> Result<(), Response> {
     // A batch bigger than the whole admission budget could never be
     // admitted, even idle — that is a permanent error (retrying on
@@ -762,147 +693,72 @@ fn admit_batch(n: usize, shared: &Shared) -> Result<(), Response> {
     Ok(())
 }
 
-/// Whole-batch validation, admission, and shard dispatch for the
-/// single-frame reply path (the streaming path pipelines parse/dispatch
-/// itself but shares [`admit_batch`]). `Err` carries the single refusal
-/// response (`error` / `overloaded` / `shutting_down`) to send instead of
-/// any report.
-fn admit_and_dispatch(
-    modules: &[WireModule],
-    lattice: Option<&LatticeDescriptor>,
-    trace_id: Option<&str>,
-    shared: &Shared,
-) -> Result<Dispatched, Response> {
-    if shared.admission.is_draining() {
-        return Err(Response::ShuttingDown);
-    }
-    // Build the lattice and reconstruct jobs *before* admission so a
-    // malformed request costs no queue budget.
-    let lattice = shared.resolve_lattice(lattice).map_err(Response::Error)?;
-    let jobs = match modules
-        .iter()
-        .map(WireModule::to_job)
-        .collect::<Result<Vec<_>, _>>()
-    {
-        Ok(jobs) => jobs,
-        Err(e) => return Err(Response::Error(e.to_string())),
-    };
-    let n = jobs.len();
-    if n == 0 {
-        let (_, reply_rx) = mpsc::channel();
-        return Ok(Dispatched {
-            n,
-            dispatched: 0,
-            reply_rx,
-        });
-    }
-    admit_batch(n, shared)?;
-
-    let (batch, reply_rx) = Batch::new(lattice, trace_id);
-    let mut dispatched = 0usize;
-    for (index, job) in jobs.into_iter().enumerate() {
-        dispatched += usize::from(batch.dispatch(shared, index, job));
-    }
-    Ok(Dispatched {
-        n,
-        dispatched,
-        reply_rx,
-    })
-}
-
+/// Answers `solve_module` and both `solve_batch` modes through one
+/// [`wire::BatchReply`]; `false` means the client is gone. Refusals before
+/// admission are a single frame. A single-frame batch checks the lattice,
+/// then every module, before it costs any admission budget. A streaming
+/// batch is admitted by count and *pipelined*: each module is parsed and
+/// dispatched in turn, with finished reports flushed between dispatches,
+/// and a module that fails to parse (or loses a race with a drain) gets
+/// its own error frame.
 fn solve(
-    modules: &[WireModule],
-    lattice: Option<&LatticeDescriptor>,
-    trace_id: Option<&str>,
-    shared: &Shared,
-) -> Response {
-    let d = match admit_and_dispatch(modules, lattice, trace_id, shared) {
-        Ok(d) => d,
-        Err(refusal) => return refusal,
-    };
-    let mut reports: Vec<Option<WireReport>> = (0..d.n).map(|_| None).collect();
-    let mut failures: Vec<String> = Vec::new();
-    for (index, report) in d.reply_rx {
-        match report {
-            Ok(r) => reports[index] = Some(r),
-            Err(e) => failures.push(e),
-        }
-    }
-    if !failures.is_empty() {
-        // One or more modules crashed the solver; the shard survived and
-        // the budget was released, so report the failure rather than a
-        // bogus drain.
-        return Response::Error(failures.join("; "));
-    }
-    if d.dispatched < d.n || reports.iter().any(Option::is_none) {
-        return Response::ShuttingDown;
-    }
-    Response::Solved(reports.into_iter().map(Option::unwrap).collect())
-}
-
-/// The streaming reply path: one `report` frame per module the moment its
-/// shard finishes it (completion order, index-tagged), then a terminal
-/// `batch_done` with aggregate stats. A pre-admission refusal is returned
-/// as `Err` for the caller to send as the single reply frame.
-///
-/// Unlike the single-frame path, modules are *pipelined*: admission needs
-/// only the batch count, so each module is parsed and dispatched
-/// individually, with completed replies flushed between dispatches — the
-/// first module is solving (and its report streaming back) while later
-/// modules are still being parsed. A module that fails to parse becomes a
-/// per-module error frame (its admission slot released) instead of
-/// failing the whole batch.
-fn solve_streaming(
     stream: &mut TcpStream,
     modules: &[WireModule],
-    lattice: Option<&LatticeDescriptor>,
-    trace_id: Option<&str>,
+    lattice: &Option<LatticeDescriptor>,
+    streaming: bool,
+    trace_id: &Option<String>,
     shared: &Shared,
-) -> Result<(), Response> {
-    let start = Instant::now();
+) -> bool {
+    let refuse = |stream: &mut TcpStream, refusal: Response| {
+        shared.write_reply(stream, |w| wire::write_frame(w, &refusal.encode()))
+    };
     if shared.admission.is_draining() {
-        return Err(Response::ShuttingDown);
+        return refuse(stream, Response::ShuttingDown);
     }
-    let lattice = shared.resolve_lattice(lattice).map_err(Response::Error)?;
-    let lattice_fp = lattice.fingerprint();
+    let lattice = match shared.resolve_lattice(lattice.as_ref()) {
+        Ok(lattice) => lattice,
+        Err(e) => return refuse(stream, Response::Error(e)),
+    };
+    let mut parsed = Vec::new();
+    if !streaming {
+        match modules.iter().map(WireModule::to_job).collect() {
+            Ok(jobs) => parsed = jobs,
+            Err(e) => return refuse(stream, Response::Error(e.to_string())),
+        }
+    }
     let n = modules.len();
-    let mut delivered = 0usize;
-    let mut errors: Vec<String> = Vec::new();
-
+    let mut reply = wire::BatchReply::new(n, streaming, lattice.fingerprint());
     if n > 0 {
-        // All-or-nothing admission, by count alone — parsing happens
-        // inside the pipeline below.
-        admit_batch(n, shared)?;
-
-        let (batch, reply_rx) = Batch::new(lattice, trace_id);
-        let mut write_ok = true;
-        let mut write_report = |index: usize,
-                                result: Result<WireReport, String>,
-                                delivered: &mut usize,
-                                errors: &mut Vec<String>,
-                                write_ok: &mut bool| {
-            match &result {
-                Ok(_) => *delivered += 1,
-                Err(e) => errors.push(e.clone()),
-            }
-            if *write_ok {
-                let frame = Response::Report {
-                    index,
-                    result: result.map(Box::new),
-                };
-                if wire::write_frame(stream, &frame.encode()).is_err() {
-                    *write_ok = false;
-                }
-            }
-        };
+        if let Err(refusal) = admit_batch(n, shared) {
+            return refuse(stream, refusal);
+        }
+        let (reply_tx, replies) = mpsc::channel();
+        let trace = trace_id.as_deref().map_or(0, trace_id_hash);
+        let trace_id: Option<Arc<str>> = trace_id.as_deref().map(Arc::from);
+        let mut parsed = parsed.into_iter();
         for (index, module) in modules.iter().enumerate() {
-            let refused = match module.to_job() {
-                Ok(job) => (!batch.dispatch(shared, index, job)).then(|| {
-                    format!(
-                        "module {:?} not dispatched: server is draining",
-                        module.name
-                    )
-                }),
+            let refused = match parsed.next().map_or_else(|| module.to_job(), Ok) {
+                Ok(job) => {
+                    let sent = shared.dispatch(ShardJob {
+                        index,
+                        fingerprint: job.fingerprint(),
+                        job,
+                        lattice: Arc::clone(&lattice),
+                        enqueued: Instant::now(),
+                        trace,
+                        trace_id: trace_id.clone(),
+                        reply: reply_tx.clone(),
+                    });
+                    // A single-frame batch leaves an undispatched module
+                    // without a result, which its reply reports as
+                    // `shutting_down`.
+                    (!sent && streaming).then(|| {
+                        format!(
+                            "module {:?} not dispatched: server is draining",
+                            module.name
+                        )
+                    })
+                }
                 Err(e) => {
                     // A malformed module costs its slot only for the time
                     // it took to fail parsing.
@@ -911,40 +767,29 @@ fn solve_streaming(
                 }
             };
             if let Some(e) = refused {
-                write_report(index, Err(e), &mut delivered, &mut errors, &mut write_ok);
+                reply.push(stream, index, Err(e));
             }
             // Flush whatever already finished so the first report is on
             // the wire while later modules still parse and dispatch.
-            while let Ok((index, result)) = reply_rx.try_recv() {
-                write_report(index, result, &mut delivered, &mut errors, &mut write_ok);
+            while let Ok((index, result)) = replies.try_recv() {
+                reply.push(stream, index, result);
             }
         }
-        drop(batch);
-        for (index, result) in reply_rx {
-            write_report(index, result, &mut delivered, &mut errors, &mut write_ok);
-        }
-        if !write_ok {
-            // Client went away mid-stream; replies were still drained so
-            // every shard send completed and no slot leaked.
-            return Ok(());
+        drop(reply_tx);
+        // Replies are drained even after the client went away, so every
+        // shard send completes.
+        for (index, result) in replies {
+            reply.push(stream, index, result);
         }
     }
-    let done = Response::BatchDone(WireBatchDone {
-        modules: n,
-        delivered,
-        errors,
-        wall_ns: start.elapsed().as_nanos() as u64,
-        lattice_fp,
-    });
-    let _ = wire::write_frame(stream, &done.encode());
-    Ok(())
+    shared.write_reply(stream, |w| reply.finish(w))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{Client, ClientError};
-    use retypd_core::Program;
+    use retypd_core::{BaseVar, Program};
 
     fn job(name: &str) -> ModuleJob {
         ModuleJob {
@@ -953,16 +798,35 @@ mod tests {
         }
     }
 
+    /// A job named `name` whose program routes to `shard` of two.
+    fn job_on_shard(name: &str, shard: u64) -> ModuleJob {
+        (0..)
+            .map(|i| {
+                let mut job = job(name);
+                job.program.globals.insert(BaseVar::var(&format!("g{i}")));
+                job
+            })
+            .find(|job| job.fingerprint() % 2 == shard)
+            .expect("some program routes to the shard")
+    }
+
     #[test]
     fn solver_panic_is_isolated_to_an_error_response() {
         // Inject a solver that panics on one module name: the real
         // catch_unwind / slot-release / driver-rebuild path runs over a
-        // real socket.
+        // real socket. A "slow" module stalls before it panics.
         let hook: SolveHook = Arc::new(|driver, job, lattice| {
+            if job.name.contains("slow") {
+                retypd_core::sync::thread::sleep(Duration::from_millis(200));
+            }
             assert!(!job.name.contains("boom"), "injected solver bug");
             solve_job(driver, job, lattice)
         });
-        let handle = start_with_hook(ServeConfig::default(), hook).expect("bind");
+        let config = ServeConfig {
+            shards: 2,
+            ..ServeConfig::default()
+        };
+        let handle = start_with_hook(config, hook).expect("bind");
         let mut client = Client::connect(handle.addr()).expect("connect");
         // The panicking module answers with an error naming it, not a
         // dropped connection or a bogus shutting_down.
@@ -970,6 +834,16 @@ mod tests {
             Err(ClientError::Server(m)) => {
                 assert!(m.contains("boom") && m.contains("panicked"), "{m}");
             }
+            other => panic!("expected a server error, got {other:?}"),
+        }
+        // Two panics on different shards: the one submitted first finishes
+        // last, yet the error names them in submission order.
+        match client.solve_batch(&[job_on_shard("boom_slow", 0), job_on_shard("boom_fast", 1)]) {
+            Err(ClientError::Server(m)) => assert_eq!(
+                m,
+                "solver panicked on module \"boom_slow\": injected solver bug; \
+                 solver panicked on module \"boom_fast\": injected solver bug"
+            ),
             other => panic!("expected a server error, got {other:?}"),
         }
         // The admission budget is fully released (no leaked slots)...

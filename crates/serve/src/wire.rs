@@ -10,8 +10,9 @@
 //! ## Messages (protocol v2)
 //!
 //! Requests (`kind` discriminator): `solve_module`, `solve_batch`,
-//! `stats`, `shutdown`. Responses: `solved`, `report`, `batch_done`,
-//! `stats`, `overloaded`, `shutting_down`, `error`. Programs travel as
+//! `stats`, `metrics`, `shutdown`. Responses: `solved`, `report`,
+//! `batch_done`, `stats`, `metrics`, `metrics_text`, `overloaded`,
+//! `shutting_down`, `error`. Programs travel as
 //! their canonical constraint text (the same rendering the driver
 //! fingerprints), which `retypd_core::parse` round-trips exactly —
 //! including `VAR` declarations and `Add`/`Sub` additive constraints — so
@@ -38,6 +39,10 @@
 //! single-frame `solved` reply. Pre-admission refusals (`overloaded`,
 //! `shutting_down`, `error`) still arrive as a single frame.
 //!
+//! **One batch reply.** Every solve reply after admission, in serve and
+//! in the gateway, is written by [`BatchReply`], so the two servers
+//! cannot disagree on a reply's bytes.
+//!
 //! Reports carry schemes and sketches in their canonical rendered form plus
 //! the full [`SolverStats`]; [`WireReport::canonical_text`] is the
 //! timing-free projection the determinism tests compare byte-for-byte
@@ -46,11 +51,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io::{Read, Write};
+use std::time::Instant;
 
 use retypd_core::parse::{parse_constraint_set, parse_derived_var};
 use retypd_core::solver::{CallTarget, Callsite, PhaseNs, Procedure};
 use retypd_core::{LatticeDescriptor, Program, SolverResult, SolverStats, Symbol, TypeScheme};
 use retypd_driver::{CacheStats, ModuleJob};
+use retypd_telemetry::{HistogramSnapshot, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
 
 use crate::conn::{FrameReader, Polled};
@@ -242,123 +249,6 @@ pub struct WireReport {
     pub trace_id: Option<String>,
 }
 
-/// The merged telemetry registry on the wire: the `metrics` reply.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct WireMetrics {
-    /// Monotonic counters, name-sorted.
-    pub counters: Vec<(String, u64)>,
-    /// Gauges, name-sorted (merged across shards by summation).
-    pub gauges: Vec<(String, i64)>,
-    /// Histograms, name-sorted.
-    pub histograms: Vec<WireHistogram>,
-}
-
-impl WireMetrics {
-    /// Renders a merged [`retypd_telemetry::MetricsSnapshot`] for the wire.
-    pub fn from_snapshot(snap: &retypd_telemetry::MetricsSnapshot) -> WireMetrics {
-        WireMetrics {
-            counters: snap.counters.clone(),
-            gauges: snap.gauges.clone(),
-            histograms: snap
-                .histograms
-                .iter()
-                .map(|(name, h)| WireHistogram {
-                    name: name.clone(),
-                    count: h.count,
-                    sum: h.sum,
-                    buckets: h.nonzero_buckets(),
-                    p50: h.quantile(50, 100),
-                    p95: h.quantile(95, 100),
-                    p99: h.quantile(99, 100),
-                })
-                .collect(),
-        }
-    }
-
-    /// Merges another wire snapshot into this one, the algebra a gateway
-    /// uses to answer `metrics` as the sum of its own registry plus every
-    /// backend's reply: counters and gauges sum by name, histograms merge
-    /// bucket-wise (the bounds are the deterministic
-    /// [`retypd_telemetry::bucket_bound`] grid, so bucket addition commutes)
-    /// and the quantiles are re-extracted from the merged buckets — exactly
-    /// what a single process holding all the samples would have reported.
-    /// Name ordering stays sorted, so merge order never changes the bytes.
-    pub fn merge(&mut self, other: &WireMetrics) {
-        fn merge_sorted<V: Copy + std::ops::AddAssign>(
-            dst: &mut Vec<(String, V)>,
-            src: &[(String, V)],
-        ) {
-            for (name, v) in src {
-                match dst.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                    Ok(i) => dst[i].1 += *v,
-                    Err(i) => dst.insert(i, (name.clone(), *v)),
-                }
-            }
-        }
-        merge_sorted(&mut self.counters, &other.counters);
-        merge_sorted(&mut self.gauges, &other.gauges);
-        for h in &other.histograms {
-            match self
-                .histograms
-                .binary_search_by(|mine| mine.name.as_str().cmp(&h.name))
-            {
-                Ok(i) => {
-                    let mine = &mut self.histograms[i];
-                    let mut snap = retypd_telemetry::HistogramSnapshot::from_buckets(
-                        &mine.buckets,
-                        mine.sum,
-                    );
-                    snap.merge(&retypd_telemetry::HistogramSnapshot::from_buckets(
-                        &h.buckets, h.sum,
-                    ));
-                    mine.count = snap.count;
-                    mine.sum = snap.sum;
-                    mine.buckets = snap.nonzero_buckets();
-                    mine.p50 = snap.quantile(50, 100);
-                    mine.p95 = snap.quantile(95, 100);
-                    mine.p99 = snap.quantile(99, 100);
-                }
-                Err(i) => self.histograms.insert(i, h.clone()),
-            }
-        }
-    }
-
-    /// The histogram with this name, if present.
-    pub fn histogram(&self, name: &str) -> Option<&WireHistogram> {
-        self.histograms.iter().find(|h| h.name == name)
-    }
-
-    /// The counter with this name (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    }
-}
-
-/// One histogram in a `metrics` reply: non-empty buckets plus the quantiles
-/// the server extracted from the merged registry. The bucket bounds are
-/// deterministic (`retypd_telemetry::bucket_bound`), so quantiles survive a
-/// wire round trip bit-identically.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireHistogram {
-    /// Instrument name.
-    pub name: String,
-    /// Total recorded samples.
-    pub count: u64,
-    /// Sum of recorded samples.
-    pub sum: u64,
-    /// Non-empty buckets as `(inclusive upper bound, count)`, ascending.
-    pub buckets: Vec<(u64, u64)>,
-    /// Median (bucket upper bound at rank ⌈count/2⌉).
-    pub p50: u64,
-    /// 95th percentile.
-    pub p95: u64,
-    /// 99th percentile.
-    pub p99: u64,
-}
-
 /// A shard's published statistics.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct WireShardStats {
@@ -506,8 +396,9 @@ pub enum Response {
         /// The admission limit.
         limit: usize,
     },
-    /// The merged telemetry registry.
-    Metrics(WireMetrics),
+    /// The merged telemetry registry. On the wire each histogram carries
+    /// its non-empty buckets and the `p50`/`p95`/`p99` derived from them.
+    Metrics(MetricsSnapshot),
     /// The telemetry registry as Prometheus-style exposition text.
     MetricsText(String),
     /// The server is draining and takes no new work.
@@ -1210,28 +1101,20 @@ impl Response {
                     Json::Arr(
                         m.histograms
                             .iter()
-                            .map(|h| {
+                            .map(|(name, h)| {
+                                let buckets = h
+                                    .nonzero_buckets()
+                                    .into_iter()
+                                    .map(|(b, c)| Json::Arr(vec![Json::u64(b), Json::u64(c)]))
+                                    .collect();
                                 Json::Obj(vec![
-                                    ("name".into(), Json::str(&h.name)),
+                                    ("name".into(), Json::str(name)),
                                     ("count".into(), Json::u64(h.count)),
                                     ("sum".into(), Json::u64(h.sum)),
-                                    (
-                                        "buckets".into(),
-                                        Json::Arr(
-                                            h.buckets
-                                                .iter()
-                                                .map(|(b, c)| {
-                                                    Json::Arr(vec![
-                                                        Json::u64(*b),
-                                                        Json::u64(*c),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                    ("p50".into(), Json::u64(h.p50)),
-                                    ("p95".into(), Json::u64(h.p95)),
-                                    ("p99".into(), Json::u64(h.p99)),
+                                    ("buckets".into(), Json::Arr(buckets)),
+                                    ("p50".into(), Json::u64(h.quantile(50, 100))),
+                                    ("p95".into(), Json::u64(h.quantile(95, 100))),
+                                    ("p99".into(), Json::u64(h.quantile(99, 100))),
                                 ])
                             })
                             .collect(),
@@ -1303,55 +1186,55 @@ impl Response {
                 limit: usize_field(&j, "limit")?,
             }),
             "metrics" => {
-                let pairs = |key: &str| -> Result<Vec<(String, String)>, WireError> {
+                // Members that do not parse as the field's number type are
+                // skipped.
+                fn numbers<T: std::str::FromStr>(
+                    j: &Json,
+                    key: &str,
+                ) -> Result<Vec<(String, T)>, WireError> {
                     match j.get(key) {
                         Some(Json::Obj(members)) => Ok(members
                             .iter()
                             .filter_map(|(n, v)| match v {
-                                Json::Num(num) => Some((n.clone(), num.clone())),
+                                Json::Num(num) => Some((n.clone(), num.parse().ok()?)),
                                 _ => None,
                             })
                             .collect()),
                         _ => Err(proto(format!("missing object field {key:?}"))),
                     }
-                };
-                let counters = pairs("counters")?
-                    .into_iter()
-                    .filter_map(|(n, v)| v.parse::<u64>().ok().map(|v| (n, v)))
-                    .collect();
-                let gauges = pairs("gauges")?
-                    .into_iter()
-                    .filter_map(|(n, v)| v.parse::<i64>().ok().map(|v| (n, v)))
-                    .collect();
+                }
+                let counters = numbers(&j, "counters")?;
+                let gauges = numbers(&j, "gauges")?;
                 let histograms = arr_field(&j, "histograms")?
                     .iter()
                     .map(|h| {
-                        Ok(WireHistogram {
-                            name: str_field(h, "name")?,
-                            count: u64_field(h, "count")?,
-                            sum: u64_field(h, "sum")?,
-                            buckets: arr_field(h, "buckets")?
-                                .iter()
-                                .map(|pair| {
-                                    let items = pair
-                                        .as_arr()
-                                        .filter(|a| a.len() == 2)
-                                        .ok_or_else(|| {
-                                            proto("histogram buckets are 2-element arrays")
-                                        })?;
-                                    match (items[0].as_u64(), items[1].as_u64()) {
-                                        (Some(b), Some(c)) => Ok((b, c)),
-                                        _ => Err(proto("histogram buckets are u64 pairs")),
-                                    }
-                                })
-                                .collect::<Result<_, WireError>>()?,
-                            p50: u64_field(h, "p50")?,
-                            p95: u64_field(h, "p95")?,
-                            p99: u64_field(h, "p99")?,
-                        })
+                        let name = str_field(h, "name")?;
+                        let count = u64_field(h, "count")?;
+                        let sum = u64_field(h, "sum")?;
+                        let buckets = arr_field(h, "buckets")?
+                            .iter()
+                            .map(|pair| {
+                                let items =
+                                    pair.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
+                                        proto("histogram buckets are 2-element arrays")
+                                    })?;
+                                match (items[0].as_u64(), items[1].as_u64()) {
+                                    (Some(b), Some(c)) => Ok((b, c)),
+                                    _ => Err(proto("histogram buckets are u64 pairs")),
+                                }
+                            })
+                            .collect::<Result<Vec<_>, WireError>>()?;
+                        // The quantiles must be present, but the snapshot
+                        // derives them from the buckets.
+                        for q in ["p50", "p95", "p99"] {
+                            u64_field(h, q)?;
+                        }
+                        let mut snap = HistogramSnapshot::from_buckets(&buckets, sum);
+                        snap.count = count;
+                        Ok((name, snap))
                     })
                     .collect::<Result<_, WireError>>()?;
-                Ok(Response::Metrics(WireMetrics {
+                Ok(Response::Metrics(MetricsSnapshot {
                     counters,
                     gauges,
                     histograms,
@@ -1362,6 +1245,116 @@ impl Response {
             "error" => Ok(Response::Error(str_field(&j, "message")?)),
             other => Err(proto(format!("unknown response kind {other:?}"))),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Batch replies
+
+/// The one writer of a solve reply after admission (`solve_module` and
+/// both `solve_batch` modes): serve and the gateway push per-module
+/// results into it in any order.
+///
+/// * A **streaming** batch writes one `report` frame per result as it is
+///   pushed; [`BatchReply::finish`] adds `batch_done` (failures in arrival
+///   order, `wall_ns` measured from [`BatchReply::new`]).
+/// * A **single-frame** batch collects results by index; `finish` writes
+///   `solved`, or an `error` joining every failure in submission order, or
+///   `shutting_down` if a module got no result (a drain raced its
+///   dispatch).
+pub struct BatchReply {
+    started: Instant,
+    /// One slot per module for a single-frame batch; `None` when streaming.
+    slots: Option<Vec<Option<Result<WireReport, String>>>>,
+    /// A streaming batch's closing frame, tallied as results arrive.
+    done: WireBatchDone,
+    /// The streamed write that failed (the peer is gone): nothing more is
+    /// written.
+    broken: Option<WireError>,
+}
+
+impl BatchReply {
+    /// A reply for a batch of `modules` solved against the lattice with
+    /// fingerprint `lattice_fp`.
+    pub fn new(modules: usize, stream: bool, lattice_fp: u64) -> BatchReply {
+        BatchReply {
+            started: Instant::now(),
+            slots: (!stream).then(|| (0..modules).map(|_| None).collect()),
+            done: WireBatchDone {
+                modules,
+                delivered: 0,
+                errors: Vec::new(),
+                wall_ns: 0,
+                lattice_fp,
+            },
+            broken: None,
+        }
+    }
+
+    /// Takes module `index`'s result: a streaming batch writes its
+    /// `report` frame to `w` now. Returns `false` once a streamed write
+    /// has failed, so a caller can stop producing results nobody reads.
+    pub fn push(
+        &mut self,
+        w: &mut impl Write,
+        index: usize,
+        result: Result<WireReport, String>,
+    ) -> bool {
+        if let Some(slots) = &mut self.slots {
+            slots[index] = Some(result);
+            return true;
+        }
+        match &result {
+            Ok(_) => self.done.delivered += 1,
+            Err(e) => self.done.errors.push(e.clone()),
+        }
+        if self.broken.is_none() {
+            let frame = Response::Report {
+                index,
+                result: result.map(Box::new),
+            };
+            self.broken = write_frame(w, &frame.encode()).err();
+        }
+        self.broken.is_none()
+    }
+
+    /// Writes the closing frame: `batch_done` for a streaming batch, the
+    /// whole reply for a single-frame one.
+    ///
+    /// # Errors
+    ///
+    /// The failed streamed write, if any (nothing is written then), or the
+    /// closing frame's own write failure.
+    pub fn finish(mut self, w: &mut impl Write) -> Result<(), WireError> {
+        if let Some(e) = self.broken {
+            return Err(e);
+        }
+        let reply = match self.slots {
+            None => {
+                self.done.wall_ns = self.started.elapsed().as_nanos() as u64;
+                Response::BatchDone(self.done)
+            }
+            Some(slots) => {
+                let mut reports = Vec::with_capacity(slots.len());
+                let mut errors = Vec::new();
+                let mut missing = false;
+                for slot in slots {
+                    match slot {
+                        Some(Ok(report)) => reports.push(report),
+                        Some(Err(e)) => errors.push(e),
+                        None => missing = true,
+                    }
+                }
+                if !errors.is_empty() {
+                    Response::Error(errors.join("; "))
+                } else if missing {
+                    Response::ShuttingDown
+                } else {
+                    Response::Solved(reports)
+                }
+            }
+        };
+        write_frame(w, &reply.encode())
     }
 }
 

@@ -24,9 +24,8 @@ use retypd_core::solver::PhaseNs;
 use retypd_driver::ModuleJob;
 use retypd_minic::codegen::compile;
 use retypd_minic::genprog::{ClusterSpec, ProgramGenerator};
-use retypd_serve::wire::WireMetrics;
 use retypd_serve::{start, Client, ServeConfig};
-use retypd_telemetry::trace_id_hash;
+use retypd_telemetry::{trace_id_hash, MetricsSnapshot};
 
 fn corpus() -> Vec<ModuleJob> {
     let spec = ClusterSpec {
@@ -63,7 +62,7 @@ fn server(shards: usize) -> retypd_serve::ServerHandle {
 }
 
 /// Solves the whole corpus once and returns the server's merged metrics.
-fn solve_and_probe(shards: usize, jobs: &[ModuleJob]) -> WireMetrics {
+fn solve_and_probe(shards: usize, jobs: &[ModuleJob]) -> MetricsSnapshot {
     let handle = server(shards);
     let mut client = Client::connect(handle.addr()).expect("connect");
     for job in jobs {
@@ -87,13 +86,14 @@ fn metrics_probe_round_trips_with_bit_identical_quantiles_across_shard_counts() 
                 .histogram(name)
                 .unwrap_or_else(|| panic!("{name} missing at {shards} shard(s)"));
             assert_eq!(h.count, jobs.len() as u64, "{name} at {shards} shard(s)");
-            assert!(!h.buckets.is_empty(), "{name} empty at {shards} shard(s)");
-            assert!(h.p50 > 0 && h.p95 >= h.p50 && h.p99 >= h.p95, "{name} quantiles");
+            assert!(!h.nonzero_buckets().is_empty(), "{name} empty at {shards} shard(s)");
+            let (p50, p95, p99) = (h.quantile(50, 100), h.quantile(95, 100), h.quantile(99, 100));
+            assert!(p50 > 0 && p95 >= p50 && p99 >= p95, "{name} quantiles");
         }
         assert_eq!(m.counter("shard.jobs"), jobs.len() as u64);
         // The merged reply is name-sorted regardless of how many shard
         // registries fed it.
-        let names: Vec<&str> = m.histograms.iter().map(|h| h.name.as_str()).collect();
+        let names: Vec<&str> = m.histograms.iter().map(|(n, _)| n.as_str()).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted, "histograms not name-sorted at {shards} shard(s)");
@@ -106,7 +106,7 @@ fn metrics_probe_round_trips_with_bit_identical_quantiles_across_shard_counts() 
     let b = three.histogram("shard.job_constraints").expect("at 3 shards");
     assert_eq!(a, b, "merged job_constraints histogram differs across shard counts");
     assert_eq!(a.count, jobs.len() as u64);
-    assert!(a.p50 > 0 && a.p99 >= a.p50);
+    assert!(a.quantile(50, 100) > 0 && a.quantile(99, 100) >= a.quantile(50, 100));
 }
 
 #[test]

@@ -164,7 +164,7 @@ impl Histogram {
 
 /// Owned copy of a histogram's state. Merging is plain per-bucket addition,
 /// so it is associative and commutative by construction.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub count: u64,
     pub sum: u64,
@@ -342,8 +342,9 @@ impl Registry {
     }
 }
 
-/// Merged, name-sorted view of one or more registries — the thing the wire
-/// `metrics` request serializes and the text exposition renders.
+/// Merged, name-sorted view of one or more registries — the `metrics`
+/// reply on the wire (serve and the gateway, which merges its backends'
+/// replies with [`Self::merge`]) and the text exposition's source.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
@@ -362,25 +363,32 @@ impl MetricsSnapshot {
     /// (shard gauges are per-shard quantities, so the merged value is the
     /// fleet total); histograms merge bucket-wise.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (name, v) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, cur)) => *cur += v,
-                None => self.counters.push((name.clone(), *v)),
+        fn by_name<V: Clone>(
+            dst: &mut Vec<(String, V)>,
+            src: &[(String, V)],
+            add: fn(&mut V, &V),
+        ) {
+            for (name, v) in src {
+                match dst.iter_mut().find(|(n, _)| n == name) {
+                    Some((_, cur)) => add(cur, v),
+                    None => dst.push((name.clone(), v.clone())),
+                }
             }
         }
-        for (name, v) in &other.gauges {
-            match self.gauges.iter_mut().find(|(n, _)| n == name) {
-                Some((_, cur)) => *cur += v,
-                None => self.gauges.push((name.clone(), *v)),
-            }
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.iter_mut().find(|(n, _)| n == name) {
-                Some((_, cur)) => cur.merge(h),
-                None => self.histograms.push((name.clone(), h.clone())),
-            }
-        }
+        by_name(&mut self.counters, &other.counters, |cur, v| *cur += v);
+        by_name(&mut self.gauges, &other.gauges, |cur, v| *cur += v);
+        by_name(&mut self.histograms, &other.histograms, HistogramSnapshot::merge);
         self.sort();
+    }
+
+    /// The counter with this name (0 when absent).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+    }
+
+    /// The histogram with this name, if present.
+    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
+        self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
 
     /// Prometheus-style text exposition. Counter/gauge lines plus, per
