@@ -82,12 +82,29 @@ impl Interner {
         leaked
     }
 
+    /// The process-wide table behind [`Symbol::intern`].
+    pub fn global() -> &'static Interner {
+        static INTERNER: OnceLock<Interner> = OnceLock::new();
+        INTERNER.get_or_init(Interner::new)
+    }
+
     /// Number of distinct strings interned so far.
     pub fn len(&self) -> usize {
         self.table
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .len()
+    }
+
+    /// Total length in bytes of the distinct strings interned so far.
+    /// Sums the table under its read lock — a gauge read, not a hot path.
+    pub fn bytes(&self) -> usize {
+        self.table
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .keys()
+            .map(|s| s.len())
+            .sum()
     }
 
     /// Whether nothing has been interned yet.
@@ -102,15 +119,10 @@ impl fmt::Debug for Interner {
     }
 }
 
-fn interner() -> &'static Interner {
-    static INTERNER: OnceLock<Interner> = OnceLock::new();
-    INTERNER.get_or_init(Interner::new)
-}
-
 impl Symbol {
     /// Interns `s`, returning its canonical symbol.
     pub fn intern(s: &str) -> Symbol {
-        Symbol(interner().intern(s))
+        Symbol(Interner::global().intern(s))
     }
 
     /// Returns the interned string (no lock: the symbol carries it).

@@ -1,7 +1,7 @@
 //! The persistent, content-addressed scheme store.
 //!
 //! An [`crate::AnalysisDriver`] configured with
-//! [`crate::DriverConfig::persist_path`] mirrors every cache insert into an
+//! [`crate::DriverConfig::persist_path`] writes every cache insert to an
 //! append-only on-disk log, and on construction replays that log to
 //! pre-populate both cache passes — so a process restart (or a shard's
 //! panic rebuild in `retypd-serve`) starts *warm*: previously-seen modules
@@ -50,23 +50,30 @@
 //!
 //! ## Compaction
 //!
-//! The store keeps an in-memory mirror of the serialized payload for every
-//! *live* cache entry (evictions remove their mirror entry). When the log
-//! grows past `max(64 KiB, 4 × live bytes)` — checked after each solve and
-//! forceable via [`crate::AnalysisDriver::compact_store`] — the mirror is
-//! snapshotted in deterministic order (lattices, then pass-1 entries, then
-//! pass-2 entries, each sorted by fingerprint), written to a sibling
-//! temporary file, and atomically renamed over the log. Replaying a
-//! compacted log reproduces the live cache contents bit-identically.
+//! The log is the only copy of a persisted record. The store keeps an
+//! index of where each *live* record's frame sits in it: fingerprint →
+//! offset, payload length and, for a pass-2 record, the lattice
+//! fingerprint it references — a fixed-size entry per record, no payload
+//! bytes (evictions remove their index entry). When the log grows past
+//! `max(64 KiB, 4 × live bytes)` — checked after each solve and forceable
+//! via [`crate::AnalysisDriver::compact_store`] — the writer flushes,
+//! drops lattice records no live pass-2 record references, and copies the
+//! live frames out of the old log into a sibling temporary file in
+//! deterministic order (lattices, then pass-1 entries, then pass-2
+//! entries, each sorted by fingerprint), then atomically renames it over
+//! the log. Every frame is re-verified (length and checksum) as it is
+//! copied; one damaged on disk is left out, which costs its entry one
+//! re-solve after a restart. Replaying a compacted log reproduces the
+//! live cache contents bit-identically.
 //!
 //! ## The writer thread
 //!
 //! Appends never block the solve hot path on disk — or on serialization:
 //! the solve path sends the cache entry itself (an `Arc` clone plus a
 //! pointer-copy snapshot of the lattice's element names) over a channel,
-//! and a dedicated writer thread renders the canonical text, maintains the
-//! live mirror, and appends. The writer batches whatever has queued up and
-//! flushes once per batch.
+//! and a dedicated writer thread renders the canonical text, appends the
+//! frame, records its offset in the live index, and drops the payload.
+//! The writer batches whatever has queued up and flushes once per batch.
 //! [`SchemeStore::flush`] is the synchronization barrier (used by tests,
 //! benches, and the serve crate's panic-rebuild path). Any I/O error
 //! disables the writer with a warning — persistence is an accelerator, so
@@ -74,14 +81,14 @@
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use retypd_core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use retypd_core::sync::thread::JoinHandle;
 use retypd_core::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-use retypd_core::fxhash::FxHashMap;
+use retypd_core::fxhash::{FxHashMap, FxHashSet};
 use retypd_core::parse::{parse_constraint_set, parse_derived_var};
 use retypd_core::sketch::{Sketch, SketchStateSpec};
 use retypd_core::{
@@ -103,7 +110,7 @@ const FRAME_HEADER: usize = 12;
 /// than this is treated as a torn tail rather than an allocation request.
 const MAX_PAYLOAD: usize = 64 << 20;
 
-/// The log-growth factor (relative to live mirror bytes) that triggers
+/// The log-growth factor (relative to live bytes) that triggers
 /// compaction, and the size floor below which compaction never runs.
 const COMPACT_FACTOR: u64 = 4;
 const COMPACT_MIN_BYTES: u64 = 64 * 1024;
@@ -410,8 +417,8 @@ fn encode_refine(
 }
 
 /// Peeks the lattice fingerprint of a pass-2 payload without decoding the
-/// body — used to resolve the lattice before the full decode, and by
-/// compaction to keep only referenced lattice records.
+/// body — replay resolves the lattice before the full decode, and indexes
+/// it so compaction can keep only referenced lattice records.
 fn refine_lattice_fp(payload: &[u8]) -> Option<u64> {
     let mut c = Cursor::new(payload);
     if c.u8()? != KIND_REFINE {
@@ -496,9 +503,13 @@ pub struct PersistStats {
     /// Records rejected during replay: frame-corrupt tails, fingerprint
     /// mismatches, unresolvable lattices, undecodable payloads.
     pub dropped_records: u64,
-    /// Cache entries currently mirrored on disk (both passes, post
-    /// eviction; what a restart would replay, modulo the queue).
+    /// Cache entries whose frames the store's live index holds (both
+    /// passes, post eviction; what a restart would replay, modulo the
+    /// queue). An entry whose append failed is not counted.
     pub persisted_entries: u64,
+    /// Bytes of the live frames (headers and payloads) — what a
+    /// compaction would copy into the new log after its magic.
+    pub live_bytes: u64,
     /// Records appended since construction.
     pub appended_entries: u64,
     /// Compactions performed since construction.
@@ -538,15 +549,16 @@ pub(crate) struct SchemeText {
 /// thread*; pass-1 canonical text rides along pre-rendered because the
 /// solve path already rendered it to fingerprint the schemes.
 enum Msg {
-    /// A pass-1 insert: encode, mirror (dropping `evicted`), append.
+    /// A pass-1 insert: drop `evicted` from the index, encode, append,
+    /// index.
     Schemes {
         fp: u64,
         entry: Arc<CachedSchemes>,
         texts: Vec<SchemeText>,
         evicted: Vec<u64>,
     },
-    /// A pass-2 insert: encode (writing the lattice's descriptor record
-    /// first if this fingerprint is new to the mirror), mirror, append.
+    /// A pass-2 insert: like a pass-1 insert, but first appends the
+    /// lattice's descriptor record if the index has none for it.
     Refine {
         fp: u64,
         lattice_fp: u64,
@@ -554,8 +566,8 @@ enum Msg {
         entry: Arc<SccRefinement>,
         evicted: Vec<u64>,
     },
-    /// Rewrite the log from the live mirror (temp file + atomic rename),
-    /// then continue appending to the new file.
+    /// Copy the live frames into a fresh log (temp file + atomic
+    /// rename), then continue appending to the new file.
     Compact,
     /// Flush buffered writes and ack.
     Flush(mpsc::Sender<()>),
@@ -577,35 +589,71 @@ struct Shared {
     compact_pending: AtomicBool,
 }
 
-/// The in-memory mirror: the serialized payload of every live cache
-/// entry, which is exactly what compaction rewrites the log from. Owned
-/// by the writer thread (seeded by replay at construction), so mirror
-/// order always matches file order with no locking at all.
-struct Mirror {
-    schemes: FxHashMap<u64, Arc<Vec<u8>>>,
-    refines: FxHashMap<u64, Arc<Vec<u8>>>,
-    /// Lattice-descriptor payloads by lattice fingerprint. `BTreeMap` so
-    /// compaction emits them in deterministic order.
-    lattices: BTreeMap<u64, Arc<Vec<u8>>>,
+/// Where one live record's frame sits in the log.
+#[derive(Clone, Copy)]
+struct Frame {
+    /// Byte offset of the frame header.
+    at: u64,
+    /// Payload length.
+    len: u32,
+    /// The lattice fingerprint a pass-2 record references (0 for the
+    /// other kinds), so the stale-lattice sweep never reads a payload.
+    lattice: u64,
 }
 
-impl Mirror {
-    fn framed_len(payload: &[u8]) -> u64 {
-        (FRAME_HEADER + payload.len()) as u64
+impl Frame {
+    /// The frame's size in the log: header plus payload.
+    fn size(self) -> u64 {
+        FRAME_HEADER as u64 + u64::from(self.len)
+    }
+}
+
+/// The live index: a [`Frame`] per live record, by fingerprint, and the
+/// bytes they add up to. Compaction copies exactly these frames. Owned
+/// by the writer thread (seeded by replay at construction), so its
+/// offsets always match the file with no locking at all.
+#[derive(Default)]
+struct Index {
+    /// One map per payload kind, at `kind - 1`: lattices, pass-1 entries,
+    /// pass-2 entries — also the order compaction writes them in.
+    frames: [FxHashMap<u64, Frame>; 3],
+    live_bytes: u64,
+}
+
+impl Index {
+    fn of(&self, kind: u8) -> &FxHashMap<u64, Frame> {
+        &self.frames[usize::from(kind - 1)]
     }
 
+    fn of_mut(&mut self, kind: u8) -> &mut FxHashMap<u64, Frame> {
+        &mut self.frames[usize::from(kind - 1)]
+    }
+
+    fn insert(&mut self, kind: u8, fp: u64, frame: Frame) {
+        if let Some(old) = self.of_mut(kind).insert(fp, frame) {
+            self.live_bytes -= old.size();
+        }
+        self.live_bytes += frame.size();
+    }
+
+    fn remove(&mut self, kind: u8, fp: u64) {
+        if let Some(old) = self.of_mut(kind).remove(&fp) {
+            self.live_bytes -= old.size();
+        }
+    }
+
+    /// Live cache entries (both passes; lattice records are not entries).
     fn entries(&self) -> u64 {
-        (self.schemes.len() + self.refines.len()) as u64
+        (self.of(KIND_SCHEMES).len() + self.of(KIND_REFINE).len()) as u64
     }
 }
 
 /// Everything the writer thread takes ownership of when it starts: the
-/// append handle and the replay-seeded mirror. Boxed so the idle state
+/// append handle and the replay-seeded index. Boxed so the idle state
 /// is one pointer wide.
 struct WriterSeed {
     file: File,
-    mirror: Mirror,
-    live_bytes: u64,
+    index: Index,
 }
 
 /// Lifecycle of the writer thread. A store opens `Idle`, holding the
@@ -639,7 +687,9 @@ pub struct SchemeStore {
     pending: Mutex<Vec<Msg>>,
     /// Rendered descriptor + name table per lattice fingerprint (see
     /// [`LatticeMeta`]). The lock is held for a hash lookup and an `Arc`
-    /// clone; only a lattice's *first* record pays the rendering.
+    /// clone; only a lattice's *first* record pays the rendering. Bounded
+    /// like [`LatticeMemo`]: cleared wholesale at `LATTICE_MEMO_CAP`
+    /// entries, so a stream of distinct lattices cannot grow it forever.
     lattice_meta: Mutex<FxHashMap<u64, Arc<LatticeMeta>>>,
     replayed_entries: u64,
     replay_ns: u64,
@@ -682,9 +732,10 @@ impl SchemeStore {
             Err(e) => return Err(e),
         };
 
-        // ---- Frame scan: collect valid payloads, find the usable prefix.
+        // ---- Frame scan: collect valid payloads with their offsets, find
+        // the usable prefix.
         let magic_ok = data.starts_with(MAGIC);
-        let mut payloads: Vec<&[u8]> = Vec::new();
+        let mut payloads: Vec<(u64, &[u8])> = Vec::new();
         let mut valid = if magic_ok { MAGIC.len() } else { 0 };
         if magic_ok {
             let mut pos = valid;
@@ -702,7 +753,7 @@ impl SchemeStore {
                 if payload_checksum(payload) != sum {
                     break;
                 }
-                payloads.push(payload);
+                payloads.push((pos as u64, payload));
                 pos += FRAME_HEADER + len;
                 valid = pos;
             }
@@ -712,40 +763,38 @@ impl SchemeStore {
         // ---- Apply records in log order (later records overwrite earlier
         // ones for the same fingerprint, so replay-of-append equals
         // replay-of-compaction).
-        let mut mirror = Mirror {
-            schemes: FxHashMap::default(),
-            refines: FxHashMap::default(),
-            lattices: BTreeMap::new(),
-        };
-        let mut live_bytes = 0u64;
+        let mut index = Index::default();
         let mut lattice_texts: BTreeMap<u64, String> = BTreeMap::new();
         let mut label_memo = LabelMemo::default();
         let mut replayed = 0u64;
-        for payload in payloads {
-            let owned = || Arc::new(payload.to_vec());
+        for (at, payload) in payloads {
+            let frame = |lattice| Frame {
+                at,
+                len: payload.len() as u32,
+                lattice,
+            };
             match payload.first().copied() {
                 Some(KIND_LATTICE) => match decode_lattice(payload) {
                     Some((fp, text)) => {
                         lattice_texts.insert(fp, text);
-                        mirror_insert(&mut mirror.lattices, fp, &owned(), &mut live_bytes);
+                        index.insert(KIND_LATTICE, fp, frame(0));
                     }
                     None => dropped += 1,
                 },
                 Some(KIND_SCHEMES) => match decode_schemes(payload) {
                     Some((fp, entry)) => {
-                        let evicted = cache.insert_schemes(fp, Arc::new(entry));
-                        for e in evicted {
-                            mirror_remove(&mut mirror.schemes, e, &mut live_bytes);
+                        for e in cache.insert_schemes(fp, Arc::new(entry)) {
+                            index.remove(KIND_SCHEMES, e);
                         }
-                        mirror_insert(&mut mirror.schemes, fp, &owned(), &mut live_bytes);
+                        index.insert(KIND_SCHEMES, fp, frame(0));
                         replayed += 1;
                     }
                     None => dropped += 1,
                 },
                 Some(KIND_REFINE) => {
                     let decoded = refine_lattice_fp(payload).and_then(|lfp| {
-                        if lfp == default_fp {
-                            decode_refine(payload, lattice, &mut label_memo)
+                        let (fp, refine) = if lfp == default_fp {
+                            decode_refine(payload, lattice, &mut label_memo)?
                         } else {
                             let text = lattice_texts.get(&lfp)?;
                             let d: LatticeDescriptor = text.parse().ok()?;
@@ -753,16 +802,16 @@ impl SchemeStore {
                             if built.fingerprint() != lfp {
                                 return None;
                             }
-                            decode_refine(payload, &built, &mut label_memo)
-                        }
+                            decode_refine(payload, &built, &mut label_memo)?
+                        };
+                        Some((fp, lfp, refine))
                     });
                     match decoded {
-                        Some((fp, refine)) => {
-                            let evicted = cache.insert_refine(fp, Arc::new(refine));
-                            for e in evicted {
-                                mirror_remove(&mut mirror.refines, e, &mut live_bytes);
+                        Some((fp, lfp, refine)) => {
+                            for e in cache.insert_refine(fp, Arc::new(refine)) {
+                                index.remove(KIND_REFINE, e);
                             }
-                            mirror_insert(&mut mirror.refines, fp, &owned(), &mut live_bytes);
+                            index.insert(KIND_REFINE, fp, frame(lfp));
                             replayed += 1;
                         }
                         None => dropped += 1,
@@ -785,17 +834,13 @@ impl SchemeStore {
 
         let shared = Arc::new(Shared::default());
         shared.log_bytes.store(valid as u64, Ordering::Relaxed);
-        shared.live_bytes.store(live_bytes, Ordering::Relaxed);
-        shared.live_entries.store(mirror.entries(), Ordering::Relaxed);
+        shared.live_bytes.store(index.live_bytes, Ordering::Relaxed);
+        shared.live_entries.store(index.entries(), Ordering::Relaxed);
 
         Ok(SchemeStore {
             path: path.to_path_buf(),
             shared,
-            writer: Mutex::new(WriterHandle::Idle(Box::new(WriterSeed {
-                file,
-                mirror,
-                live_bytes,
-            }))),
+            writer: Mutex::new(WriterHandle::Idle(Box::new(WriterSeed { file, index }))),
             pending: Mutex::new(Vec::new()),
             lattice_meta: Mutex::new(FxHashMap::default()),
             replayed_entries: replayed,
@@ -849,8 +894,8 @@ impl SchemeStore {
             let spawned = retypd_core::sync::thread::Builder::new()
                 .name("scheme-store-writer".into())
                 .spawn(move || {
-                    let WriterSeed { file, mirror, live_bytes } = *seed;
-                    writer_loop(path, file, rx, shared, mirror, live_bytes)
+                    let WriterSeed { file, index } = *seed;
+                    writer_loop(path, file, rx, shared, index)
                 });
             if let Ok(handle) = spawned {
                 *writer = WriterHandle::Running { tx, handle };
@@ -893,6 +938,9 @@ impl SchemeStore {
     ) {
         let meta = {
             let mut cache = self.lattice_meta.lock().expect("lattice meta");
+            if cache.len() >= crate::LATTICE_MEMO_CAP && !cache.contains_key(&lattice_fp) {
+                cache.clear();
+            }
             Arc::clone(cache.entry(lattice_fp).or_insert_with(|| {
                 Arc::new(LatticeMeta {
                     descriptor: lattice.descriptor().to_string(),
@@ -919,7 +967,7 @@ impl SchemeStore {
     }
 
     /// End-of-solve hook: hands the writer whatever the solve buffered,
-    /// plus a compaction request if the log has outgrown the live mirror
+    /// plus a compaction request if the log has outgrown its live frames
     /// (see module docs). The gauges lag the writer by at most one batch,
     /// which only delays the compaction trigger, never loses it.
     pub(crate) fn solve_finished(&self) {
@@ -969,6 +1017,7 @@ impl SchemeStore {
             replay_ns: self.replay_ns,
             dropped_records: self.dropped_records,
             persisted_entries: self.shared.live_entries.load(Ordering::Relaxed),
+            live_bytes: self.shared.live_bytes.load(Ordering::Relaxed),
             appended_entries: self.shared.appended.load(Ordering::Relaxed),
             compactions: self.shared.compactions.load(Ordering::Relaxed),
             log_bytes: self.shared.log_bytes.load(Ordering::Relaxed),
@@ -995,44 +1044,6 @@ impl Drop for SchemeStore {
     }
 }
 
-fn mirror_insert<M: MirrorMap>(map: &mut M, fp: u64, payload: &Arc<Vec<u8>>, live: &mut u64) {
-    if let Some(old) = map.insert_payload(fp, Arc::clone(payload)) {
-        *live -= Mirror::framed_len(&old);
-    }
-    *live += Mirror::framed_len(payload);
-}
-
-fn mirror_remove<M: MirrorMap>(map: &mut M, fp: u64, live: &mut u64) {
-    if let Some(old) = map.remove_payload(fp) {
-        *live -= Mirror::framed_len(&old);
-    }
-}
-
-/// The two mirror map shapes (`FxHashMap` for entries, `BTreeMap` for
-/// lattices) behind one insert/remove interface.
-trait MirrorMap {
-    fn insert_payload(&mut self, fp: u64, payload: Arc<Vec<u8>>) -> Option<Arc<Vec<u8>>>;
-    fn remove_payload(&mut self, fp: u64) -> Option<Arc<Vec<u8>>>;
-}
-
-impl MirrorMap for FxHashMap<u64, Arc<Vec<u8>>> {
-    fn insert_payload(&mut self, fp: u64, payload: Arc<Vec<u8>>) -> Option<Arc<Vec<u8>>> {
-        self.insert(fp, payload)
-    }
-    fn remove_payload(&mut self, fp: u64) -> Option<Arc<Vec<u8>>> {
-        self.remove(&fp)
-    }
-}
-
-impl MirrorMap for BTreeMap<u64, Arc<Vec<u8>>> {
-    fn insert_payload(&mut self, fp: u64, payload: Arc<Vec<u8>>) -> Option<Arc<Vec<u8>>> {
-        self.insert(fp, payload)
-    }
-    fn remove_payload(&mut self, fp: u64) -> Option<Arc<Vec<u8>>> {
-        self.remove(&fp)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Writer thread
 // ---------------------------------------------------------------------------
@@ -1043,21 +1054,61 @@ fn write_frame(out: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     out.write_all(payload)
 }
 
-/// Writes the compaction snapshot to a sibling temp file and atomically
-/// renames it over the log; returns the reopened append handle.
-fn rewrite_log(path: &Path, records: &[Arc<Vec<u8>>]) -> io::Result<File> {
+/// Reads the whole frame `frame` points at (header included) into `buf`
+/// and verifies it: the stored length must match the index and the
+/// checksum the payload. `Ok(false)` means the frame is damaged or cut
+/// short on disk; `Err` is an I/O failure.
+fn read_frame(log: &mut File, frame: Frame, buf: &mut Vec<u8>) -> io::Result<bool> {
+    buf.resize(frame.size() as usize, 0);
+    log.seek(SeekFrom::Start(frame.at))?;
+    match log.read_exact(buf) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(false),
+        Err(e) => return Err(e),
+    }
+    let len = u32::from_le_bytes(buf[0..4].try_into().unwrap());
+    let sum = u64::from_le_bytes(buf[4..12].try_into().unwrap());
+    Ok(len == frame.len && payload_checksum(&buf[FRAME_HEADER..]) == sum)
+}
+
+/// Copies the frames `index` holds out of the log at `path` into a
+/// sibling temp file — lattices still referenced by a live pass-2 record,
+/// then pass-1 entries, then pass-2 entries, each ascending by
+/// fingerprint — verifying each on the way, and atomically renames the
+/// copy over the log. Returns the reopened append handle and the new
+/// file's index, which leaves out stale lattices and every frame that
+/// failed verification. On error the old log and `index` still agree.
+fn compact_log(path: &Path, index: &Index) -> io::Result<(File, Index)> {
+    let referenced: FxHashSet<u64> = index.of(KIND_REFINE).values().map(|f| f.lattice).collect();
+    let mut old = File::open(path)?;
     let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
     tmp_name.push(".tmp");
     let tmp = path.with_file_name(tmp_name);
     let mut out = BufWriter::new(File::create(&tmp)?);
     out.write_all(MAGIC)?;
-    for r in records {
-        write_frame(&mut out, r)?;
+    let mut fresh = Index::default();
+    let mut at = MAGIC.len() as u64;
+    let mut buf = Vec::new();
+    for kind in [KIND_LATTICE, KIND_SCHEMES, KIND_REFINE] {
+        let mut frames: Vec<(u64, Frame)> = index
+            .of(kind)
+            .iter()
+            .filter(|(fp, _)| kind != KIND_LATTICE || referenced.contains(fp))
+            .map(|(&fp, &frame)| (fp, frame))
+            .collect();
+        frames.sort_unstable_by_key(|&(fp, _)| fp);
+        for (fp, frame) in frames {
+            if read_frame(&mut old, frame, &mut buf)? {
+                out.write_all(&buf)?;
+                fresh.insert(kind, fp, Frame { at, ..frame });
+                at += frame.size();
+            }
+        }
     }
     let f = out.into_inner().map_err(|e| e.into_error())?;
     f.sync_all()?;
     fs::rename(&tmp, path)?;
-    OpenOptions::new().append(true).open(path)
+    Ok((OpenOptions::new().append(true).open(path)?, fresh))
 }
 
 fn writer_loop(
@@ -1065,8 +1116,7 @@ fn writer_loop(
     file: File,
     rx: mpsc::Receiver<Vec<Msg>>,
     shared: Arc<Shared>,
-    mut mirror: Mirror,
-    mut live_bytes: u64,
+    mut index: Index,
 ) {
     // A buffer comfortably larger than a typical batch, so appends cost
     // one write syscall per flush rather than one per 8 KiB of frames.
@@ -1074,18 +1124,34 @@ fn writer_loop(
     let mut out = BufWriter::with_capacity(WRITER_BUF, file);
     let mut log_bytes = shared.log_bytes.load(Ordering::Relaxed);
     // After an I/O error the writer keeps consuming (and acking flushes,
-    // so nobody deadlocks) but stops writing until a compaction gives it
-    // a fresh file; one warning, not one per record.
+    // so nobody deadlocks) but stops writing — and indexing — until a
+    // compaction gives it a fresh file; one warning, not one per record.
     let mut broken = false;
     let store_append_spans = retypd_telemetry::global().counter("driver.store_append_frames");
-    let append = |out: &mut BufWriter<File>, broken: &mut bool, log_bytes: &mut u64, payload: &[u8]| {
+    // Appends one record and returns where its frame sits, or `None` if
+    // it never reached the file (so it must not be indexed).
+    let append = |out: &mut BufWriter<File>,
+                  broken: &mut bool,
+                  log_bytes: &mut u64,
+                  payload: &[u8],
+                  lattice: u64| {
         store_append_spans.inc();
         shared.appended.fetch_add(1, Ordering::Relaxed);
-        *log_bytes += Mirror::framed_len(payload);
-        if !*broken {
-            if let Err(e) = write_frame(out, payload) {
+        let frame = Frame {
+            at: *log_bytes,
+            len: payload.len() as u32,
+            lattice,
+        };
+        *log_bytes += frame.size();
+        if *broken {
+            return None;
+        }
+        match write_frame(out, payload) {
+            Ok(()) => Some(frame),
+            Err(e) => {
                 eprintln!("scheme store {}: append failed: {e}", path.display());
                 *broken = true;
+                None
             }
         }
     };
@@ -1104,12 +1170,13 @@ fn writer_loop(
                     texts,
                     evicted,
                 } => {
-                    let payload = Arc::new(encode_schemes(fp, &entry, &texts));
                     for e in evicted {
-                        mirror_remove(&mut mirror.schemes, e, &mut live_bytes);
+                        index.remove(KIND_SCHEMES, e);
                     }
-                    mirror_insert(&mut mirror.schemes, fp, &payload, &mut live_bytes);
-                    append(&mut out, &mut broken, &mut log_bytes, &payload);
+                    let payload = encode_schemes(fp, &entry, &texts);
+                    if let Some(frame) = append(&mut out, &mut broken, &mut log_bytes, &payload, 0) {
+                        index.insert(KIND_SCHEMES, fp, frame);
+                    }
                 }
                 Msg::Refine {
                     fp,
@@ -1119,66 +1186,47 @@ fn writer_loop(
                     evicted,
                 } => {
                     for e in evicted {
-                        mirror_remove(&mut mirror.refines, e, &mut live_bytes);
+                        index.remove(KIND_REFINE, e);
                     }
                     // The descriptor record precedes the first refine that
-                    // references it; the mirror is the have-we-written-it set.
-                    if !mirror.lattices.contains_key(&lattice_fp) {
-                        let lp = Arc::new(encode_lattice(lattice_fp, &meta.descriptor));
-                        mirror_insert(&mut mirror.lattices, lattice_fp, &lp, &mut live_bytes);
-                        append(&mut out, &mut broken, &mut log_bytes, &lp);
+                    // references it; the index is the have-we-written-it set.
+                    if !index.of(KIND_LATTICE).contains_key(&lattice_fp) {
+                        let lp = encode_lattice(lattice_fp, &meta.descriptor);
+                        if let Some(frame) = append(&mut out, &mut broken, &mut log_bytes, &lp, 0) {
+                            index.insert(KIND_LATTICE, lattice_fp, frame);
+                        }
                     }
-                    let payload = Arc::new(encode_refine(
+                    let payload = encode_refine(
                         fp,
                         lattice_fp,
                         &entry,
                         &meta.names,
                         &mut labels,
                         &mut scratch,
-                    ));
-                    mirror_insert(&mut mirror.refines, fp, &payload, &mut live_bytes);
-                    append(&mut out, &mut broken, &mut log_bytes, &payload);
+                    );
+                    if let Some(frame) =
+                        append(&mut out, &mut broken, &mut log_bytes, &payload, lattice_fp)
+                    {
+                        index.insert(KIND_REFINE, fp, frame);
+                    }
                 }
                 Msg::Compact => {
                     let _span = retypd_telemetry::span("driver.store_compact");
-                    // Drop lattice records no longer referenced by a live
-                    // refine entry, so descriptors cannot accumulate
-                    // without bound.
-                    let referenced: std::collections::BTreeSet<u64> = mirror
-                        .refines
-                        .values()
-                        .filter_map(|p| refine_lattice_fp(p))
-                        .collect();
-                    let stale: Vec<u64> = mirror
-                        .lattices
-                        .keys()
-                        .copied()
-                        .filter(|fp| !referenced.contains(fp))
-                        .collect();
-                    for fp in stale {
-                        mirror_remove(&mut mirror.lattices, fp, &mut live_bytes);
+                    // Compaction reads the live frames back from the log,
+                    // so everything buffered must reach it first. Frames
+                    // that do not are left out by verification; either
+                    // outcome below decides `broken` afresh.
+                    if !broken {
+                        if let Err(e) = out.flush() {
+                            eprintln!("scheme store {}: flush failed: {e}", path.display());
+                        }
                     }
-
-                    // Deterministic snapshot order: lattices, schemes,
-                    // refines, each ascending by fingerprint.
-                    let mut records: Vec<Arc<Vec<u8>>> = Vec::with_capacity(
-                        mirror.lattices.len() + mirror.schemes.len() + mirror.refines.len(),
-                    );
-                    records.extend(mirror.lattices.values().cloned());
-                    for map in [&mirror.schemes, &mirror.refines] {
-                        let mut fps: Vec<u64> = map.keys().copied().collect();
-                        fps.sort_unstable();
-                        records.extend(fps.iter().map(|fp| Arc::clone(&map[fp])));
-                    }
-                    match rewrite_log(&path, &records) {
-                        Ok(f) => {
-                            // Buffered frames belonged to the
-                            // pre-compaction file; the snapshot supersedes
-                            // them.
+                    match compact_log(&path, &index) {
+                        Ok((f, fresh)) => {
                             out = BufWriter::with_capacity(WRITER_BUF, f);
                             broken = false;
-                            log_bytes = MAGIC.len() as u64
-                                + records.iter().map(|p| Mirror::framed_len(p)).sum::<u64>();
+                            log_bytes = MAGIC.len() as u64 + fresh.live_bytes;
+                            index = fresh;
                             shared.compactions.fetch_add(1, Ordering::Relaxed);
                             crate::driver_metrics().store_compactions.inc();
                         }
@@ -1199,8 +1247,8 @@ fn writer_loop(
             }
         }
         shared.log_bytes.store(log_bytes, Ordering::Relaxed);
-        shared.live_bytes.store(live_bytes, Ordering::Relaxed);
-        shared.live_entries.store(mirror.entries(), Ordering::Relaxed);
+        shared.live_bytes.store(index.live_bytes, Ordering::Relaxed);
+        shared.live_entries.store(index.entries(), Ordering::Relaxed);
         for ack in acks {
             let _ = ack.send(());
         }
@@ -1216,3 +1264,55 @@ const _: () = {
     assert_send_sync::<SchemeStore>();
     assert_send_sync::<PersistStats>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{AnalysisDriver, DriverConfig, LATTICE_MEMO_CAP};
+    use retypd_core::solver::Procedure;
+    use retypd_core::Program;
+
+    /// A persisting driver fed more distinct lattices than the cap keeps
+    /// its rendered-lattice map within the cap after every solve.
+    #[test]
+    fn lattice_meta_stays_within_the_memo_cap() {
+        let c_types = Lattice::c_types();
+        let path = std::env::temp_dir().join(format!(
+            "retypd-store-unit-{}-lattice-meta.store",
+            std::process::id()
+        ));
+        let _ = fs::remove_file(&path);
+        let driver = AnalysisDriver::with_config(
+            &c_types,
+            DriverConfig {
+                workers: 1,
+                cache_capacity: None,
+                persist_path: Some(path.clone()),
+            },
+        );
+        let store = driver.store.as_ref().expect("store opened");
+        let mut program = Program::new();
+        program.add_proc(Procedure {
+            name: Symbol::intern("leaf"),
+            constraints: parse_constraint_set("leaf.in_stack0 <= t; t.load.σ32@0 <= int")
+                .expect("constraints parse"),
+            callsites: Vec::new(),
+        });
+        for i in 0..LATTICE_MEMO_CAP + 8 {
+            let tag = format!("#MetaCapTag{i}");
+            let mut b = Lattice::c_types_builder();
+            b.add_under(&tag, "int").expect("fresh tag");
+            b.le("⊥", &tag).expect("known elements");
+            let lattice = b.build().expect("extended c_types is a lattice");
+            driver.solve_in(&lattice, &program);
+            let len = store.lattice_meta.lock().expect("lattice meta").len();
+            assert!(
+                (1..=LATTICE_MEMO_CAP).contains(&len),
+                "{len} rendered lattices after {} distinct ones",
+                i + 1
+            );
+        }
+        drop(driver);
+        let _ = fs::remove_file(&path);
+    }
+}

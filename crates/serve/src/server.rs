@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 
 use retypd_core::sync::thread::JoinHandle;
 use retypd_core::sync::{mpsc, Arc, Mutex};
-use retypd_core::{Lattice, LatticeDescriptor, SolverResult};
+use retypd_core::{Interner, Lattice, LatticeDescriptor, SolverResult};
 use retypd_driver::{AnalysisDriver, DriverConfig, LatticeMemo, ModuleJob};
 use retypd_telemetry::{trace_id_hash, Counter, Histogram, MetricsSnapshot, Registry};
 
@@ -282,8 +282,15 @@ impl Shared {
     /// and because merge re-sorts by name, the reply's ordering (and, for
     /// shard-count-independent quantities, its quantiles) is bit-identical
     /// at 1 and N shards.
+    ///
+    /// The interner gauges (`intern.symbols`, `intern.bytes`) are read
+    /// here, at snapshot time, so interning itself pays nothing for them.
     fn merged_metrics(&self) -> MetricsSnapshot {
-        let mut snap = retypd_telemetry::global().snapshot();
+        let global = retypd_telemetry::global();
+        let interner = Interner::global();
+        global.gauge("intern.symbols").set(interner.len() as i64);
+        global.gauge("intern.bytes").set(interner.bytes() as i64);
+        let mut snap = global.snapshot();
         snap.merge(&self.metrics.registry.snapshot());
         for shard in &self.shards {
             snap.merge(&shard.metrics.snapshot());

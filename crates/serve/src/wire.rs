@@ -262,8 +262,8 @@ pub struct WireShardStats {
     pub rebuilds: u64,
     /// The shard driver's cumulative cache counters.
     pub cache: CacheStats,
-    /// Cache entries currently mirrored in the shard's persistent store
-    /// (0 when persistence is off).
+    /// Cache entries whose frames the shard's persistent store indexes as
+    /// live on disk (0 when persistence is off).
     pub persisted_entries: u64,
     /// Entries the *current* driver replayed from its store at
     /// construction (0 when persistence is off or the store was empty).

@@ -202,3 +202,49 @@ fn drained_spans_reconstruct_a_per_phase_solve_breakdown() {
         );
     }
 }
+
+/// The interner's size is exported: solving a module under never-seen
+/// names grows `intern.symbols` and `intern.bytes` in the `metrics` reply.
+/// The module travels as raw wire text, so only the server's decode
+/// interns its names.
+#[test]
+fn metrics_export_interner_growth_after_a_renamed_module() {
+    use retypd_serve::wire::{read_frame, write_frame, WireProc};
+    use retypd_serve::{Request, Response, WireModule};
+
+    let handle = server(1);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let before = client.metrics().expect("metrics before");
+
+    let proc_name = format!("intern_probe_leaf_{}", std::process::id());
+    let module = WireModule {
+        name: "intern_probe".into(),
+        procs: vec![WireProc {
+            name: proc_name.clone(),
+            constraints: format!("{proc_name}.in_stack0 <= t; t.load.σ32@0 <= int"),
+            callsites: Vec::new(),
+        }],
+        externals: Vec::new(),
+        globals: Vec::new(),
+    };
+    let mut raw = std::net::TcpStream::connect(handle.addr()).expect("raw connect");
+    write_frame(&mut raw, &Request::solve_module(module).encode()).expect("send module");
+    let reply = read_frame(&mut raw).expect("read reply").expect("a reply frame");
+    assert!(
+        matches!(Response::decode(&reply), Ok(Response::Solved(_))),
+        "the renamed module must solve"
+    );
+
+    let after = client.metrics().expect("metrics after");
+    assert!(
+        after.gauge("intern.symbols") > before.gauge("intern.symbols"),
+        "intern.symbols did not grow: {} -> {}",
+        before.gauge("intern.symbols"),
+        after.gauge("intern.symbols")
+    );
+    assert!(
+        after.gauge("intern.bytes") >= before.gauge("intern.bytes") + proc_name.len() as i64,
+        "intern.bytes must count the new name"
+    );
+    handle.shutdown();
+}

@@ -386,6 +386,11 @@ impl MetricsSnapshot {
         self.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
     }
 
+    /// The gauge with this name (0 when absent).
+    pub fn gauge(&self, name: &str) -> i64 {
+        self.gauges.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+    }
+
     /// The histogram with this name, if present.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
