@@ -108,7 +108,7 @@ pub fn base_payloads() -> Vec<Vec<u8>> {
             trace_id: None,
         }
         .encode(),
-        Request::Metrics { text: false }.encode(),
+        Request::Metrics.encode(),
     ]
 }
 

@@ -51,7 +51,6 @@ pub enum BackendSpec {
 struct Runtime {
     addr: Option<SocketAddr>,
     pid: u64,
-    start_ns: u64,
     healthy: bool,
     child: Option<Child>,
     /// Idle pooled connections, newest last. A connection is only ever
@@ -181,12 +180,6 @@ impl Backend {
         self.state.lock().expect("backend state").pid
     }
 
-    /// The last probed process start time (UNIX-epoch ns; 0 when never
-    /// probed). A restart shows up as this value increasing.
-    pub fn start_ns(&self) -> u64 {
-        self.state.lock().expect("backend state").start_ns
-    }
-
     /// Whether the backend is currently routed to.
     pub fn healthy(&self) -> bool {
         self.state.lock().expect("backend state").healthy
@@ -205,16 +198,10 @@ impl Backend {
         was
     }
 
-    /// Records what a successful probe learned (pid and start time, for
-    /// restart detection and operator visibility).
+    /// Records what a successful probe learned: the backend's pid, for
+    /// operator visibility.
     pub fn note_probe(&self, report: &ProbeReport) {
-        let mut st = self.state.lock().expect("backend state");
-        if report.stats.pid != 0 {
-            st.pid = report.stats.pid;
-        }
-        if report.stats.start_ns != 0 {
-            st.start_ns = report.stats.start_ns;
-        }
+        self.state.lock().expect("backend state").pid = report.stats.pid;
     }
 
     /// A connection to the backend: pooled if a clean one is idle, else

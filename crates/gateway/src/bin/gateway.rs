@@ -28,7 +28,6 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use retypd_gateway::{server, BackendSpec, GatewayConfig};
-use retypd_serve::RetryPolicy;
 
 fn main() {
     std::process::exit(run(std::env::args().skip(1)));
@@ -73,7 +72,7 @@ fn run(args: impl IntoIterator<Item = String>) -> i32 {
                     Duration::from_millis(parse(&value("--health-interval-ms"), "--health-interval-ms"));
             }
             "--retry-budget" => {
-                config.retry = RetryPolicy::new(parse(&value("--retry-budget"), "--retry-budget"));
+                config.retry_budget = parse(&value("--retry-budget"), "--retry-budget");
             }
             "--banner-file" => banner_file = Some(PathBuf::from(value("--banner-file"))),
             "--help" | "-h" => {

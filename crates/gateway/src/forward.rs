@@ -227,8 +227,7 @@ fn hedge_reply_wins(payload: &[u8]) -> bool {
             | Response::Report { .. }
             | Response::BatchDone(_)
             | Response::Stats(_)
-            | Response::Metrics(_)
-            | Response::MetricsText(_))
+            | Response::Metrics(_))
     )
 }
 

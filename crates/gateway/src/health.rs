@@ -68,7 +68,6 @@ fn response_kind(r: &Response) -> &'static str {
         Response::Stats(_) => "stats",
         Response::Overloaded { .. } => "overloaded",
         Response::Metrics(_) => "metrics",
-        Response::MetricsText(_) => "metrics_text",
         Response::ShuttingDown => "shutting_down",
         Response::Error(_) => "error",
     }
@@ -110,17 +109,21 @@ mod tests {
 
     #[test]
     fn garbage_and_wrong_kinds_degrade_not_panic() {
-        // Raw garbage, truncated JSON, wrong kind, shape violations: all
-        // Err, none panic.
+        // Raw garbage, truncated JSON, wrong kind, shape violations (the
+        // complete replies listing no shards, an over-full queue and a
+        // zero limit): all Err, none panic.
         for bad in [
             &b"\xff\xfe\x00garbage"[..],
             br#"{"kind": "stats""#,
             br#"{"kind": "shutting_down"}"#,
             br#"{"kind": "stats"}"#,
             br#"{"kind": "stats", "accepted": "many", "rejected": 0, "queued": 0, "queue_limit": 1, "shards": []}"#,
-            br#"{"kind": "stats", "accepted": 1, "rejected": 0, "queued": 0, "queue_limit": 1, "shards": []}"#,
-            br#"{"kind": "stats", "accepted": 1, "rejected": 0, "queued": 9, "queue_limit": 1, "shards": [{"shard": 0, "jobs": 1, "hits": 0, "misses": 1, "evictions": 0, "scheme_entries": 1, "refine_entries": 1}]}"#,
-            br#"{"kind": "stats", "accepted": 1, "rejected": 0, "queued": 0, "queue_limit": 0, "shards": [{"shard": 0, "jobs": 1, "hits": 0, "misses": 1, "evictions": 0, "scheme_entries": 1, "refine_entries": 1}]}"#,
+            br#"{"kind": "stats", "accepted": 1, "rejected": 0, "queued": 0, "queue_limit": 1, "pid": 1, "start_ns": 1, "shards": []}"#,
+            br#"{"kind": "stats", "accepted": 1, "rejected": 0, "queued": 9, "queue_limit": 1, "pid": 1, "start_ns": 1, "shards": [{"shard": 0, "jobs": 1, "rebuilds": 0, "hits": 0, "misses": 1, "evictions": 0, "scheme_entries": 1, "refine_entries": 1, "persisted_entries": 0, "replayed_entries": 0, "replay_ns": 0}]}"#,
+            br#"{"kind": "stats", "accepted": 1, "rejected": 0, "queued": 0, "queue_limit": 0, "pid": 1, "start_ns": 1, "shards": [{"shard": 0, "jobs": 1, "rebuilds": 0, "hits": 0, "misses": 1, "evictions": 0, "scheme_entries": 1, "refine_entries": 1, "persisted_entries": 0, "replayed_entries": 0, "replay_ns": 0}]}"#,
+            // No pid/start_ns and no persistence gauges: a reply missing a
+            // field this build writes does not decode.
+            br#"{"kind": "stats", "accepted": 1, "rejected": 0, "queued": 0, "queue_limit": 8, "shards": [{"shard": 0, "jobs": 1, "hits": 1, "misses": 0, "evictions": 0, "scheme_entries": 1, "refine_entries": 1}]}"#,
         ] {
             assert!(
                 classify_stats_reply(bad).is_err(),
@@ -128,14 +131,5 @@ mod tests {
                 String::from_utf8_lossy(bad)
             );
         }
-    }
-
-    #[test]
-    fn missing_optional_liveness_fields_stay_healthy() {
-        // A pre-gateway server omits pid/start_ns; that is version skew,
-        // not ill health.
-        let old = br#"{"kind": "stats", "accepted": 1, "rejected": 0, "queued": 0, "queue_limit": 8, "shards": [{"shard": 0, "jobs": 1, "hits": 1, "misses": 0, "evictions": 0, "scheme_entries": 1, "refine_entries": 1}]}"#;
-        let report = classify_stats_reply(old).expect("version skew is healthy");
-        assert_eq!(report.stats.pid, 0);
     }
 }

@@ -54,7 +54,7 @@ use retypd_serve::conn::{self, Service};
 use retypd_serve::wire::{
     self, BatchReply, Request, Response, WireError, WireModule, WireReport, WireStats,
 };
-use retypd_serve::{RetryPolicy, ServeConfig};
+use retypd_serve::ServeConfig;
 use retypd_telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 
 use crate::backend::{Backend, BackendSpec};
@@ -75,9 +75,10 @@ pub struct GatewayConfig {
     /// Latency threshold after which a solve is hedged to a second
     /// backend; `None` disables hedging.
     pub hedge_after: Option<Duration>,
-    /// Re-route/overload retry schedule (the same machinery client-side
-    /// retries use; the gateway reuses its jittered curve).
-    pub retry: RetryPolicy,
+    /// Retries after a failed forward or an `overloaded` backend reply,
+    /// each after a jittered exponential backoff (10 ms doubling to a
+    /// 500 ms cap); `0` means none.
+    pub retry_budget: u32,
     /// End-to-end budget for one forwarded exchange.
     pub forward_timeout: Duration,
     /// How long a spawned backend may take to print its readiness
@@ -95,7 +96,7 @@ impl Default for GatewayConfig {
             health_interval: Duration::from_millis(250),
             probe_timeout: Duration::from_secs(2),
             hedge_after: None,
-            retry: RetryPolicy::new(8),
+            retry_budget: 8,
             forward_timeout: Duration::from_secs(60),
             spawn_timeout: Duration::from_secs(30),
             echo: false,
@@ -104,7 +105,7 @@ impl Default for GatewayConfig {
 }
 
 /// Gateway-side instruments, exposed (merged with every backend's
-/// registry) through the ordinary v2 `metrics` request.
+/// registry) through the ordinary `metrics` request.
 struct GatewayMetrics {
     registry: Registry,
     requests: Arc<Counter>,
@@ -153,6 +154,9 @@ struct Shared {
     epoch: AtomicU64,
     draining: AtomicBool,
     local_addr: SocketAddr,
+    /// Gateway start, nanoseconds since the UNIX epoch (the `stats`
+    /// reply's `start_ns`).
+    start_ns: u64,
     default_lattice_fp: u64,
     /// Descriptor-built lattices: a bad descriptor is refused here, with
     /// serve's reply, before anything is forwarded.
@@ -239,10 +243,10 @@ impl Shared {
     fn forward_solve(&self, key: u64, payload: &[u8]) -> Result<Vec<u8>, String> {
         let started = Instant::now();
         let mut last_err = String::new();
-        for attempt in 0..=self.config.retry.budget {
+        for attempt in 0..=self.config.retry_budget {
             if attempt > 0 {
                 self.metrics.reroutes.inc();
-                retypd_core::sync::thread::sleep(self.config.retry.backoff(attempt - 1));
+                retypd_core::sync::thread::sleep(backoff(attempt - 1));
             }
             let ring = self.ring_snapshot();
             let Some(primary) = ring.route(key) else {
@@ -307,7 +311,7 @@ impl Shared {
         }
         Err(format!(
             "gateway: forwarding failed after {} attempts: {last_err}",
-            self.config.retry.budget + 1
+            self.config.retry_budget + 1
         ))
     }
 
@@ -331,14 +335,14 @@ impl Shared {
         }
         .encode();
         let named = |e: String| format!("module {:?}: {e}", module.name);
-        for attempt in 0..=self.config.retry.budget {
+        for attempt in 0..=self.config.retry_budget {
             let reply = self.forward_solve(key, &payload).map_err(named)?;
             match Response::decode(&reply) {
                 Ok(Response::Solved(mut reports)) if !reports.is_empty() => {
                     return Ok(reports.swap_remove(0));
                 }
-                Ok(Response::Overloaded { .. }) if attempt < self.config.retry.budget => {
-                    retypd_core::sync::thread::sleep(self.config.retry.backoff(attempt));
+                Ok(Response::Overloaded { .. }) if attempt < self.config.retry_budget => {
+                    retypd_core::sync::thread::sleep(backoff(attempt));
                 }
                 Ok(Response::Overloaded { queued, limit }) => {
                     return Err(named(format!("backend overloaded ({queued}/{limit})")));
@@ -484,6 +488,9 @@ pub fn start(config: GatewayConfig, specs: Vec<BackendSpec>) -> Result<GatewayHa
         epoch: AtomicU64::new(0),
         draining: AtomicBool::new(false),
         local_addr,
+        start_ns: std::time::SystemTime::now()
+            .duration_since(std::time::SystemTime::UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos() as u64),
         default_lattice_fp: Lattice::c_types().fingerprint(),
         lattices: LatticeMemo::new(),
         metrics,
@@ -635,10 +642,7 @@ impl Service for Shared {
                 trace_id,
             }) => return handle_batch(conn, self, modules, lattice, stream, trace_id).is_ok(),
             Ok(Request::Stats) => Response::Stats(aggregate_stats(self)),
-            Ok(Request::Metrics { text: true }) => {
-                Response::MetricsText(aggregate_metrics(self).to_text())
-            }
-            Ok(Request::Metrics { text: false }) => Response::Metrics(aggregate_metrics(self)),
+            Ok(Request::Metrics) => Response::Metrics(aggregate_metrics(self)),
             Ok(Request::Shutdown) => {
                 begin_drain(self);
                 Response::ShuttingDown
@@ -731,7 +735,7 @@ fn aggregate_stats(shared: &Shared) -> WireStats {
         queued: 0,
         queue_limit: 0,
         pid: std::process::id() as u64,
-        start_ns: 0,
+        start_ns: shared.start_ns,
         shards: vec![],
     };
     for b in &shared.backends {
@@ -759,15 +763,59 @@ fn aggregate_stats(shared: &Shared) -> WireStats {
     agg
 }
 
-/// The gateway's registry merged with every healthy backend's: the v2
+/// The gateway's registry merged with every healthy backend's: the
 /// `metrics` request answers for the whole fleet through one socket.
 fn aggregate_metrics(shared: &Shared) -> MetricsSnapshot {
     let mut merged = shared.metrics.registry.snapshot();
     for b in shared.backends.iter().filter(|b| b.healthy()) {
-        let reply = shared.ask(b.slot, &Request::Metrics { text: false });
+        let reply = shared.ask(b.slot, &Request::Metrics);
         if let Ok(Ok(Response::Metrics(snap))) = reply.map(|payload| Response::decode(&payload)) {
             merged.merge(&snap);
         }
     }
     merged
+}
+
+/// Backoff before the first retry; doubles with each attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+/// Upper bound on any single backoff.
+const BACKOFF_CAP: Duration = Duration::from_millis(500);
+/// Seed for the jitter PRNG.
+const BACKOFF_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The wait before retry `attempt` (0-based), drawn from `[d/2, d]` where
+/// `d = min(cap, base · 2^attempt)` ("equal jitter"), so requests refused
+/// together do not resubmit in lockstep. Deterministic per attempt; the
+/// total added latency is bounded by `retry_budget · cap`.
+fn backoff(attempt: u32) -> Duration {
+    let ceiling = BACKOFF_BASE
+        .saturating_mul(1 << attempt.min(20))
+        .min(BACKOFF_CAP);
+    let nanos = ceiling.as_nanos() as u64;
+    // xorshift64* keyed by seed and attempt.
+    let mut x = BACKOFF_SEED ^ (u64::from(attempt) + 1).wrapping_mul(0x2545_f491_4f6c_dd1d);
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    let half = nanos / 2;
+    Duration::from_nanos(half + x % (nanos - half))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backoff_is_equal_jitter_under_the_cap_and_deterministic() {
+        for k in 0..12u32 {
+            let d = (Duration::from_millis(10) * 2u32.pow(k)).min(Duration::from_millis(500));
+            let wait = backoff(k);
+            assert!(
+                d / 2 <= wait && wait <= d,
+                "attempt {k}: {wait:?} outside [{:?}, {d:?}]",
+                d / 2
+            );
+            assert_eq!(backoff(k), wait, "attempt {k} waits the same every time");
+        }
+    }
 }

@@ -152,6 +152,12 @@ fn warm_affinity_makes_resubmissions_pure_cache_hits() {
     let total_jobs: u64 = stats.shards.iter().map(|s| s.jobs).sum();
     assert_eq!(total_jobs, 2 * jobs.len() as u64);
     assert_eq!(stats.shards.len(), 3 * 2, "3 backends x 2 shards each");
+    // The liveness fields are the gateway's own: its pid and a start time
+    // fixed when it started.
+    assert_eq!(stats.pid, u64::from(std::process::id()));
+    assert!(stats.start_ns > 0, "gateway reports its start time");
+    let again = client.stats().expect("aggregated stats again");
+    assert_eq!(again.start_ns, stats.start_ns, "start time is fixed at start");
 
     // Merged metrics carry both gateway and backend instruments.
     let metrics = client.metrics().expect("merged metrics");

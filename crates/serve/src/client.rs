@@ -4,11 +4,11 @@
 //! (the protocol is request/response). Concurrency comes from owning
 //! several clients, one per thread.
 //!
-//! Protocol v2 surfaces: the `*_in` request variants carry a
-//! [`LatticeDescriptor`] (absent ⇒ the server's default `c_types`), and
-//! [`Client::solve_batch_stream`] returns a [`BatchStream`] iterator that
-//! yields each module's report as its frame arrives — first results land
-//! while the rest of the batch is still solving.
+//! The `*_in` request variants carry a [`LatticeDescriptor`] (absent ⇒
+//! the server's default `c_types`), and [`Client::solve_batch_stream`]
+//! returns a [`BatchStream`] iterator that yields each module's report as
+//! its frame arrives — first results land while the rest of the batch is
+//! still solving.
 
 use std::fmt;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -78,63 +78,6 @@ impl From<wire::WireError> for ClientError {
 impl From<std::io::Error> for ClientError {
     fn from(e: std::io::Error) -> ClientError {
         ClientError::Wire(wire::WireError::Io(e))
-    }
-}
-
-/// Retry policy for `overloaded` refusals: jittered exponential backoff
-/// under a bounded retry budget. The gateway schedules its re-routes and
-/// hedged duplicates with it ([`RetryPolicy::backoff`]).
-///
-/// The wait before retry `k` (0-based) is drawn uniformly from
-/// `[d/2, d]` where `d = min(cap, base · 2^k)` ("equal jitter"), so
-/// requests refused together do not resubmit in lockstep. Total added
-/// latency is bounded by `budget · cap`; a policy never spins forever.
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Maximum number of retries after the initial attempt; `0` means
-    /// none.
-    pub budget: u32,
-    /// Backoff before the first retry; doubles each refusal.
-    pub base: Duration,
-    /// Upper bound on any single backoff.
-    pub cap: Duration,
-    /// Seed for the jitter PRNG.
-    pub seed: u64,
-}
-
-impl RetryPolicy {
-    /// A policy with `budget` retries and the default backoff shape
-    /// (10 ms base, 500 ms cap).
-    pub fn new(budget: u32) -> RetryPolicy {
-        RetryPolicy {
-            budget,
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(500),
-            seed: 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    /// The jittered wait before retry `attempt` (0-based): equal-jitter
-    /// exponential backoff, deterministic per `(policy, attempt)`. Public
-    /// because the gateway's hedging and re-route machinery schedules its
-    /// duplicate requests on exactly this curve.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let doubled = self
-            .base
-            .saturating_mul(1u32.checked_shl(attempt.min(20)).unwrap_or(u32::MAX));
-        let ceiling = doubled.min(self.cap);
-        let nanos = u64::try_from(ceiling.as_nanos()).unwrap_or(u64::MAX);
-        if nanos < 2 {
-            return ceiling;
-        }
-        // xorshift64* keyed by seed and attempt: deterministic per
-        // (policy, attempt) yet uncorrelated across seeds.
-        let mut x = self.seed ^ (u64::from(attempt).wrapping_add(1)).wrapping_mul(0x2545_f491_4f6c_dd1d);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let half = nanos / 2;
-        Duration::from_nanos(half + x % (nanos - half))
     }
 }
 
@@ -331,31 +274,28 @@ impl Client {
         }
     }
 
-    /// Fetches the merged telemetry registry (v2): counters, gauges, and
+    /// Fetches the merged telemetry registry: counters, gauges, and
     /// histogram buckets (quantiles via
     /// [`retypd_telemetry::HistogramSnapshot::quantile`]).
     ///
     /// # Errors
     ///
-    /// Fails on protocol or server errors (a pre-v2 server answers
-    /// `error: unknown request kind`).
+    /// Fails on protocol or server errors.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
-        match self.roundtrip(&Request::Metrics { text: false })? {
+        match self.roundtrip(&Request::Metrics)? {
             Response::Metrics(m) => Ok(m),
             other => Err(refusal(other)),
         }
     }
 
-    /// Fetches the telemetry registry as Prometheus-style exposition text.
+    /// Fetches the telemetry registry and renders it as Prometheus-style
+    /// exposition text ([`MetricsSnapshot::to_text`]).
     ///
     /// # Errors
     ///
     /// As [`Client::metrics`].
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
-        match self.roundtrip(&Request::Metrics { text: true })? {
-            Response::MetricsText(t) => Ok(t),
-            other => Err(refusal(other)),
-        }
+        Ok(self.metrics()?.to_text())
     }
 
     /// Asks the server to drain and stop. Success requires the

@@ -4,9 +4,10 @@
 //! that turns the single-process [`retypd_driver::AnalysisDriver`] into
 //! something a fleet can talk to.
 //!
-//! * [`wire`] — a length-prefixed JSON protocol, version 2: a versioned
-//!   request envelope (`"v": 2`; absent ⇒ v1 compatibility), an optional
-//!   `lattice` descriptor per solve request (absent ⇒ `c_types`), and a
+//! * [`wire`] — a length-prefixed JSON protocol, version 2, in one
+//!   dialect: every request carries `"v": 2` and every decoder requires
+//!   each field the encoder writes. It has an optional `lattice`
+//!   descriptor per solve request (absent ⇒ `c_types`) and a
 //!   streaming `solve_batch` mode (`report` frame per module plus a
 //!   terminal `batch_done`), every solve reply written by one
 //!   [`wire::BatchReply`]. Programs travel as canonical constraint
@@ -54,7 +55,7 @@ pub mod server;
 pub mod stats_cells;
 pub mod wire;
 
-pub use client::{BatchStream, Client, ClientError, RetryPolicy};
+pub use client::{BatchStream, Client, ClientError};
 pub use launch::{parse_ready_banner, ready_banner, serve_main, READY_SENTINEL};
 pub use server::{start, MetricsObserver, ServeConfig, ServerHandle};
 pub use wire::{Request, Response, WireBatchDone, WireModule, WireReport, WireStats};
@@ -107,6 +108,43 @@ mod tests {
         }
     }
 
+    /// A hand-set report: traced, with phase work, when `phase != 0`.
+    fn hand_report(name: &str, phase: u64) -> WireReport {
+        WireReport {
+            name: name.into(),
+            fingerprint: 11,
+            lattice_fp: 22,
+            shard: 1,
+            procs: vec![crate::wire::WireProcResult {
+                name: "f".into(),
+                scheme: "∀τ. f.in_0 ⊑ int".into(),
+                sketch: Some("sk".into()),
+                general: None,
+            }],
+            inconsistencies: vec![("int".into(), "float".into())],
+            stats: retypd_core::SolverStats {
+                graph_nodes: 5,
+                graph_edges: 8,
+                quotient_nodes: 3,
+                sketch_states: 13,
+                constraints: 21,
+                solve_ns: 34,
+                cache_hits: 2,
+                cache_misses: 1,
+                phases: retypd_core::solver::PhaseNs {
+                    combine_ns: phase,
+                    saturate_ns: 2 * phase,
+                    transducer_ns: 3 * phase,
+                    simplify_ns: 4 * phase,
+                    sketch_ns: 5 * phase,
+                    saturations: phase.min(1),
+                },
+            },
+            wall_ns: 55,
+            trace_id: (phase != 0).then(|| "t-1".to_owned()),
+        }
+    }
+
     #[test]
     fn module_round_trips_through_the_wire_form() {
         let job = sample_job();
@@ -143,8 +181,7 @@ mod tests {
                 trace_id: None,
             },
             Request::Stats,
-            Request::Metrics { text: false },
-            Request::Metrics { text: true },
+            Request::Metrics,
             Request::Shutdown,
         ] {
             let bytes = req.encode();
@@ -154,27 +191,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_requests_still_decode_and_future_versions_are_refused() {
-        // A v1 frame: no `v`, no `lattice`, no `stream` — the PR-4 wire
-        // shape must keep decoding to a default-lattice non-streaming
-        // request.
-        let v1 = br#"{"kind": "solve_batch", "modules": []}"#;
-        match Request::decode(v1).expect("v1 decodes") {
-            Request::SolveBatch {
-                modules,
-                lattice,
-                stream,
-                trace_id,
-            } => {
-                assert!(modules.is_empty());
-                assert!(lattice.is_none(), "absent lattice means the default");
-                assert!(!stream, "v1 batches are single-frame");
-                assert!(trace_id.is_none(), "v1 requests are untraced");
-            }
-            other => panic!("expected SolveBatch, got {other:?}"),
-        }
-        // An unknown future version is refused (its fields cannot be
-        // guessed), with the supported ceiling named.
+    fn unversioned_and_other_versions_are_refused() {
+        // Every request this build writes carries `"v": 2`; a frame
+        // without it, or with any other version, is refused by name.
+        let unversioned = br#"{"kind": "solve_batch", "modules": []}"#;
+        let err = Request::decode(unversioned).expect_err("missing v refused");
+        assert!(err.to_string().contains(r#""v""#), "{err}");
+        let v1 = br#"{"v": 1, "kind": "solve_batch", "modules": []}"#;
+        let err = Request::decode(v1).expect_err("version 1 refused");
+        assert!(err.to_string().contains("version 1"), "{err}");
         let v9 = br#"{"v": 9, "kind": "stats"}"#;
         let err = Request::decode(v9).expect_err("future version refused");
         assert!(err.to_string().contains("version 9"), "{err}");
@@ -236,42 +261,9 @@ mod tests {
         assert_eq!(reports[0].canonical_text(), report.canonical_text());
         assert_eq!(reports[0].stats.constraints, result.stats.constraints);
 
-        // Golden bytes pin the wire format: a hand-set report with phase
-        // work carries a `timing` object, one without omits it.
-        let hand = |name: &str, phase: u64| WireReport {
-            name: name.into(),
-            fingerprint: 11,
-            lattice_fp: 22,
-            shard: 1,
-            procs: vec![crate::wire::WireProcResult {
-                name: "f".into(),
-                scheme: "∀τ. f.in_0 ⊑ int".into(),
-                sketch: Some("sk".into()),
-                general: None,
-            }],
-            inconsistencies: vec![("int".into(), "float".into())],
-            stats: retypd_core::SolverStats {
-                graph_nodes: 5,
-                graph_edges: 8,
-                quotient_nodes: 3,
-                sketch_states: 13,
-                constraints: 21,
-                solve_ns: 34,
-                cache_hits: 2,
-                cache_misses: 1,
-                phases: retypd_core::solver::PhaseNs {
-                    combine_ns: phase,
-                    saturate_ns: 2 * phase,
-                    transducer_ns: 3 * phase,
-                    simplify_ns: 4 * phase,
-                    sketch_ns: 5 * phase,
-                    saturations: phase.min(1),
-                },
-            },
-            wall_ns: 55,
-            trace_id: (phase != 0).then(|| "t-1".to_owned()),
-        };
-        let golden = Response::Solved(vec![hand("cold", 7), hand("warm", 0)]).encode();
+        // Golden bytes pin the wire format: phase work travels in `stats`
+        // only, and `trace_id` is written only when the request had one.
+        let golden = Response::Solved(vec![hand_report("cold", 7), hand_report("warm", 0)]).encode();
         let want = concat!(
             r#"{"kind":"solved","reports":["#,
             r#"{"name":"cold","fingerprint":11,"lattice_fp":22,"shard":1,"#,
@@ -280,8 +272,7 @@ mod tests {
             r#""stats":{"graph_nodes":5,"graph_edges":8,"quotient_nodes":3,"sketch_states":13,"#,
             r#""constraints":21,"solve_ns":34,"cache_hits":2,"cache_misses":1,"#,
             r#""saturate_ns":14,"transducer_ns":21,"simplify_ns":28,"sketch_ns":35,"combine_ns":7,"#,
-            r#""saturations":1},"wall_ns":55,"trace_id":"t-1","#,
-            r#""timing":{"saturate_ns":14,"transducer_ns":21,"simplify_ns":28,"sketch_ns":35,"combine_ns":7}},"#,
+            r#""saturations":1},"wall_ns":55,"trace_id":"t-1"},"#,
             r#"{"name":"warm","fingerprint":11,"lattice_fp":22,"shard":1,"#,
             r#""procs":[{"name":"f","scheme":"∀τ. f.in_0 ⊑ int","sketch":"sk","general":null}],"#,
             r#""inconsistencies":[["int","float"]],"#,
@@ -301,12 +292,101 @@ mod tests {
             r#""histograms":[{"name":"shard.wait_ns","count":4,"sum":1046,"#,
             r#""buckets":[[3,2],[47,1],[1023,1]],"p50":3,"p95":1023,"p99":1023}]}"#,
         );
-        assert_eq!(String::from_utf8(Response::Metrics(metrics).encode()).unwrap(), want);
+        assert_eq!(
+            String::from_utf8(Response::Metrics(metrics.clone()).encode()).unwrap(),
+            want
+        );
         let back = Response::decode(want.as_bytes()).expect("golden decodes");
         assert_eq!(back.encode(), want.as_bytes(), "golden re-encodes");
-        // A histogram entry without its p95 is refused.
+        // The text exposition renders the same from the decoded snapshot.
+        let Response::Metrics(decoded) = back else {
+            panic!("expected metrics");
+        };
+        assert_eq!(decoded.to_text(), metrics.to_text());
+        // A histogram entry without its p95 is refused, and so is a
+        // counter that is not a number.
         let no_p95 = want.replace(r#""p95":1023,"#, "");
         assert!(Response::decode(no_p95.as_bytes()).is_err(), "{no_p95}");
+        let bad_counter = want.replace(r#""serve.frames":7"#, r#""serve.frames":"7""#);
+        assert!(
+            Response::decode(bad_counter.as_bytes()).is_err(),
+            "{bad_counter}"
+        );
+    }
+
+    /// Every key the encoder writes is required: removing any one of them
+    /// (only a report's `trace_id` is optional, since the encoder omits it
+    /// for an untraced request) makes the reply undecodable.
+    #[test]
+    fn decoders_refuse_any_missing_field() {
+        use crate::json::Json;
+        use crate::wire::{WireBatchDone, WireShardStats, WireStats};
+
+        let report = hand_report("m", 7);
+        let stats = WireStats {
+            accepted: 1,
+            rejected: 0,
+            queued: 0,
+            queue_limit: 8,
+            pid: 1,
+            start_ns: 1,
+            shards: vec![WireShardStats {
+                shard: 0,
+                jobs: 1,
+                rebuilds: 0,
+                cache: retypd_driver::CacheStats::default(),
+                persisted_entries: 0,
+                replayed_entries: 0,
+                replay_ns: 0,
+            }],
+        };
+        let done = WireBatchDone {
+            modules: 1,
+            delivered: 1,
+            errors: vec![],
+            wall_ns: 1,
+            lattice_fp: 1,
+        };
+        // (reply, path to the object whose keys are removed one by one)
+        let cases: [(Response, &[&str]); 6] = [
+            (Response::Solved(vec![report.clone()]), &["reports", "0"]),
+            (Response::Solved(vec![report]), &["reports", "0", "stats"]),
+            (Response::Stats(stats.clone()), &[]),
+            (Response::Stats(stats), &["shards", "0"]),
+            (Response::BatchDone(done), &[]),
+            (
+                Response::Overloaded {
+                    queued: 1,
+                    limit: 1,
+                },
+                &[],
+            ),
+        ];
+        fn at<'j>(j: &'j mut Json, path: &[&str]) -> &'j mut Json {
+            path.iter().fold(j, |j, step| match j {
+                Json::Obj(members) => {
+                    &mut members.iter_mut().find(|(k, _)| k == step).expect("path").1
+                }
+                Json::Arr(items) => &mut items[step.parse::<usize>().expect("index")],
+                _ => panic!("path leads through a scalar"),
+            })
+        }
+        for (reply, path) in cases {
+            let whole = Json::parse(std::str::from_utf8(&reply.encode()).unwrap()).unwrap();
+            let Json::Obj(members) = at(&mut whole.clone(), path).clone() else {
+                panic!("{path:?} is not an object");
+            };
+            for (key, _) in members.iter().filter(|(k, _)| k != "trace_id") {
+                let mut cut = whole.clone();
+                if let Json::Obj(members) = at(&mut cut, path) {
+                    members.retain(|(k, _)| k != key);
+                }
+                assert!(
+                    Response::decode(cut.encode().as_bytes()).is_err(),
+                    "decoded without {path:?}.{key}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //!   it once per connection request (memoized server-wide), shards pass
 //!   it to [`AnalysisDriver::solve_in`], and every
 //!   scheme-cache key mixes in the lattice fingerprint — two lattices
-//!   never share cache entries. Absent descriptor ⇒ `c_types`, exactly the
-//!   v1 behavior.
+//!   never share cache entries. Absent descriptor ⇒ `c_types`.
 //! * **One solve path.** `solve_module` and both `solve_batch` modes go
 //!   through one function: pre-admission checks, admission, shard
 //!   dispatch, and a [`wire::BatchReply`] fed with the shards' results.
@@ -213,7 +212,7 @@ struct Shared {
     /// across all shards and connections).
     lattices: LatticeMemo,
     /// `Lattice::c_types()`, built once: the lattice of requests that name
-    /// none (v1 requests included).
+    /// none.
     default_lattice: Arc<Lattice>,
     /// Server-wide instruments (connection lifecycle, frame decode,
     /// admission, reply flush).
@@ -618,10 +617,7 @@ impl conn::Service for Shared {
                 trace_id,
             }) => return solve(stream, &modules, &lattice, streaming, &trace_id, self),
             Ok(Request::Stats) => Response::Stats(self.stats()),
-            Ok(Request::Metrics { text: true }) => {
-                Response::MetricsText(self.merged_metrics().to_text())
-            }
-            Ok(Request::Metrics { text: false }) => Response::Metrics(self.merged_metrics()),
+            Ok(Request::Metrics) => Response::Metrics(self.merged_metrics()),
             Ok(Request::Shutdown) => {
                 self.begin_drain();
                 Response::ShuttingDown

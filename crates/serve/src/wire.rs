@@ -11,26 +11,27 @@
 //!
 //! Requests (`kind` discriminator): `solve_module`, `solve_batch`,
 //! `stats`, `metrics`, `shutdown`. Responses: `solved`, `report`,
-//! `batch_done`, `stats`, `metrics`, `metrics_text`, `overloaded`,
-//! `shutting_down`, `error`. Programs travel as
-//! their canonical constraint text (the same rendering the driver
-//! fingerprints), which `retypd_core::parse` round-trips exactly —
-//! including `VAR` declarations and `Add`/`Sub` additive constraints — so
-//! the server-side reconstruction is solver-identical to the client's
-//! in-process program.
+//! `batch_done`, `stats`, `metrics`, `overloaded`, `shutting_down`,
+//! `error`. Programs travel as their canonical constraint text (the same
+//! rendering the driver fingerprints), which `retypd_core::parse`
+//! round-trips exactly — including `VAR` declarations and `Add`/`Sub`
+//! additive constraints — so the server-side reconstruction is
+//! solver-identical to the client's in-process program.
 //!
-//! **Versioned envelope.** Every request carries `"v": 2`; a request with
-//! no `v` field is a v1 request and keeps decoding exactly as before. A
-//! `v` greater than [`PROTOCOL_VERSION`] is refused with an `error` reply
-//! (the server cannot guess future fields' meaning).
+//! **One dialect.** Serve, the gateway, the client and the fuzzer are one
+//! build with one encoder, so the decoders accept exactly what it writes.
+//! Every request carries `"v": 2`; a request without it, or with any
+//! other value, is refused with an `error` reply. Every field the encoder
+//! writes is required on decode, except the ones it omits at their
+//! defaults (a request's `lattice`, `stream` and `trace_id`; a report's
+//! `trace_id`).
 //!
 //! **Lattice descriptor.** Solve requests may carry a `lattice` field:
 //! the canonical text of a [`retypd_core::LatticeDescriptor`]. Absent ⇒
-//! [`retypd_core::Lattice::c_types`], preserving v1 behavior byte for
-//! byte. The server builds (and memoizes) the described lattice and every
-//! scheme-cache key mixes in its fingerprint, so two lattices never share
-//! cache entries; each report names the lattice it was solved against in
-//! `lattice_fp`.
+//! [`retypd_core::Lattice::c_types`]. The server builds (and memoizes)
+//! the described lattice and every scheme-cache key mixes in its
+//! fingerprint, so two lattices never share cache entries; each report
+//! names the lattice it was solved against in `lattice_fp`.
 //!
 //! **Streaming batches.** `solve_batch` with `"stream": true` answers with
 //! one `report` frame per module *as it finishes* (completion order, each
@@ -67,8 +68,8 @@ use crate::json::Json;
 /// far below an allocation that could hurt.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
-/// The protocol version this build speaks. Requests without a `v` field
-/// are treated as version 1; versions above this are refused.
+/// The protocol version this build speaks: every request carries it as
+/// `"v"`, and a request carrying anything else is refused.
 pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Longest accepted envelope `trace_id` (bytes). Long enough for a UUID
@@ -228,7 +229,7 @@ pub struct WireReport {
     pub fingerprint: u64,
     /// Fingerprint of the lattice this module was solved against
     /// ([`retypd_core::Lattice::fingerprint`]); `Lattice::c_types()`'s
-    /// fingerprint for v1 requests.
+    /// fingerprint for a request without a `lattice`.
     pub lattice_fp: u64,
     /// The shard that solved it.
     pub shard: usize,
@@ -236,11 +237,9 @@ pub struct WireReport {
     pub procs: Vec<WireProcResult>,
     /// Scalar consistency violations.
     pub inconsistencies: Vec<(String, String)>,
-    /// Solver statistics (includes `solve_ns`, cache counters and phase
-    /// work). The encoder also writes the phase timings as a `timing`
-    /// object, present when any phase recorded work (cache hits replay no
-    /// phase work, so a fully warm report omits it); the object is excluded
-    /// from [`WireReport::canonical_text`].
+    /// Solver statistics: `solve_ns`, cache counters and per-phase work
+    /// (cache hits replay no phase work, so a fully warm report's phase
+    /// fields are 0). Excluded from [`WireReport::canonical_text`].
     pub stats: SolverStats,
     /// Wall-clock nanoseconds the shard spent on this module.
     pub wall_ns: u64,
@@ -283,14 +282,13 @@ pub struct WireStats {
     pub queued: usize,
     /// The admission limit.
     pub queue_limit: usize,
-    /// The serving process's OS pid (0 when unknown — e.g. a pre-gateway
-    /// server's reply). Lets a supervisor tie a socket to a child process
-    /// without racing on spawn order.
+    /// The serving process's OS pid. Lets a supervisor tie a socket to a
+    /// child process without racing on spawn order.
     pub pid: u64,
-    /// This process's start time, nanoseconds since the UNIX epoch (0 when
-    /// unknown). A restarted backend answers with a *larger* `start_ns`
-    /// than its predecessor, so a supervisor can distinguish "same
-    /// process, still healthy" from "recycled under the same addr".
+    /// This process's start time, nanoseconds since the UNIX epoch. A
+    /// restarted backend answers with a *larger* `start_ns` than its
+    /// predecessor, so a supervisor can distinguish "same process, still
+    /// healthy" from "recycled under the same addr".
     pub start_ns: u64,
     /// Per-shard statistics.
     pub shards: Vec<WireShardStats>,
@@ -340,18 +338,14 @@ pub enum Request {
     },
     /// Fetch server statistics.
     Stats,
-    /// Fetch the merged telemetry registry (v2 only).
-    Metrics {
-        /// `true` asks for the Prometheus-style text exposition
-        /// (`metrics_text` reply) instead of the structured snapshot.
-        text: bool,
-    },
+    /// Fetch the merged telemetry registry.
+    Metrics,
     /// Begin a graceful drain: queued work finishes, new work is refused.
     Shutdown,
 }
 
 impl Request {
-    /// A v1-shaped single-module request (default lattice).
+    /// A single-module request against the default lattice, untraced.
     pub fn solve_module(module: WireModule) -> Request {
         Request::SolveModule {
             module,
@@ -360,7 +354,8 @@ impl Request {
         }
     }
 
-    /// A v1-shaped batch request (default lattice, single `solved` reply).
+    /// A batch request against the default lattice, untraced, answered
+    /// with a single `solved` reply.
     pub fn solve_batch(modules: Vec<WireModule>) -> Request {
         Request::SolveBatch {
             modules,
@@ -399,8 +394,6 @@ pub enum Response {
     /// The merged telemetry registry. On the wire each histogram carries
     /// its non-empty buckets and the `p50`/`p95`/`p99` derived from them.
     Metrics(MetricsSnapshot),
-    /// The telemetry registry as Prometheus-style exposition text.
-    MetricsText(String),
     /// The server is draining and takes no new work.
     ShuttingDown,
     /// The request could not be processed.
@@ -704,10 +697,6 @@ fn stats_to_json(s: &SolverStats) -> Json {
 }
 
 fn stats_from_json(j: &Json) -> Result<SolverStats, WireError> {
-    // The phase-timing fields are newer than the stats shape; decode them
-    // tolerantly (as the v2 fields were) so a client can read an older
-    // server's reports.
-    let opt_u64 = |name: &str| j.get(name).and_then(Json::as_u64).unwrap_or(0);
     Ok(SolverStats {
         graph_nodes: usize_field(j, "graph_nodes")?,
         graph_edges: usize_field(j, "graph_edges")?,
@@ -718,19 +707,19 @@ fn stats_from_json(j: &Json) -> Result<SolverStats, WireError> {
         cache_hits: u64_field(j, "cache_hits")?,
         cache_misses: u64_field(j, "cache_misses")?,
         phases: PhaseNs {
-            combine_ns: opt_u64("combine_ns"),
-            saturate_ns: opt_u64("saturate_ns"),
-            transducer_ns: opt_u64("transducer_ns"),
-            simplify_ns: opt_u64("simplify_ns"),
-            sketch_ns: opt_u64("sketch_ns"),
-            saturations: opt_u64("saturations"),
+            combine_ns: u64_field(j, "combine_ns")?,
+            saturate_ns: u64_field(j, "saturate_ns")?,
+            transducer_ns: u64_field(j, "transducer_ns")?,
+            simplify_ns: u64_field(j, "simplify_ns")?,
+            sketch_ns: u64_field(j, "sketch_ns")?,
+            saturations: u64_field(j, "saturations")?,
         },
     })
 }
 
 impl WireReport {
     fn to_json(&self) -> Json {
-        let mut obj = Json::Obj(vec![
+        let mut fields = vec![
             ("name".into(), Json::str(&self.name)),
             ("fingerprint".into(), Json::u64(self.fingerprint)),
             ("lattice_fp".into(), Json::u64(self.lattice_fp)),
@@ -768,38 +757,18 @@ impl WireReport {
             ),
             ("stats".into(), stats_to_json(&self.stats)),
             ("wall_ns".into(), Json::u64(self.wall_ns)),
-        ]);
-        // Optional v2 additions ride at the end so v1-era consumers that
-        // index fields positionally are unaffected.
-        let Json::Obj(fields) = &mut obj else { unreachable!() };
+        ];
         if let Some(t) = &self.trace_id {
             fields.push(("trace_id".into(), Json::str(t)));
         }
-        let t = &self.stats.phases;
-        let timing = [
-            ("saturate_ns", t.saturate_ns),
-            ("transducer_ns", t.transducer_ns),
-            ("simplify_ns", t.simplify_ns),
-            ("sketch_ns", t.sketch_ns),
-            ("combine_ns", t.combine_ns),
-        ];
-        if timing.iter().any(|&(_, ns)| ns != 0) {
-            fields.push((
-                "timing".into(),
-                Json::Obj(timing.map(|(k, ns)| (k.into(), Json::u64(ns))).into()),
-            ));
-        }
-        obj
+        Json::Obj(fields)
     }
 
     fn from_json(j: &Json) -> Result<WireReport, WireError> {
         Ok(WireReport {
             name: str_field(j, "name")?,
             fingerprint: u64_field(j, "fingerprint")?,
-            // v2 field: a v1 server's reports lack it — default to the
-            // documented zeroed value rather than refusing an otherwise
-            // usable report (requests got the same one-version tolerance).
-            lattice_fp: j.get("lattice_fp").and_then(Json::as_u64).unwrap_or(0),
+            lattice_fp: u64_field(j, "lattice_fp")?,
             shard: usize_field(j, "shard")?,
             procs: arr_field(j, "procs")?
                 .iter()
@@ -856,14 +825,10 @@ fn shard_stats_to_json(s: &WireShardStats) -> Json {
 }
 
 fn shard_stats_from_json(j: &Json) -> Result<WireShardStats, WireError> {
-    // The rebuild/persistence gauges are newer than the stats shape
-    // itself; decode them tolerantly (as the v2 fields were) so a client
-    // can read an older server's stats reply.
-    let opt_u64 = |name: &str| j.get(name).and_then(Json::as_u64).unwrap_or(0);
     Ok(WireShardStats {
         shard: usize_field(j, "shard")?,
         jobs: u64_field(j, "jobs")?,
-        rebuilds: opt_u64("rebuilds"),
+        rebuilds: u64_field(j, "rebuilds")?,
         cache: CacheStats {
             hits: u64_field(j, "hits")?,
             misses: u64_field(j, "misses")?,
@@ -871,16 +836,16 @@ fn shard_stats_from_json(j: &Json) -> Result<WireShardStats, WireError> {
             scheme_entries: usize_field(j, "scheme_entries")?,
             refine_entries: usize_field(j, "refine_entries")?,
         },
-        persisted_entries: opt_u64("persisted_entries"),
-        replayed_entries: opt_u64("replayed_entries"),
-        replay_ns: opt_u64("replay_ns"),
+        persisted_entries: u64_field(j, "persisted_entries")?,
+        replayed_entries: u64_field(j, "replayed_entries")?,
+        replay_ns: u64_field(j, "replay_ns")?,
     })
 }
 
 impl Request {
     /// Encodes this request into a frame payload (a v2 envelope; the
-    /// `lattice` and `stream` fields are omitted at their defaults, so a
-    /// default-lattice request differs from v1 only by the `v` field).
+    /// `lattice`, `stream` and `trace_id` fields are omitted at their
+    /// defaults).
     pub fn encode(&self) -> Vec<u8> {
         let envelope = |kind: &str| {
             vec![
@@ -929,37 +894,25 @@ impl Request {
                 Json::Obj(fields)
             }
             Request::Stats => Json::Obj(envelope("stats")),
-            Request::Metrics { text } => {
-                let mut fields = envelope("metrics");
-                if *text {
-                    fields.push(("format".into(), Json::str("text")));
-                }
-                Json::Obj(fields)
-            }
+            Request::Metrics => Json::Obj(envelope("metrics")),
             Request::Shutdown => Json::Obj(envelope("shutdown")),
         };
         encode_msg(&j)
     }
 
-    /// Decodes a request from a frame payload. A payload without a `v`
-    /// field is a v1 request (no lattice, no streaming) and decodes to the
-    /// same values it always did.
+    /// Decodes a request from a frame payload.
     ///
     /// # Errors
     ///
-    /// Fails on malformed JSON, an unknown `kind`, a protocol version
-    /// above [`PROTOCOL_VERSION`], or an unparsable lattice descriptor.
+    /// Fails on malformed JSON, a missing `v` or one other than
+    /// [`PROTOCOL_VERSION`], an unknown `kind`, or an unparsable lattice
+    /// descriptor.
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
         let j = decode_msg(payload)?;
-        let version = match j.get("v") {
-            None => 1,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| proto("field \"v\" must be a number"))?,
-        };
-        if version > PROTOCOL_VERSION {
+        let version = u64_field(&j, "v")?;
+        if version != PROTOCOL_VERSION {
             return Err(proto(format!(
-                "protocol version {version} not supported (this server speaks ≤ {PROTOCOL_VERSION})"
+                "protocol version {version} not supported (this server speaks {PROTOCOL_VERSION})"
             )));
         }
         let lattice = match j.get("lattice") {
@@ -1007,18 +960,7 @@ impl Request {
                 trace_id,
             }),
             "stats" => Ok(Request::Stats),
-            "metrics" if version >= 2 => {
-                let text = match j.get("format") {
-                    None => false,
-                    Some(Json::Str(s)) if s == "json" => false,
-                    Some(Json::Str(s)) if s == "text" => true,
-                    Some(Json::Str(s)) => {
-                        return Err(proto(format!("unknown metrics format {s:?}")))
-                    }
-                    Some(_) => return Err(proto("field \"format\" must be a string")),
-                };
-                Ok(Request::Metrics { text })
-            }
+            "metrics" => Ok(Request::Metrics),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(proto(format!("unknown request kind {other:?}"))),
         }
@@ -1121,10 +1063,6 @@ impl Response {
                     ),
                 ),
             ]),
-            Response::MetricsText(text) => Json::Obj(vec![
-                ("kind".into(), Json::str("metrics_text")),
-                ("text".into(), Json::str(text)),
-            ]),
             Response::ShuttingDown => {
                 Json::Obj(vec![("kind".into(), Json::str("shutting_down"))])
             }
@@ -1172,10 +1110,8 @@ impl Response {
                 rejected: u64_field(&j, "rejected")?,
                 queued: usize_field(&j, "queued")?,
                 queue_limit: usize_field(&j, "queue_limit")?,
-                // Liveness fields are newer than the stats shape; decode
-                // tolerantly so a pre-gateway server's reply still reads.
-                pid: j.get("pid").and_then(Json::as_u64).unwrap_or(0),
-                start_ns: j.get("start_ns").and_then(Json::as_u64).unwrap_or(0),
+                pid: u64_field(&j, "pid")?,
+                start_ns: u64_field(&j, "start_ns")?,
                 shards: arr_field(&j, "shards")?
                     .iter()
                     .map(shard_stats_from_json)
@@ -1186,22 +1122,26 @@ impl Response {
                 limit: usize_field(&j, "limit")?,
             }),
             "metrics" => {
-                // Members that do not parse as the field's number type are
-                // skipped.
+                // Every member must parse as the field's number type.
                 fn numbers<T: std::str::FromStr>(
                     j: &Json,
                     key: &str,
                 ) -> Result<Vec<(String, T)>, WireError> {
-                    match j.get(key) {
-                        Some(Json::Obj(members)) => Ok(members
-                            .iter()
-                            .filter_map(|(n, v)| match v {
-                                Json::Num(num) => Some((n.clone(), num.parse().ok()?)),
+                    let Some(Json::Obj(members)) = j.get(key) else {
+                        return Err(proto(format!("missing object field {key:?}")));
+                    };
+                    members
+                        .iter()
+                        .map(|(n, v)| {
+                            let parsed = match v {
+                                Json::Num(num) => num.parse().ok(),
                                 _ => None,
+                            };
+                            parsed.map(|x| (n.clone(), x)).ok_or_else(|| {
+                                proto(format!("{key:?} member {n:?} is not a number"))
                             })
-                            .collect()),
-                        _ => Err(proto(format!("missing object field {key:?}"))),
-                    }
+                        })
+                        .collect()
                 }
                 let counters = numbers(&j, "counters")?;
                 let gauges = numbers(&j, "gauges")?;
@@ -1240,7 +1180,6 @@ impl Response {
                     histograms,
                 }))
             }
-            "metrics_text" => Ok(Response::MetricsText(str_field(&j, "text")?)),
             "shutting_down" => Ok(Response::ShuttingDown),
             "error" => Ok(Response::Error(str_field(&j, "message")?)),
             other => Err(proto(format!("unknown response kind {other:?}"))),
