@@ -16,6 +16,7 @@
 //! deliberately *not* `DefaultHasher`, whose keys are randomized, and not
 //! `Symbol`'s pointer-based `Hash`, which varies with interning history.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use retypd_core::{Program, Sketch, Symbol, TypeScheme};
@@ -96,25 +97,27 @@ impl Fnv64 {
 pub fn scheme_fp(s: &TypeScheme) -> u64 {
     scheme_fp_parts(
         &s.subject().to_string(),
-        s.existentials(),
+        s.existentials().iter().map(|x| x.as_str()),
         &s.constraints().to_string(),
     )
 }
 
-/// [`scheme_fp`] over pre-rendered parts. The driver renders a solved
-/// scheme's subject and constraint text once, fingerprints the strings
-/// here, and hands the same strings to the scheme store's writer — what
-/// gets persisted is byte-for-byte the text that was fingerprinted.
-pub fn scheme_fp_parts(
+/// [`scheme_fp`] over pre-rendered parts, existentials in ascending
+/// order. The driver renders a solved scheme's subject and constraint
+/// text once, fingerprints the strings here, and hands the same strings
+/// to the scheme store's writer — what gets persisted is byte-for-byte
+/// the text that was fingerprinted. Nothing is interned, so a wire
+/// module's externals hash straight from their wire strings.
+pub fn scheme_fp_parts<'a>(
     subject: &str,
-    existentials: &std::collections::BTreeSet<Symbol>,
+    existentials: impl ExactSizeIterator<Item = &'a str>,
     constraints: &str,
 ) -> u64 {
     let mut h = Fnv64::new("scheme");
     h.write_wide(subject.as_bytes());
     h.write_u64(existentials.len() as u64);
     for x in existentials {
-        h.write_str(x.as_str());
+        h.write_str(x);
     }
     // The constraint text is the bulk of the input (hundreds of bytes per
     // scheme), and this hash runs once per solved scheme *and* once per
@@ -183,40 +186,76 @@ pub fn sketch_fp(s: &Sketch) -> u64 {
     h.finish()
 }
 
-/// Content fingerprint of a whole program: globals, externals (name and
-/// scheme), and every procedure's name, canonical constraint text, and
-/// callsite structure, in program order. Two programs fingerprint equal
-/// exactly when the solver would see identical input, which is what
-/// `retypd-serve` relies on to route re-submitted modules onto the shard
-/// whose cache already holds their SCCs.
+/// A global's display form — what the wire carries and `parse` reads
+/// back — so a constant global `$g` never hashes like the variable `g`.
+/// A variable is its bare name and borrows it.
+fn global_text(g: BaseVar) -> Cow<'static, str> {
+    match g {
+        BaseVar::Var(name) => Cow::Borrowed(name.as_str()),
+        BaseVar::Const(_) => Cow::Owned(g.to_string()),
+    }
+}
+
+/// Content fingerprint of a whole program: globals (display form),
+/// externals (name and scheme), and every procedure's name, canonical
+/// constraint text, and callsite structure, in program order. Two
+/// programs fingerprint equal exactly when the solver would see identical
+/// input, which is what `retypd-serve` and its gateway rely on to route
+/// re-submitted modules onto the shard whose cache already holds their
+/// SCCs.
 pub fn program_fp(program: &Program) -> u64 {
+    program_fp_parts(
+        program.globals.iter().map(|&g| global_text(g)),
+        program
+            .externals
+            .iter()
+            .map(|(name, scheme)| (name.as_str(), scheme_fp(scheme))),
+        program.procs.iter().map(|proc| {
+            let callsites = proc.callsites.iter().map(|cs| match cs.callee {
+                CallTarget::Internal(i) => (cs.tag.as_str(), false, program.procs[i].name.as_str()),
+                CallTarget::External(n) => (cs.tag.as_str(), true, n.as_str()),
+            });
+            (proc.name.as_str(), proc.constraints.to_string(), callsites)
+        }),
+    )
+}
+
+/// [`program_fp`] over a program's text, in program order: the globals'
+/// display forms; each external as `(name, scheme fingerprint)`; each
+/// procedure as `(name, constraint text, callsites)`, a callsite being
+/// `(tag, is external, callee name)`. This is the one definition of the
+/// program byte stream: `retypd_serve::WireModule::fingerprint` feeds it
+/// a module's wire strings and so agrees with `program_fp` on every job
+/// the wire form renders, without parsing or interning anything.
+pub fn program_fp_parts<'a, G, T, C>(
+    globals: impl ExactSizeIterator<Item = G>,
+    externals: impl ExactSizeIterator<Item = (&'a str, u64)>,
+    procs: impl ExactSizeIterator<Item = (&'a str, T, C)>,
+) -> u64
+where
+    G: AsRef<str>,
+    T: AsRef<str>,
+    C: ExactSizeIterator<Item = (&'a str, bool, &'a str)>,
+{
     let mut h = Fnv64::new("program");
-    h.write_u64(program.globals.len() as u64);
-    for g in &program.globals {
-        h.write_str(g.name().as_str());
+    h.write_u64(globals.len() as u64);
+    for g in globals {
+        h.write_str(g.as_ref());
     }
-    h.write_u64(program.externals.len() as u64);
-    for (name, scheme) in &program.externals {
-        h.write_str(name.as_str());
-        h.write_u64(scheme_fp(scheme));
+    h.write_u64(externals.len() as u64);
+    for (name, scheme) in externals {
+        h.write_str(name);
+        h.write_u64(scheme);
     }
-    h.write_u64(program.procs.len() as u64);
-    for proc in &program.procs {
-        h.write_str(proc.name.as_str());
-        h.write_wide(proc.constraints.to_string().as_bytes());
-        h.write_u64(proc.callsites.len() as u64);
-        for cs in &proc.callsites {
-            h.write_str(&cs.tag);
-            match cs.callee {
-                CallTarget::Internal(i) => {
-                    h.write_str("internal");
-                    h.write_str(program.procs[i].name.as_str());
-                }
-                CallTarget::External(n) => {
-                    h.write_str("external");
-                    h.write_str(n.as_str());
-                }
-            }
+    h.write_u64(procs.len() as u64);
+    for (name, constraints, callsites) in procs {
+        h.write_str(name);
+        h.write_wide(constraints.as_ref().as_bytes());
+        h.write_u64(callsites.len() as u64);
+        for (tag, external, callee) in callsites {
+            h.write_str(tag);
+            h.write_str(if external { "external" } else { "internal" });
+            h.write_str(callee);
         }
     }
     h.finish()
@@ -239,8 +278,8 @@ pub fn scc_fingerprint(
 ) -> u64 {
     let mut h = Fnv64::new("scc-schemes");
     h.write_u64(lattice_fp);
-    for g in &program.globals {
-        h.write_str(g.name().as_str());
+    for &g in &program.globals {
+        h.write_str(&global_text(g));
     }
     let my_scc = scc_of[scc[0]];
     h.write_u64(scc.len() as u64);

@@ -441,7 +441,7 @@ impl<'l> AnalysisDriver<'l> {
                                     };
                                     let fp = fingerprint::scheme_fp_parts(
                                         &t.subject,
-                                        s.existentials(),
+                                        s.existentials().iter().map(|x| x.as_str()),
                                         &t.constraints,
                                     );
                                     texts.push(t);
@@ -678,5 +678,26 @@ mod tests {
             "every SCC answered from cache"
         );
         assert_eq!(render(&first), render(&second));
+    }
+
+    #[test]
+    fn variable_and_constant_globals_never_share_an_entry() {
+        use retypd_core::BaseVar;
+        let lattice = Lattice::c_types();
+        let with_global = |g: BaseVar| {
+            let mut prog = Program::new();
+            prog.add_proc(proc("f", "f.in_stack0 <= gx; gx <= f.out_eax", vec![]));
+            prog.globals.insert(g);
+            prog
+        };
+        let var = with_global(BaseVar::var("gx"));
+        let constant = with_global(BaseVar::constant("gx"));
+        let driver = AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(1));
+        driver.solve(&var);
+        let got = driver.solve(&constant);
+        assert_eq!(got.stats.cache_hits, 0, "`$gx` reused the entry solved for `gx`");
+        let want = Solver::new(&lattice).infer(&constant);
+        assert_eq!(render(&got), render(&want));
+        assert_ne!(fingerprint::program_fp(&var), fingerprint::program_fp(&constant));
     }
 }

@@ -280,7 +280,8 @@ fn decode_schemes(payload: &[u8]) -> Option<(u64, CachedSchemes)> {
         let constraints_text = c.str()?;
         let constraints = parse_constraint_set(constraints_text).ok()?;
         let sfp = c.u64()?;
-        if fingerprint::scheme_fp_parts(subject_text, &existentials, constraints_text) != sfp {
+        let exist_texts = existentials.iter().map(|x| x.as_str());
+        if fingerprint::scheme_fp_parts(subject_text, exist_texts, constraints_text) != sfp {
             return None;
         }
         let scheme = TypeScheme::new(subject.base(), existentials, constraints);

@@ -15,7 +15,9 @@
 //! * `Request::decode` never panics on any committed payload;
 //! * through a gateway fronting one backend the reply bytes equal
 //!   serve's: the gateway runs serve's connection layer and serve's
-//!   pre-admission checks in serve's order, so a free differential check
+//!   lattice check, and reconstructs the modules of a single-frame batch
+//!   in serve's order; every other `mod_*` entry is forwarded and
+//!   answered by the backend itself — so a free differential check
 //!   covers its front door;
 //! * `gwstats_*` entries — malformed backend `stats` *replies* — are kept
 //!   off the request socket entirely and instead replay through the

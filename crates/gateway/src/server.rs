@@ -24,7 +24,12 @@
 //!   `(lattice_fp, module_fp)` and the healthy slot set — a
 //!   re-submitted module lands on the backend whose per-process
 //!   persistent store already holds it, across gateway *and* backend
-//!   restarts.
+//!   restarts. `module_fp` is [`WireModule::fingerprint`], a hash of the
+//!   module's wire strings that equals `ModuleJob::fingerprint` for
+//!   canonically rendered text, so routing parses nothing: the gateway
+//!   reconstructs modules only for a single-frame `solve_batch`, which
+//!   serve refuses whole before admission. A lone or streamed malformed
+//!   module is refused by its backend, with serve's own `error` text.
 //! * **Supervision.** A health thread probes each backend with the
 //!   ordinary `stats` request, evicts on failure (ring rebuild — the
 //!   live re-shard), restarts spawned children with their original
@@ -624,10 +629,11 @@ impl Service for Shared {
                 module, lattice, ..
             }) => {
                 // Forward the client's own frame verbatim: the gateway
-                // only needs the routing key from it.
+                // only needs the routing key from it, and the backend
+                // refuses a malformed module with serve's own reply.
                 let forwarded = self
                     .lattice_fp(lattice.as_ref())
-                    .and_then(|fp| module_key(fp, &module))
+                    .map(|fp| route_key(fp, module.fingerprint()))
                     .and_then(|key| self.forward_solve(key, &payload));
                 return match forwarded {
                     Ok(reply) => wire::write_frame(conn, &reply),
@@ -652,22 +658,16 @@ impl Service for Shared {
     }
 }
 
-/// A module's route key, or `serve`'s reply to a module that does not
-/// reconstruct into a job.
-fn module_key(lattice_fp: u64, module: &WireModule) -> Result<u64, String> {
-    module
-        .to_job()
-        .map(|job| route_key(lattice_fp, job.fingerprint()))
-        .map_err(|e| e.to_string())
-}
-
 /// Decomposes a batch into per-module forwards (a small worker pool —
 /// modules route to *different* backends, so the fan-out is the whole
 /// point) and feeds the results to a [`wire::BatchReply`], the writer
-/// `serve` uses, so both reply modes match serve's bytes. The pre-forward
-/// order is serve's too: the lattice, then every module (a single-frame
-/// batch fails whole on its first bad module; a streaming one reports it
-/// per module).
+/// `serve` uses, so both reply modes match serve's bytes. Every module
+/// routes on [`WireModule::fingerprint`]. The pre-forward order is
+/// serve's: the lattice, then — for a single-frame batch only, which
+/// serve refuses whole before admission — every module's
+/// reconstruction, failing on the first bad one. A streaming batch
+/// forwards a malformed module like any other, and its backend's
+/// `error` becomes that module's entry, as serve reports it.
 fn handle_batch(
     conn: &mut TcpStream,
     shared: &Shared,
@@ -680,13 +680,15 @@ fn handle_batch(
         Ok(fp) => fp,
         Err(e) => return wire::write_frame(conn, &Response::Error(e).encode()),
     };
-    let keys: Vec<Result<u64, String>> =
-        modules.iter().map(|m| module_key(lattice_fp, m)).collect();
     if !stream {
-        if let Some(Err(e)) = keys.iter().find(|k| k.is_err()) {
-            return wire::write_frame(conn, &Response::Error(e.clone()).encode());
+        if let Some(Err(e)) = modules.iter().map(WireModule::to_job).find(Result::is_err) {
+            return wire::write_frame(conn, &Response::Error(e.to_string()).encode());
         }
     }
+    let keys: Vec<u64> = modules
+        .iter()
+        .map(|m| route_key(lattice_fp, m.fingerprint()))
+        .collect();
     let mut reply = BatchReply::new(modules.len(), stream, lattice_fp);
     let healthy = shared.backends.iter().filter(|b| b.healthy()).count().max(1);
     let workers = modules.len().min((2 * healthy).max(2));
@@ -704,9 +706,7 @@ fn handle_batch(
                 if i >= modules.len() {
                     break;
                 }
-                let result = keys[i]
-                    .clone()
-                    .and_then(|key| shared.solve_batch_module(key, &modules[i], lattice, trace_id));
+                let result = shared.solve_batch_module(keys[i], &modules[i], lattice, trace_id);
                 if tx.send((i, result)).is_err() {
                     break;
                 }

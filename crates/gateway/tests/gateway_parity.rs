@@ -4,7 +4,9 @@
 //! `batch_done.lattice_fp` the built lattice's canonical fingerprint even
 //! when the request's descriptor declares a redundant edge. Single-frame:
 //! the same `error` bytes for the good/bad pair, and the same `solved`
-//! frame for the good module alone.
+//! frame for the good module alone. A lone `solve_module`, which the
+//! gateway forwards without reconstructing: the same `solved` frame for
+//! the good module and serve's own `error` bytes for the bad one.
 
 use std::net::{SocketAddr, TcpStream};
 
@@ -174,6 +176,42 @@ fn streaming_batch_frames_match_serve() {
     let want = single_frame(direct.addr(), &good);
     assert_eq!(single_frame(gw.addr(), &good), want);
     assert!(want.starts_with(r#"{"kind":"solved","#), "{want}");
+
+    gw.shutdown();
+    direct.shutdown();
+    backend.shutdown();
+}
+
+#[test]
+fn lone_module_frames_match_serve() {
+    let config = || ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    };
+    let direct = serve_start(config()).expect("bind serve");
+    let backend = serve_start(config()).expect("bind backend");
+    let gw = server::start(
+        GatewayConfig::default(),
+        vec![BackendSpec::External {
+            addr: backend.addr(),
+        }],
+    )
+    .expect("gateway starts");
+
+    let [good, bad]: [WireModule; 2] = modules().try_into().expect("two modules");
+    let want_good = single_frame(direct.addr(), &Request::solve_module(good.clone()).encode());
+    let want_bad = single_frame(direct.addr(), &Request::solve_module(bad.clone()).encode());
+    assert!(want_good.starts_with(r#"{"kind":"solved","#), "{want_good}");
+    assert!(want_bad.starts_with(r#"{"kind":"error","#), "{want_bad}");
+    assert_eq!(
+        single_frame(gw.addr(), &Request::solve_module(good).encode()),
+        want_good
+    );
+    assert_eq!(
+        single_frame(gw.addr(), &Request::solve_module(bad).encode()),
+        want_bad,
+        "the bad module's reply is serve's own error"
+    );
 
     gw.shutdown();
     direct.shutdown();

@@ -348,8 +348,9 @@ mod tests {
             lattice_fp: 1,
         };
         // (reply, path to the object whose keys are removed one by one)
-        let cases: [(Response, &[&str]); 6] = [
+        let cases: [(Response, &[&str]); 7] = [
             (Response::Solved(vec![report.clone()]), &["reports", "0"]),
+            (Response::Solved(vec![report.clone()]), &["reports", "0", "procs", "0"]),
             (Response::Solved(vec![report]), &["reports", "0", "stats"]),
             (Response::Stats(stats.clone()), &[]),
             (Response::Stats(stats), &["shards", "0"]),

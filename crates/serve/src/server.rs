@@ -11,9 +11,12 @@
 //!
 //! * **One driver per shard.** Each shard thread owns a long-lived
 //!   [`AnalysisDriver`] (owned lattice, bounded cache) for its whole life.
-//!   Modules are routed by [`ModuleJob::fingerprint`]` % shards`, so a
-//!   re-submitted module always lands on the shard whose cache already
-//!   holds its SCCs — the warm path is a pure fingerprint hit.
+//!   Modules are routed by [`WireModule::fingerprint`]` % shards` — a hash
+//!   of the wire text as it arrived, equal to [`ModuleJob::fingerprint`]
+//!   for canonically rendered modules — so a re-submitted module always
+//!   lands on the shard whose cache already holds its SCCs (the warm path
+//!   is a pure fingerprint hit) and no constraint text is re-rendered to
+//!   route it.
 //! * **Admission control.** A global in-flight job counter guards the
 //!   queues: a request whose batch would push the count past
 //!   [`ServeConfig::queue_depth`] is refused with `overloaded` *before*
@@ -140,6 +143,8 @@ struct ShardJob {
     /// Position in the originating batch (responses preserve order).
     index: usize,
     job: ModuleJob,
+    /// [`WireModule::fingerprint`]: the shard key and the report's
+    /// `fingerprint`.
     fingerprint: u64,
     /// The lattice to solve against, pre-built and validated by the
     /// connection handler (`c_types` when the request named none).
@@ -744,7 +749,7 @@ fn solve(
                 Ok(job) => {
                     let sent = shared.dispatch(ShardJob {
                         index,
-                        fingerprint: job.fingerprint(),
+                        fingerprint: module.fingerprint(),
                         job,
                         lattice: Arc::clone(&lattice),
                         enqueued: Instant::now(),

@@ -57,6 +57,7 @@ use std::time::Instant;
 use retypd_core::parse::{parse_constraint_set, parse_derived_var};
 use retypd_core::solver::{CallTarget, Callsite, PhaseNs, Procedure};
 use retypd_core::{LatticeDescriptor, Program, SolverResult, SolverStats, Symbol, TypeScheme};
+use retypd_driver::fingerprint::{program_fp_parts, scheme_fp_parts};
 use retypd_driver::{CacheStats, ModuleJob};
 use retypd_telemetry::{HistogramSnapshot, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
@@ -438,7 +439,7 @@ impl WireModule {
                 .iter()
                 .map(|(name, scheme)| WireScheme {
                     name: name.as_str().to_owned(),
-                    subject: scheme.subject().name().as_str().to_owned(),
+                    subject: scheme.subject().to_string(),
                     existentials: scheme
                         .existentials()
                         .iter()
@@ -520,6 +521,38 @@ impl WireModule {
             name: self.name.clone(),
             program,
         })
+    }
+
+    /// The routing fingerprint, hashed from the wire strings as they
+    /// arrived: nothing is parsed, interned or re-rendered. The strings
+    /// go through [`program_fp_parts`] — the globals' text, each
+    /// external's name and [`scheme_fp_parts`] over its subject,
+    /// existentials and constraint text, each procedure's name,
+    /// constraint text and callsites — so
+    /// `WireModule::from_job(&job).fingerprint() == job.fingerprint()`.
+    /// The module name is not hashed.
+    ///
+    /// Text in any other rendering (reordered constraints, say)
+    /// reconstructs to an equal job yet fingerprints differently, so it
+    /// may route to another backend or shard than the canonical text:
+    /// routing by text can cost warm affinity, never an answer. A module
+    /// whose text does not parse still fingerprints; whoever solves it
+    /// refuses it.
+    pub fn fingerprint(&self) -> u64 {
+        program_fp_parts(
+            self.globals.iter(),
+            self.externals.iter().map(|e| {
+                let existentials = e.existentials.iter().map(String::as_str);
+                (e.name.as_str(), scheme_fp_parts(&e.subject, existentials, &e.constraints))
+            }),
+            self.procs.iter().map(|p| {
+                let callsites = p
+                    .callsites
+                    .iter()
+                    .map(|cs| (cs.tag.as_str(), cs.external, cs.callee.as_str()));
+                (p.name.as_str(), p.constraints.as_str(), callsites)
+            }),
+        )
     }
 }
 
@@ -776,8 +809,8 @@ impl WireReport {
                     Ok(WireProcResult {
                         name: str_field(p, "name")?,
                         scheme: str_field(p, "scheme")?,
-                        sketch: opt_str_field(p, "sketch")?,
-                        general: opt_str_field(p, "general")?,
+                        sketch: nullable_str_field(p, "sketch")?,
+                        general: nullable_str_field(p, "general")?,
                     })
                 })
                 .collect::<Result<_, WireError>>()?,
@@ -1307,11 +1340,21 @@ fn str_field(j: &Json, key: &str) -> Result<String, WireError> {
         .ok_or_else(|| proto(format!("missing string field {key:?}")))
 }
 
+/// A field the encoder omits at its default: absent, a string or `null`.
 fn opt_str_field(j: &Json, key: &str) -> Result<Option<String>, WireError> {
     match j.get(key) {
-        None | Some(Json::Null) => Ok(None),
+        None => Ok(None),
+        Some(_) => nullable_str_field(j, key),
+    }
+}
+
+/// A field the encoder always writes, as a string or `null`.
+fn nullable_str_field(j: &Json, key: &str) -> Result<Option<String>, WireError> {
+    match j.get(key) {
+        Some(Json::Null) => Ok(None),
         Some(Json::Str(s)) => Ok(Some(s.clone())),
         Some(_) => Err(proto(format!("field {key:?} must be a string or null"))),
+        None => Err(proto(format!("missing string-or-null field {key:?}"))),
     }
 }
 

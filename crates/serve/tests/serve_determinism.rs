@@ -115,7 +115,9 @@ fn streaming_batch_is_bit_identical_to_v1_and_sequential() {
     for shards in [1usize, 3] {
         let handle = server(shards, 64);
 
-        // v1 single-frame reference over the same live socket.
+        // The single-frame reply (`v1` below, the batch's original reply
+        // mode, not a protocol version) as the reference, over the same
+        // live socket.
         let mut v1_client = Client::connect(handle.addr()).expect("connect v1");
         let v1: Vec<WireReport> = v1_client.solve_batch(&jobs).expect("v1 batch");
 
@@ -138,8 +140,8 @@ fn streaming_batch_is_bit_identical_to_v1_and_sequential() {
         assert!(summary.errors.is_empty(), "{:?}", summary.errors);
         assert_eq!(summary.lattice_fp, lattice.fingerprint());
 
-        // The reassembled set is bit-identical to v1 and to the
-        // sequential solver, module for module.
+        // The reassembled set is bit-identical to the single-frame reply
+        // and to the sequential solver, module for module.
         for (i, slot) in by_index.iter().enumerate() {
             let streamed = slot.as_ref().expect("every module reported");
             assert_eq!(streamed.name, jobs[i].name, "order tag preserved");

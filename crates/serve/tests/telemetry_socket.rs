@@ -7,8 +7,9 @@
 //!   merged buckets and p50/p95/p99 are **bit-identical** at 1 and N
 //!   shards;
 //! * a request-scoped `trace_id` is echoed on the report, the cold
-//!   report carries a per-phase `timing` breakdown, and a warm re-solve
-//!   omits it (cache hits perform no phase work);
+//!   report's `stats` phase fields (`saturate_ns`, `simplify_ns`,
+//!   `sketch_ns`, …) record phase work, and a warm re-solve's are all
+//!   zero (cache hits perform no phase work);
 //! * with spans enabled, the drained Chrome-trace JSONL reconstructs a
 //!   per-phase breakdown of at least one solve: the shard's solve span
 //!   contains the driver's solve span, which contains an SCC-phase span,
