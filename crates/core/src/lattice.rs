@@ -21,6 +21,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
+use crate::fnv::Fnv64;
 use crate::intern::Symbol;
 
 /// Characters that cannot appear in a lattice element or descriptor name:
@@ -213,7 +214,7 @@ impl LatticeDescriptor {
     /// Stable FNV-64 content fingerprint over elements and edges, in order
     /// (name excluded). Stable across runs, processes, and platforms.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = DescriptorFnv::new();
+        let mut h = Fnv64::new("lattice-descriptor");
         h.write_u64(self.elements.len() as u64);
         for e in &self.elements {
             h.write_str(e);
@@ -304,38 +305,6 @@ impl FromStr for LatticeDescriptor {
             edges.push((lo.trim().to_owned(), hi.trim().to_owned()));
         }
         LatticeDescriptor::new(name, elements, edges)
-    }
-}
-
-/// FNV-1a 64 for descriptor fingerprints (the driver has its own copy for
-/// job fingerprints; both are the textbook constants, stable everywhere).
-struct DescriptorFnv(u64);
-
-impl DescriptorFnv {
-    fn new() -> DescriptorFnv {
-        let mut h = DescriptorFnv(0xcbf2_9ce4_8422_2325);
-        h.write("lattice-descriptor".as_bytes());
-        h
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.write(&x.to_le_bytes());
-    }
-
-    fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write(s.as_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -53,6 +53,7 @@ pub mod constraint;
 pub mod ctype;
 pub mod deduction;
 pub mod dtv;
+pub mod fnv;
 pub mod fuzzing;
 pub mod fxhash;
 pub mod graph;

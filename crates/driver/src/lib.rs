@@ -401,6 +401,10 @@ impl<'l> AnalysisDriver<'l> {
         // takes (and frees) it.
         let graphs: Vec<Mutex<Option<SccGraph>>> =
             cond.sccs.iter().map(|_| Mutex::new(None)).collect();
+        // This solve's cache inserts for the store, made by the merge loops
+        // below in task order, so neither the cache nor the log sees them
+        // in worker-timing order.
+        let mut batch = self.store.as_ref().map(|_| store::SolveBatch::default());
 
         // ---- Pass 1: INFERPROCTYPES, one wave of independent SCCs at a
         // time (callees first). ----
@@ -424,7 +428,7 @@ impl<'l> AnalysisDriver<'l> {
                     solver.solve_scc(program, scc, &cond.scc_of, &schemes)
                 };
                 // With persistence on, render each scheme's canonical parts
-                // once and share the strings with the store's writer — the
+                // once and hand the strings to the store's writer — the
                 // fingerprint covers exactly the text that gets persisted,
                 // and the writer never renders a scheme itself.
                 let mut texts = self.store.as_ref().map(|_| Vec::new());
@@ -454,22 +458,23 @@ impl<'l> AnalysisDriver<'l> {
                         .collect(),
                     constraints: out.constraints,
                 });
-                let evicted = self.cache.insert_schemes(fp, entry.clone());
-                metrics.cache_evictions.add(evicted.len() as u64);
-                if let Some(store) = &self.store {
-                    store.record_schemes(fp, &entry, texts.unwrap_or_default(), evicted);
-                }
-                (fp, entry, Some((out.phases, graph)))
+                (fp, entry, Some((out.phases, graph, texts)))
             });
             // Deterministic merge: waves are emitted in ascending SCC order,
             // matching the sequential pass-1 loop.
             for (k, (fp, entry, fresh)) in outputs.into_iter().enumerate() {
                 scc_fps[wave[k]] = fp;
                 match fresh {
-                    Some((phases, graph)) => {
+                    Some((phases, graph, texts)) => {
                         stats.cache_misses += 1;
                         stats.phases += phases;
                         *graphs[wave[k]].lock().expect("scc graph") = Some(graph);
+                        let evicted = self.cache.insert_schemes(fp, Arc::clone(&entry));
+                        metrics.cache_evictions.add(evicted.len() as u64);
+                        if let Some(batch) = &mut batch {
+                            let texts = texts.unwrap_or_default();
+                            batch.schemes(fp, Arc::clone(&entry), texts, evicted);
+                        }
                     }
                     None => stats.cache_hits += 1,
                 }
@@ -503,7 +508,7 @@ impl<'l> AnalysisDriver<'l> {
                 // hit or miss.
                 let graph = graphs[i].lock().expect("scc graph").take();
                 if let Some(cached) = self.cache.lookup_refine(fp2) {
-                    return (cached, None);
+                    return (fp2, cached, None);
                 }
                 if graph.is_none() {
                     // Pass 1 hit but pass 2 missed: rebuild the graph.
@@ -526,24 +531,23 @@ impl<'l> AnalysisDriver<'l> {
                 // work, so hits must contribute zero phase work. This solve
                 // keeps the stripped values through the merge below.
                 let phases = std::mem::take(&mut fresh.stats.phases);
-                let r = Arc::new(fresh);
-                let evicted = self.cache.insert_refine(fp2, r.clone());
-                metrics.cache_evictions.add(evicted.len() as u64);
-                if let Some(store) = &self.store {
-                    store.record_refine(fp2, lattice, lattice_fp, &r, evicted);
-                }
-                (r, Some(phases))
+                (fp2, Arc::new(fresh), Some(phases))
             });
             // Merging per wave is equivalent to the sequential merge:
             // distinct SCCs write disjoint keys (unique procedure names and
             // callsite tags), and reads only target keys that earlier
             // (dependent) waves fully merged — see
             // `Condensation::refine_waves`.
-            for (r, fresh) in &outputs {
+            for (fp2, r, fresh) in outputs {
                 match fresh {
                     Some(phases) => {
                         stats.cache_misses += 1;
-                        stats.phases += *phases;
+                        stats.phases += phases;
+                        let evicted = self.cache.insert_refine(fp2, Arc::clone(&r));
+                        metrics.cache_evictions.add(evicted.len() as u64);
+                        if let Some(batch) = &mut batch {
+                            batch.refine(fp2, lattice, Arc::clone(&r), evicted);
+                        }
                     }
                     None => stats.cache_hits += 1,
                 }
@@ -574,11 +578,11 @@ impl<'l> AnalysisDriver<'l> {
         }
         inconsistencies.sort();
         inconsistencies.dedup();
-        // The store's end-of-solve hook hands over buffered records and
-        // checks compaction here (not on the insert path), so eviction
+        // The store's end-of-solve hook hands over this solve's inserts
+        // and checks compaction here (not on the insert path), so eviction
         // churn within one solve triggers at most one rewrite.
-        if let Some(store) = &self.store {
-            store.solve_finished();
+        if let (Some(store), Some(batch)) = (&self.store, batch) {
+            store.solve_finished(batch);
         }
         stats.solve_ns = start.elapsed().as_nanos() as u64;
         metrics.solves.inc();

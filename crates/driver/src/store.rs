@@ -68,12 +68,19 @@
 //!
 //! ## The writer thread
 //!
-//! Appends never block the solve hot path on disk — or on serialization:
-//! the solve path sends the cache entry itself (an `Arc` clone plus a
-//! pointer-copy snapshot of the lattice's element names) over a channel,
-//! and a dedicated writer thread renders the canonical text, appends the
-//! frame, records its offset in the live index, and drops the payload.
-//! The writer batches whatever has queued up and flushes once per batch.
+//! Appends never block the solve hot path on disk or on serialization.
+//! The driver collects a solve's cache inserts on the solving thread, in
+//! the order it makes them: every pass-1 miss in SCC order, then every
+//! pass-2 miss. Each insert carries its entry as an `Arc` clone, the
+//! fingerprints it evicted, and for pass 1 the scheme text the solve
+//! already rendered to fingerprint it; the solve lattice's descriptor text
+//! and element names are snapshotted once per solve. At the end of the
+//! solve the whole batch goes to the store's writer thread, which
+//! `SchemeStore::open` spawns, as one channel message. The writer renders
+//! each record, appends its frame, records the offset in the live index
+//! and drops the payload, flushing once per wake-up. Since the solving
+//! thread orders every insert, the log's record order and the evictions it
+//! mirrors do not depend on the worker count or thread timing.
 //! [`SchemeStore::flush`] is the synchronization barrier (used by tests,
 //! benches, and the serve crate's panic-rebuild path). Any I/O error
 //! disables the writer with a warning — persistence is an accelerator, so
@@ -85,7 +92,7 @@ use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use retypd_core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use retypd_core::sync::thread::JoinHandle;
-use retypd_core::sync::{mpsc, Arc, Mutex};
+use retypd_core::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use retypd_core::fxhash::{FxHashMap, FxHashSet};
@@ -115,11 +122,6 @@ const MAX_PAYLOAD: usize = 64 << 20;
 const COMPACT_FACTOR: u64 = 4;
 const COMPACT_MIN_BYTES: u64 = 64 * 1024;
 
-/// How many records the solve side buffers before waking the writer; see
-/// [`SchemeStore::pending`]. Flush, compaction, solve end, and drop hand
-/// over partial batches immediately.
-const SEND_BATCH: usize = 64;
-
 /// Payload kind tags.
 const KIND_LATTICE: u8 = 1;
 const KIND_SCHEMES: u8 = 2;
@@ -136,17 +138,37 @@ fn payload_checksum(payload: &[u8]) -> u64 {
     h.finish()
 }
 
+/// The header that precedes a payload in the log: its `u32` length and
+/// `u64` checksum. Every frame header the store writes comes from here.
+fn frame_header(payload: &[u8]) -> [u8; FRAME_HEADER] {
+    let mut header = [0; FRAME_HEADER];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&payload_checksum(payload).to_le_bytes());
+    header
+}
+
 /// Frames a payload as it appears in the log: header (length + checksum)
 /// followed by the payload bytes. Exposed for the durability tests, which
 /// tamper with payload bytes and must re-frame them with a *valid*
 /// checksum to exercise the content-level fingerprint validation rather
 /// than the frame-level checksum.
 pub fn frame_record(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload_checksum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    [&frame_header(payload)[..], payload].concat()
+}
+
+/// Checks the frame at the start of `bytes` and returns its payload: the
+/// header must be whole, its length at most [`MAX_PAYLOAD`] and within
+/// `bytes`, and its checksum must match. `None` is a torn or damaged
+/// frame. Replay and compaction both check frames here.
+fn parse_frame(bytes: &[u8]) -> Option<&[u8]> {
+    let header = bytes.get(..FRAME_HEADER)?;
+    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+    let sum = u64::from_le_bytes(header[4..].try_into().unwrap());
+    if len > MAX_PAYLOAD {
+        return None;
+    }
+    let payload = bytes.get(FRAME_HEADER..FRAME_HEADER + len)?;
+    (payload_checksum(payload) == sum).then_some(payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -515,7 +537,8 @@ pub struct PersistStats {
     pub appended_entries: u64,
     /// Compactions performed since construction.
     pub compactions: u64,
-    /// Current log size in bytes (as of the last enqueued write).
+    /// Current log size in bytes, as of the last batch the writer
+    /// finished (exact after [`SchemeStore::flush`]).
     pub log_bytes: u64,
 }
 
@@ -527,13 +550,23 @@ pub struct PersistStats {
 /// copies and each lookup is an array read.
 type NameTable = Vec<&'static str>;
 
-/// Everything the writer thread needs from a lattice, rendered *once* per
-/// lattice fingerprint on first encounter and shared by `Arc` afterwards —
-/// re-rendering the descriptor per record would dwarf the rest of the
-/// solve-path recording cost.
-struct LatticeMeta {
+/// What the writer needs from a solve's lattice and cannot reach itself:
+/// its fingerprint, its descriptor text (appended before the first pass-2
+/// record that references it) and its element names.
+struct LatticeSnapshot {
+    fp: u64,
     descriptor: String,
     names: NameTable,
+}
+
+impl LatticeSnapshot {
+    fn of(lattice: &Lattice) -> LatticeSnapshot {
+        LatticeSnapshot {
+            fp: lattice.fingerprint(),
+            descriptor: lattice.descriptor().to_string(),
+            names: lattice.elements().map(|e| lattice.name(e)).collect(),
+        }
+    }
 }
 
 /// A solved scheme's canonical text, rendered once on the solve path —
@@ -545,28 +578,57 @@ pub(crate) struct SchemeText {
     pub constraints: String,
 }
 
-/// Messages to the writer thread (sent in [`SEND_BATCH`]-sized batches).
-/// Cache entries travel as `Arc` clones and are *encoded on the writer
-/// thread*; pass-1 canonical text rides along pre-rendered because the
-/// solve path already rendered it to fingerprint the schemes.
-enum Msg {
-    /// A pass-1 insert: drop `evicted` from the index, encode, append,
-    /// index.
-    Schemes {
+/// One cache insert on its way to the log: the entry, its fingerprint,
+/// and the fingerprints the insert evicted, which leave the live index
+/// before the entry is appended.
+struct Insert<T> {
+    fp: u64,
+    entry: Arc<T>,
+    evicted: Vec<u64>,
+}
+
+/// One solve's cache inserts, in the order the solving thread made them:
+/// every pass-1 insert with its pre-rendered scheme text, then every
+/// pass-2 insert with the lattice snapshot, taken at the solve's first
+/// pass-2 insert. Handed to the writer whole by
+/// [`SchemeStore::solve_finished`], which encodes it off the solve path.
+#[derive(Default)]
+pub(crate) struct SolveBatch {
+    schemes: Vec<(Insert<CachedSchemes>, Vec<SchemeText>)>,
+    refines: Option<(LatticeSnapshot, Vec<Insert<SccRefinement>>)>,
+}
+
+impl SolveBatch {
+    /// Adds a pass-1 insert.
+    pub(crate) fn schemes(
+        &mut self,
         fp: u64,
         entry: Arc<CachedSchemes>,
         texts: Vec<SchemeText>,
         evicted: Vec<u64>,
-    },
-    /// A pass-2 insert: like a pass-1 insert, but first appends the
-    /// lattice's descriptor record if the index has none for it.
-    Refine {
+    ) {
+        self.schemes.push((Insert { fp, entry, evicted }, texts));
+    }
+
+    /// Adds a pass-2 insert solved against `lattice`.
+    pub(crate) fn refine(
+        &mut self,
         fp: u64,
-        lattice_fp: u64,
-        meta: Arc<LatticeMeta>,
+        lattice: &Lattice,
         entry: Arc<SccRefinement>,
         evicted: Vec<u64>,
-    },
+    ) {
+        let (_, inserts) = self
+            .refines
+            .get_or_insert_with(|| (LatticeSnapshot::of(lattice), Vec::new()));
+        inserts.push(Insert { fp, entry, evicted });
+    }
+}
+
+/// Messages to the writer thread.
+enum Msg {
+    /// Append one solve's inserts.
+    Solve(SolveBatch),
     /// Copy the live frames into a fresh log (temp file + atomic
     /// rename), then continue appending to the new file.
     Compact,
@@ -649,49 +711,14 @@ impl Index {
     }
 }
 
-/// Everything the writer thread takes ownership of when it starts: the
-/// append handle and the replay-seeded index. Boxed so the idle state
-/// is one pointer wide.
-struct WriterSeed {
-    file: File,
-    index: Index,
-}
-
-/// Lifecycle of the writer thread. A store opens `Idle`, holding the
-/// seed; the first non-empty batch moves it to `Running`. `Poisoned`
-/// means thread spawn failed (or `Drop` ran) — subsequent records are
-/// silently dropped, exactly as if the channel had closed.
-enum WriterHandle {
-    Idle(Box<WriterSeed>),
-    Running {
-        tx: mpsc::Sender<Vec<Msg>>,
-        handle: JoinHandle<()>,
-    },
-    Poisoned,
-}
-
 /// The persistent store attached to one driver. See the module docs for
 /// the format, replay, and compaction story.
 pub struct SchemeStore {
     path: PathBuf,
     shared: Arc<Shared>,
-    /// The writer thread — spawned lazily by the first non-empty batch,
-    /// so a fully warm store (every solve a replay hit, nothing to
-    /// append) never pays thread spawn or join. The lock is taken once
-    /// per [`SEND_BATCH`] records, not per record.
-    writer: Mutex<WriterHandle>,
-    /// Records buffered on the solve side and handed to the writer in
-    /// batches of [`SEND_BATCH`] (or at a flush/compaction/solve
-    /// boundary): a channel send wakes the parked writer, and on a
-    /// single core that wakeup — not the queue push — is what recording
-    /// would otherwise pay per entry.
-    pending: Mutex<Vec<Msg>>,
-    /// Rendered descriptor + name table per lattice fingerprint (see
-    /// [`LatticeMeta`]). The lock is held for a hash lookup and an `Arc`
-    /// clone; only a lattice's *first* record pays the rendering. Bounded
-    /// like [`LatticeMemo`]: cleared wholesale at `LATTICE_MEMO_CAP`
-    /// entries, so a stream of distinct lattices cannot grow it forever.
-    lattice_meta: Mutex<FxHashMap<u64, Arc<LatticeMeta>>>,
+    /// The writer thread's queue and handle; `Drop` takes them to close
+    /// the queue and join the thread.
+    writer: Option<(mpsc::Sender<Msg>, JoinHandle<()>)>,
     replayed_entries: u64,
     replay_ns: u64,
     dropped_records: u64,
@@ -708,17 +735,16 @@ impl std::fmt::Debug for SchemeStore {
 
 impl SchemeStore {
     /// Opens (creating if absent) the log at `path`, replays it into
-    /// `cache`, and repairs any torn tail. The writer thread is spawned
-    /// lazily by the first record actually appended, so a store whose
-    /// every solve is a replay hit costs no thread at all.
+    /// `cache`, repairs any torn tail, and spawns the writer thread.
     /// Replayed pass-2 entries are validated against `lattice` when their
     /// lattice fingerprint matches, or against the lattice built from the
     /// log's descriptor record otherwise.
     ///
     /// # Errors
     ///
-    /// Only on I/O failure (unreadable/unwritable path); corrupt *content*
-    /// is never an error, it is truncated or dropped.
+    /// Only on I/O failure (unreadable/unwritable path, or no writer
+    /// thread); corrupt *content* is never an error, it is truncated or
+    /// dropped.
     pub(crate) fn open(
         path: &Path,
         lattice: &Lattice,
@@ -739,24 +765,9 @@ impl SchemeStore {
         let mut payloads: Vec<(u64, &[u8])> = Vec::new();
         let mut valid = if magic_ok { MAGIC.len() } else { 0 };
         if magic_ok {
-            let mut pos = valid;
-            loop {
-                let Some(header) = data.get(pos..pos + FRAME_HEADER) else { break };
-                let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-                let sum = u64::from_le_bytes(header[4..12].try_into().unwrap());
-                if len > MAX_PAYLOAD {
-                    break;
-                }
-                let Some(payload) = data.get(pos + FRAME_HEADER..pos + FRAME_HEADER + len)
-                else {
-                    break;
-                };
-                if payload_checksum(payload) != sum {
-                    break;
-                }
-                payloads.push((pos as u64, payload));
-                pos += FRAME_HEADER + len;
-                valid = pos;
+            while let Some(payload) = parse_frame(&data[valid..]) {
+                payloads.push((valid as u64, payload));
+                valid += FRAME_HEADER + payload.len();
             }
         }
         let mut dropped = u64::from(valid < data.len());
@@ -838,14 +849,20 @@ impl SchemeStore {
         shared.live_bytes.store(index.live_bytes, Ordering::Relaxed);
         shared.live_entries.store(index.entries(), Ordering::Relaxed);
 
+        let replay_ns = start.elapsed().as_nanos() as u64;
+        let (tx, rx) = mpsc::channel();
+        let handle = {
+            let (path, shared) = (path.to_path_buf(), Arc::clone(&shared));
+            retypd_core::sync::thread::Builder::new()
+                .name("scheme-store-writer".into())
+                .spawn(move || writer_loop(path, file, rx, shared, index))?
+        };
         Ok(SchemeStore {
             path: path.to_path_buf(),
             shared,
-            writer: Mutex::new(WriterHandle::Idle(Box::new(WriterSeed { file, index }))),
-            pending: Mutex::new(Vec::new()),
-            lattice_meta: Mutex::new(FxHashMap::default()),
+            writer: Some((tx, handle)),
             replayed_entries: replayed,
-            replay_ns: start.elapsed().as_nanos() as u64,
+            replay_ns,
             dropped_records: dropped,
         })
     }
@@ -855,157 +872,44 @@ impl SchemeStore {
         &self.path
     }
 
-    /// Buffers a message, handing the whole buffer to the writer once it
-    /// holds [`SEND_BATCH`] records.
-    fn push(&self, msg: Msg) {
-        let ready = {
-            let mut pending = self.pending.lock().expect("store pending");
-            pending.push(msg);
-            (pending.len() >= SEND_BATCH).then(|| std::mem::take(&mut *pending))
-        };
-        if let Some(batch) = ready {
-            self.send(batch);
+    fn send(&self, msg: Msg) {
+        if let Some((tx, _)) = &self.writer {
+            let _ = tx.send(msg);
         }
     }
 
-    /// Hands any buffered records to the writer immediately, plus `tail`.
-    fn kick(&self, tail: Option<Msg>) {
-        let mut batch = std::mem::take(&mut *self.pending.lock().expect("store pending"));
-        batch.extend(tail);
-        if !batch.is_empty() {
-            self.send(batch);
-        }
-    }
-
-    /// Hands a batch to the writer thread, spawning it first if this is
-    /// the store's first append. Spawn failure poisons the handle and the
-    /// batch is dropped — the log simply stops growing, which replay
-    /// already tolerates.
-    fn send(&self, batch: Vec<Msg>) {
-        let mut writer = self.writer.lock().expect("store writer");
-        if matches!(&*writer, WriterHandle::Idle(_)) {
-            let WriterHandle::Idle(seed) =
-                std::mem::replace(&mut *writer, WriterHandle::Poisoned)
-            else {
-                unreachable!()
-            };
-            let (tx, rx) = mpsc::channel();
-            let path = self.path.clone();
-            let shared = Arc::clone(&self.shared);
-            let spawned = retypd_core::sync::thread::Builder::new()
-                .name("scheme-store-writer".into())
-                .spawn(move || {
-                    let WriterSeed { file, index } = *seed;
-                    writer_loop(path, file, rx, shared, index)
-                });
-            if let Ok(handle) = spawned {
-                *writer = WriterHandle::Running { tx, handle };
-            }
-        }
-        if let WriterHandle::Running { tx, .. } = &*writer {
-            let _ = tx.send(batch);
-        }
-    }
-
-    /// Hands a pass-1 insert to the writer thread: the entry travels as an
-    /// `Arc` clone plus the canonical text the solve path already rendered
-    /// to fingerprint it; framing happens off the solve path.
-    pub(crate) fn record_schemes(
-        &self,
-        fp: u64,
-        entry: &Arc<CachedSchemes>,
-        texts: Vec<SchemeText>,
-        evicted: Vec<u64>,
-    ) {
-        self.push(Msg::Schemes {
-            fp,
-            entry: Arc::clone(entry),
-            texts,
-            evicted,
-        });
-    }
-
-    /// Hands a pass-2 insert to the writer thread. The solve path snapshots
-    /// only what the writer cannot reach later — the lattice's name table
-    /// and descriptor text — and only once per lattice (cached by
-    /// fingerprint, shared by `Arc` thereafter).
-    pub(crate) fn record_refine(
-        &self,
-        fp: u64,
-        lattice: &Lattice,
-        lattice_fp: u64,
-        entry: &Arc<SccRefinement>,
-        evicted: Vec<u64>,
-    ) {
-        let meta = {
-            let mut cache = self.lattice_meta.lock().expect("lattice meta");
-            if cache.len() >= crate::LATTICE_MEMO_CAP && !cache.contains_key(&lattice_fp) {
-                cache.clear();
-            }
-            Arc::clone(cache.entry(lattice_fp).or_insert_with(|| {
-                Arc::new(LatticeMeta {
-                    descriptor: lattice.descriptor().to_string(),
-                    names: {
-                        let mut names = NameTable::new();
-                        for e in lattice.elements() {
-                            if e.index() >= names.len() {
-                                names.resize(e.index() + 1, "");
-                            }
-                            names[e.index()] = lattice.name(e);
-                        }
-                        names
-                    },
-                })
-            }))
-        };
-        self.push(Msg::Refine {
-            fp,
-            lattice_fp,
-            meta,
-            entry: Arc::clone(entry),
-            evicted,
-        });
-    }
-
-    /// End-of-solve hook: hands the writer whatever the solve buffered,
-    /// plus a compaction request if the log has outgrown its live frames
-    /// (see module docs). The gauges lag the writer by at most one batch,
+    /// End-of-solve hook: hands the writer the solve's inserts, plus a
+    /// compaction request if the log has outgrown its live frames (see
+    /// module docs). The gauges lag the writer by at most one batch,
     /// which only delays the compaction trigger, never loses it.
-    pub(crate) fn solve_finished(&self) {
+    pub(crate) fn solve_finished(&self, batch: SolveBatch) {
+        if !batch.schemes.is_empty() || batch.refines.is_some() {
+            self.send(Msg::Solve(batch));
+        }
         let log = self.shared.log_bytes.load(Ordering::Relaxed);
         let live = MAGIC.len() as u64 + self.shared.live_bytes.load(Ordering::Relaxed);
-        let compact = log > live.saturating_mul(COMPACT_FACTOR).max(COMPACT_MIN_BYTES)
-            && !self.shared.compact_pending.swap(true, Ordering::Relaxed);
-        self.kick(compact.then_some(Msg::Compact));
+        if log > live.saturating_mul(COMPACT_FACTOR).max(COMPACT_MIN_BYTES)
+            && !self.shared.compact_pending.swap(true, Ordering::Relaxed)
+        {
+            self.send(Msg::Compact);
+        }
     }
 
     /// Unconditionally compacts and waits for the rewrite to land.
     pub fn compact(&self) {
         if !self.shared.compact_pending.swap(true, Ordering::Relaxed) {
-            self.kick(Some(Msg::Compact));
+            self.send(Msg::Compact);
         }
         self.flush();
     }
 
-    /// Blocks until every record handed over so far has been encoded,
+    /// Blocks until every batch handed over so far has been encoded,
     /// appended, and flushed to the OS — the barrier tests, benches, and
     /// the serve rebuild path use before re-reading the log, and the
     /// point at which the shared gauges are exact.
     pub fn flush(&self) {
-        {
-            // Nothing recorded since open (or ever): the gauges are
-            // already exact and there is no writer to wait on. The
-            // `writer` lock is held across the `pending` check so a
-            // concurrent push can't slip a batch between the two reads.
-            let writer = self.writer.lock().expect("store writer");
-            if matches!(&*writer, WriterHandle::Idle(_))
-                && self.pending.lock().expect("store pending").is_empty()
-            {
-                return;
-            }
-        }
         let (ack_tx, ack_rx) = mpsc::channel();
-        self.kick(Some(Msg::Flush(ack_tx)));
+        self.send(Msg::Flush(ack_tx));
         let _ = ack_rx.recv();
     }
 
@@ -1028,17 +932,9 @@ impl SchemeStore {
 
 impl Drop for SchemeStore {
     fn drop(&mut self) {
-        // Hand over anything still buffered, then close the channel: the
-        // writer drains its queue, flushes, and exits; joining makes
-        // driver teardown a durability point. A store that never
-        // appended has no thread — dropping the seed just closes the
-        // file handle.
-        self.kick(None);
-        let writer = std::mem::replace(
-            self.writer.get_mut().unwrap_or_else(|e| e.into_inner()),
-            WriterHandle::Poisoned,
-        );
-        if let WriterHandle::Running { tx, handle } = writer {
+        // Closing the queue lets the writer drain it, flush, and exit;
+        // joining makes driver teardown a durability point.
+        if let Some((tx, handle)) = self.writer.take() {
             drop(tx);
             let _ = handle.join();
         }
@@ -1048,12 +944,6 @@ impl Drop for SchemeStore {
 // ---------------------------------------------------------------------------
 // Writer thread
 // ---------------------------------------------------------------------------
-
-fn write_frame(out: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    out.write_all(&(payload.len() as u32).to_le_bytes())?;
-    out.write_all(&payload_checksum(payload).to_le_bytes())?;
-    out.write_all(payload)
-}
 
 /// Reads the whole frame `frame` points at (header included) into `buf`
 /// and verifies it: the stored length must match the index and the
@@ -1067,9 +957,7 @@ fn read_frame(log: &mut File, frame: Frame, buf: &mut Vec<u8>) -> io::Result<boo
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(false),
         Err(e) => return Err(e),
     }
-    let len = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-    let sum = u64::from_le_bytes(buf[4..12].try_into().unwrap());
-    Ok(len == frame.len && payload_checksum(&buf[FRAME_HEADER..]) == sum)
+    Ok(parse_frame(buf).is_some_and(|payload| payload.len() == frame.len as usize))
 }
 
 /// Copies the frames `index` holds out of the log at `path` into a
@@ -1115,7 +1003,7 @@ fn compact_log(path: &Path, index: &Index) -> io::Result<(File, Index)> {
 fn writer_loop(
     path: PathBuf,
     file: File,
-    rx: mpsc::Receiver<Vec<Msg>>,
+    rx: mpsc::Receiver<Msg>,
     shared: Arc<Shared>,
     mut index: Index,
 ) {
@@ -1147,7 +1035,10 @@ fn writer_loop(
         if *broken {
             return None;
         }
-        match write_frame(out, payload) {
+        match out
+            .write_all(&frame_header(payload))
+            .and_then(|()| out.write_all(payload))
+        {
             Ok(()) => Some(frame),
             Err(e) => {
                 eprintln!("scheme store {}: append failed: {e}", path.display());
@@ -1158,57 +1049,50 @@ fn writer_loop(
     };
     let mut scratch = String::new();
     let mut labels = LabelCache::default();
-    while let Ok(mut batch) = rx.recv() {
+    while let Ok(first) = rx.recv() {
         let mut acks: Vec<mpsc::Sender<()>> = Vec::new();
-        while let Ok(more) = rx.try_recv() {
-            batch.extend(more);
-        }
-        for msg in batch {
+        // Everything queued by now is handled before the one flush below.
+        let queued = std::iter::from_fn(|| rx.try_recv().ok());
+        for msg in std::iter::once(first).chain(queued) {
             match msg {
-                Msg::Schemes {
-                    fp,
-                    entry,
-                    texts,
-                    evicted,
-                } => {
-                    for e in evicted {
-                        index.remove(KIND_SCHEMES, e);
-                    }
-                    let payload = encode_schemes(fp, &entry, &texts);
-                    if let Some(frame) = append(&mut out, &mut broken, &mut log_bytes, &payload, 0) {
-                        index.insert(KIND_SCHEMES, fp, frame);
-                    }
-                }
-                Msg::Refine {
-                    fp,
-                    lattice_fp,
-                    meta,
-                    entry,
-                    evicted,
-                } => {
-                    for e in evicted {
-                        index.remove(KIND_REFINE, e);
-                    }
-                    // The descriptor record precedes the first refine that
-                    // references it; the index is the have-we-written-it set.
-                    if !index.of(KIND_LATTICE).contains_key(&lattice_fp) {
-                        let lp = encode_lattice(lattice_fp, &meta.descriptor);
-                        if let Some(frame) = append(&mut out, &mut broken, &mut log_bytes, &lp, 0) {
-                            index.insert(KIND_LATTICE, lattice_fp, frame);
+                Msg::Solve(SolveBatch { schemes, refines }) => {
+                    for (Insert { fp, entry, evicted }, texts) in schemes {
+                        for e in evicted {
+                            index.remove(KIND_SCHEMES, e);
+                        }
+                        let payload = encode_schemes(fp, &entry, &texts);
+                        if let Some(frame) =
+                            append(&mut out, &mut broken, &mut log_bytes, &payload, 0)
+                        {
+                            index.insert(KIND_SCHEMES, fp, frame);
                         }
                     }
-                    let payload = encode_refine(
-                        fp,
-                        lattice_fp,
-                        &entry,
-                        &meta.names,
-                        &mut labels,
-                        &mut scratch,
-                    );
-                    if let Some(frame) =
-                        append(&mut out, &mut broken, &mut log_bytes, &payload, lattice_fp)
-                    {
-                        index.insert(KIND_REFINE, fp, frame);
+                    let Some((lattice, refines)) = refines else { continue };
+                    // The descriptor record precedes the first refine that
+                    // references it; the index is the have-we-written-it set.
+                    if !index.of(KIND_LATTICE).contains_key(&lattice.fp) {
+                        let lp = encode_lattice(lattice.fp, &lattice.descriptor);
+                        if let Some(frame) = append(&mut out, &mut broken, &mut log_bytes, &lp, 0) {
+                            index.insert(KIND_LATTICE, lattice.fp, frame);
+                        }
+                    }
+                    for Insert { fp, entry, evicted } in refines {
+                        for e in evicted {
+                            index.remove(KIND_REFINE, e);
+                        }
+                        let payload = encode_refine(
+                            fp,
+                            lattice.fp,
+                            &entry,
+                            &lattice.names,
+                            &mut labels,
+                            &mut scratch,
+                        );
+                        if let Some(frame) =
+                            append(&mut out, &mut broken, &mut log_bytes, &payload, lattice.fp)
+                        {
+                            index.insert(KIND_REFINE, fp, frame);
+                        }
                     }
                 }
                 Msg::Compact => {
@@ -1265,55 +1149,3 @@ const _: () = {
     assert_send_sync::<SchemeStore>();
     assert_send_sync::<PersistStats>();
 };
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{AnalysisDriver, DriverConfig, LATTICE_MEMO_CAP};
-    use retypd_core::solver::Procedure;
-    use retypd_core::Program;
-
-    /// A persisting driver fed more distinct lattices than the cap keeps
-    /// its rendered-lattice map within the cap after every solve.
-    #[test]
-    fn lattice_meta_stays_within_the_memo_cap() {
-        let c_types = Lattice::c_types();
-        let path = std::env::temp_dir().join(format!(
-            "retypd-store-unit-{}-lattice-meta.store",
-            std::process::id()
-        ));
-        let _ = fs::remove_file(&path);
-        let driver = AnalysisDriver::with_config(
-            &c_types,
-            DriverConfig {
-                workers: 1,
-                cache_capacity: None,
-                persist_path: Some(path.clone()),
-            },
-        );
-        let store = driver.store.as_ref().expect("store opened");
-        let mut program = Program::new();
-        program.add_proc(Procedure {
-            name: Symbol::intern("leaf"),
-            constraints: parse_constraint_set("leaf.in_stack0 <= t; t.load.σ32@0 <= int")
-                .expect("constraints parse"),
-            callsites: Vec::new(),
-        });
-        for i in 0..LATTICE_MEMO_CAP + 8 {
-            let tag = format!("#MetaCapTag{i}");
-            let mut b = Lattice::c_types_builder();
-            b.add_under(&tag, "int").expect("fresh tag");
-            b.le("⊥", &tag).expect("known elements");
-            let lattice = b.build().expect("extended c_types is a lattice");
-            driver.solve_in(&lattice, &program);
-            let len = store.lattice_meta.lock().expect("lattice meta").len();
-            assert!(
-                (1..=LATTICE_MEMO_CAP).contains(&len),
-                "{len} rendered lattices after {} distinct ones",
-                i + 1
-            );
-        }
-        drop(driver);
-        let _ = fs::remove_file(&path);
-    }
-}

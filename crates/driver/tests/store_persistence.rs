@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use retypd_core::sync::atomic::{AtomicU64, Ordering};
 
-use retypd_core::{Lattice, LatticeDescriptor, SolverResult};
+use retypd_core::{Condensation, Lattice, LatticeDescriptor, SolverResult};
 use retypd_driver::store::{frame_record, MAGIC};
 use retypd_driver::{AnalysisDriver, DriverConfig, ModuleJob};
 use retypd_minic::codegen::compile;
@@ -420,4 +420,80 @@ fn damaged_live_frame_is_dropped_at_compaction() {
         assert_eq!(render(&got), *want, "{}: damaged frame changed results", j.name);
     }
     assert_eq!(misses, 1, "exactly the SCC whose frame was damaged re-solves");
+}
+
+/// The widest pass-1 wave of a job's condensation: how many SCCs a
+/// multi-worker driver solves at once.
+fn widest_wave(job: &ModuleJob) -> usize {
+    let waves = Condensation::compute(&job.program).waves();
+    waves.iter().map(Vec::len).max().unwrap_or(0)
+}
+
+/// Generated jobs whose pass-1 waves run several SCCs side by side.
+fn wide_jobs() -> Vec<ModuleJob> {
+    let jobs: Vec<ModuleJob> = (81u64..87).map(|s| generated_job(s, 16)).collect();
+    assert!(jobs.iter().all(|j| widest_wave(j) >= 2), "every job needs a wave 2 wide");
+    jobs
+}
+
+/// The worker count does not reach the log: the same job sequence on an
+/// unbounded persisting driver leaves the same bytes at 1 and at 4
+/// workers, before any compaction. A solve's inserts reach the writer in
+/// task order, not in the order parallel wave workers finish.
+#[test]
+fn log_bytes_do_not_depend_on_worker_count() {
+    let lattice = Lattice::c_types();
+    let jobs = wide_jobs();
+    let log_at = |workers: usize| {
+        let store = TempFile::new(&format!("workers-{workers}"));
+        let driver = AnalysisDriver::with_config(
+            &lattice,
+            DriverConfig {
+                workers,
+                ..persistent_config(store.path())
+            },
+        );
+        for j in &jobs {
+            let _ = driver.solve(&j.program);
+        }
+        driver.flush_store();
+        assert_eq!(driver.persist_stats().expect("store").compactions, 0);
+        std::fs::read(store.path()).expect("store file")
+    };
+    let sequential = log_at(1);
+    assert!(sequential.len() > MAGIC.len(), "the jobs must append records");
+    assert!(log_at(4) == sequential, "4 workers wrote a different log than 1");
+}
+
+/// With a cache smaller than a wave, each insert and the evictions it
+/// causes reach the writer in the order the cache saw them, so after
+/// every solve the store indexes exactly the entries the cache holds —
+/// no evicted entry's frame stays indexed.
+#[test]
+fn bounded_store_indexes_exactly_the_cached_entries() {
+    let lattice = Lattice::c_types();
+    let store = TempFile::new("bounded");
+    let jobs = wide_jobs();
+    let driver = AnalysisDriver::with_config(
+        &lattice,
+        DriverConfig {
+            workers: 4,
+            cache_capacity: Some(2),
+            persist_path: Some(store.path().to_path_buf()),
+        },
+    );
+    for round in 0..2 {
+        for j in &jobs {
+            let _ = driver.solve(&j.program);
+            driver.flush_store();
+            let cache = driver.cache_stats();
+            assert_eq!(
+                driver.persist_stats().expect("store").persisted_entries,
+                (cache.scheme_entries + cache.refine_entries) as u64,
+                "round {round}, {}: the store indexes entries the cache no longer holds",
+                j.name
+            );
+        }
+    }
+    assert!(driver.cache_stats().evictions > 0, "the job set must churn the cache");
 }

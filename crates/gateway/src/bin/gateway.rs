@@ -115,12 +115,7 @@ fn run(args: impl IntoIterator<Item = String>) -> i32 {
     use std::io::Write;
     let _ = std::io::stdout().flush();
     if let Some(path) = banner_file {
-        // tmp + rename, so a reader never sees a half-written line.
-        let tmp = path.with_extension("tmp");
-        if std::fs::write(&tmp, format!("{banner}\n"))
-            .and_then(|()| std::fs::rename(&tmp, &path))
-            .is_err()
-        {
+        if retypd_serve::launch::write_banner_file(&path, &banner).is_err() {
             eprintln!("gateway: could not write banner file {}", path.display());
         }
     }

@@ -27,8 +27,9 @@
 
 use retypd_core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-/// The admission gate: a bounded in-flight counter, accept/reject
-/// accounting, and the sticky drain flag.
+/// The admission gate: a bounded in-flight counter, the count of
+/// admitted batches, and the sticky drain flag. Overload refusals are
+/// counted once, by the server's `serve.rejected_batches` counter.
 #[derive(Debug)]
 pub struct Admission {
     /// Maximum jobs admitted but not yet finished (≥ 1).
@@ -37,9 +38,6 @@ pub struct Admission {
     queued: AtomicUsize,
     /// Batches admitted over the gate's life.
     accepted: AtomicU64,
-    /// Batches refused for overload (drain refusals are not counted —
-    /// they are not overload pressure).
-    rejected: AtomicU64,
     draining: AtomicBool,
 }
 
@@ -51,7 +49,6 @@ impl Admission {
             limit: limit.max(1),
             queued: AtomicUsize::new(0),
             accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             draining: AtomicBool::new(false),
         }
     }
@@ -69,11 +66,6 @@ impl Admission {
     /// Batches admitted over the gate's life.
     pub fn accepted(&self) -> u64 {
         self.accepted.load(Ordering::Relaxed)
-    }
-
-    /// Batches refused for overload over the gate's life.
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
     }
 
     /// Whether a drain has begun (sticky).
@@ -120,11 +112,6 @@ impl Admission {
     /// Counts an admitted batch.
     pub fn record_accepted(&self) {
         self.accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts an overload refusal.
-    pub fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Flips the sticky drain flag; returns `true` for exactly one caller

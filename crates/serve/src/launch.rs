@@ -61,8 +61,13 @@ pub fn parse_ready_banner(line: &str) -> Option<(SocketAddr, u32, usize)> {
 }
 
 /// Writes the banner to `path` via temp-file + rename, so a reader never
-/// observes a half-written line.
-fn write_banner_file(path: &Path, banner: &str) -> std::io::Result<()> {
+/// observes a half-written line. The gateway binary writes its own
+/// banner file with it too.
+///
+/// # Errors
+///
+/// Fails when the temp file cannot be written or renamed over `path`.
+pub fn write_banner_file(path: &Path, banner: &str) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, format!("{banner}\n"))?;
     std::fs::rename(&tmp, path)

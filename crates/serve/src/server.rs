@@ -209,8 +209,8 @@ impl ServerMetrics {
 
 struct Shared {
     shards: Vec<Shard>,
-    /// The admission gate: bounded in-flight counter, accept/reject
-    /// accounting, and the sticky drain flag (see [`crate::admission`]).
+    /// The admission gate: bounded in-flight counter, accepted-batch
+    /// count, and the sticky drain flag (see [`crate::admission`]).
     admission: Admission,
     local_addr: SocketAddr,
     /// Descriptor-built lattices memoized server-wide (bounded; shared
@@ -265,7 +265,7 @@ impl Shared {
     fn stats(&self) -> WireStats {
         WireStats {
             accepted: self.admission.accepted(),
-            rejected: self.admission.rejected(),
+            rejected: self.metrics.rejected_batches.get(),
             queued: self.admission.queued(),
             queue_limit: self.admission.limit(),
             pid: self.pid,
@@ -685,11 +685,10 @@ fn admit_batch(n: usize, shared: &Shared) -> Result<(), Response> {
     if let Err(queued) = shared.admission.admit(n) {
         if shared.admission.is_draining() {
             // A drain refusal is not overload pressure: report the drain
-            // and leave the `rejected` counter (documented as overload
-            // rejections) alone.
+            // and leave `serve.rejected_batches` (overload refusals only,
+            // and what `stats` reports as `rejected`) alone.
             return Err(Response::ShuttingDown);
         }
-        shared.admission.record_rejected();
         shared.metrics.rejected_batches.inc();
         return Err(Response::Overloaded {
             queued,
