@@ -124,7 +124,7 @@ pub fn sketch_fp(s: &Sketch) -> u64 {
 /// A global's display form — what the wire carries and `parse` reads
 /// back — so a constant global `$g` never hashes like the variable `g`.
 /// A variable is its bare name and borrows it.
-fn global_text(g: BaseVar) -> Cow<'static, str> {
+pub(crate) fn global_text(g: BaseVar) -> Cow<'static, str> {
     match g {
         BaseVar::Var(name) => Cow::Borrowed(name.as_str()),
         BaseVar::Const(_) => Cow::Owned(g.to_string()),
@@ -203,7 +203,8 @@ where
 /// constraint text (the pass-2 key inherits this through `scc_fp`).
 /// `scheme_fps` must contain the fingerprint of every already-solved
 /// scheme by name (externals included) — exactly the names the combined
-/// constraint set instantiates.
+/// constraint set instantiates. The members' constraint text is rendered
+/// here, once per member.
 pub fn scc_fingerprint(
     lattice_fp: u64,
     program: &Program,
@@ -211,27 +212,58 @@ pub fn scc_fingerprint(
     scc_of: &[usize],
     scheme_fps: &BTreeMap<Symbol, u64>,
 ) -> u64 {
+    scc_fingerprint_parts(
+        lattice_fp,
+        program.globals.iter().map(|&g| global_text(g)),
+        program,
+        |p| program.procs[p].constraints.to_string(),
+        scc,
+        scc_of,
+        scheme_fps,
+    )
+}
+
+/// [`scc_fingerprint`] over a program's text: the globals' display forms
+/// and each member's constraint text (`constraints(p)` for procedure
+/// `p`), with names and callsites read from `structure`, whose own
+/// constraint sets are not read. This is the one definition of the
+/// pass-1 byte stream: [`crate::AnalysisDriver::solve_text`] feeds it a
+/// module's text as it arrived, so canonical text keys exactly as its
+/// parsed program does and a fully warm solve parses nothing.
+pub fn scc_fingerprint_parts<G, T>(
+    lattice_fp: u64,
+    globals: impl IntoIterator<Item = G>,
+    structure: &Program,
+    constraints: impl Fn(usize) -> T,
+    scc: &[usize],
+    scc_of: &[usize],
+    scheme_fps: &BTreeMap<Symbol, u64>,
+) -> u64
+where
+    G: AsRef<str>,
+    T: AsRef<str>,
+{
     let mut h = Fnv64::new("scc-schemes");
     h.write_u64(lattice_fp);
-    for &g in &program.globals {
-        h.write_str(&global_text(g));
+    for g in globals {
+        h.write_str(g.as_ref());
     }
     let my_scc = scc_of[scc[0]];
     h.write_u64(scc.len() as u64);
     for &p in scc {
-        let proc = &program.procs[p];
+        let proc = &structure.procs[p];
         h.write_str(proc.name.as_str());
-        h.write_wide(proc.constraints.to_string().as_bytes());
+        h.write_wide(constraints(p).as_ref().as_bytes());
         h.write_u64(proc.callsites.len() as u64);
         for cs in &proc.callsites {
             h.write_str(&cs.tag);
             match cs.callee {
                 CallTarget::Internal(i) if scc_of[i] == my_scc => {
                     h.write_str("mono");
-                    h.write_str(program.procs[i].name.as_str());
+                    h.write_str(structure.procs[i].name.as_str());
                 }
                 CallTarget::Internal(i) => {
-                    let name = program.procs[i].name;
+                    let name = structure.procs[i].name;
                     h.write_str("internal");
                     h.write_str(name.as_str());
                     h.write_u64(scheme_fps.get(&name).copied().unwrap_or(0));
@@ -251,7 +283,8 @@ pub fn scc_fingerprint(
 /// combined constraint set, since schemes are final after pass 1) extended
 /// with the refinement inputs — each member's callsite-actual variables and
 /// the fingerprints of the actual sketches visible in the caller-produced
-/// snapshot.
+/// snapshot. It reads names and callsites only, so a module's structure
+/// (see [`crate::text::ModuleText`]) keys it as its parsed program does.
 pub fn refine_fingerprint(
     scc_fp: u64,
     program: &Program,

@@ -21,20 +21,22 @@
 //!   parallel result is bit-identical to [`retypd_core::Solver::infer`] —
 //!   the determinism tests pin this for 1 vs N workers.
 //! * **Persistent scheme cache** ([`cache::SchemeCache`]): each SCC is
-//!   fingerprinted by the canonicalized constraint sets of its members,
-//!   its callsite structure, and its callee-scheme fingerprints
-//!   ([`fingerprint`]). The cache persists across `solve`/`solve_batch`
-//!   calls on one driver, so batches containing near-duplicate modules
+//!   fingerprinted by the constraint text of its members, its callsite
+//!   structure, and its callee-scheme fingerprints ([`fingerprint`]).
+//!   The cache persists across `solve`/`solve_batch` calls on one
+//!   driver, so batches containing near-duplicate modules
 //!   (shared library members, re-submitted binaries) re-solve only the
 //!   dirtied SCCs.
 //! * **Entry points**: [`AnalysisDriver::solve`] solves one program
 //!   against the driver's own lattice; [`AnalysisDriver::solve_in`] solves
-//!   one program against any [`retypd_core::Lattice`] the caller holds
-//!   (`retypd-serve` builds request lattices from their descriptors and
-//!   passes them here, one module per shard job).
-//! * **Batch API** ([`AnalysisDriver::solve_batch`]): multiple modules are
-//!   distributed across the same worker pool (each solved with its own
-//!   wave schedule) against the driver's lattice, sharing the cache.
+//!   one program against any [`retypd_core::Lattice`] the caller holds;
+//!   [`AnalysisDriver::solve_text`] solves a module from its text
+//!   ([`text::ModuleText`]), keyed by that text and parsed only at the
+//!   solve's first miss (`retypd-serve` hands each shard job's text and
+//!   request lattice here).
+//! * **Batch API** ([`AnalysisDriver::solve_batch`]): modules are solved
+//!   one after another, each at the driver's full wave parallelism,
+//!   against the driver's lattice, sharing the cache.
 //!
 //! The driver assumes procedure names are unique within a program (as the
 //! constraint generator guarantees). One driver serves *any number of
@@ -49,7 +51,9 @@ pub mod cache;
 pub mod fingerprint;
 pub mod scheduler;
 pub mod store;
+pub mod text;
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use retypd_core::sync::{Arc, Mutex, OnceLock};
@@ -62,11 +66,12 @@ use retypd_core::fxhash::FxHashMap;
 use retypd_core::sketch::Sketch;
 use retypd_core::{
     callsite_actuals, Condensation, Lattice, LatticeDescriptor, LatticeError, ProcResult,
-    Program, SccGraph, Solver, SolverResult, SolverStats, Symbol, TypeScheme,
+    Program, SccGraph, SccRefinement, Solver, SolverResult, SolverStats, Symbol, TypeScheme,
 };
 
 pub use cache::{CacheStats, CachedSchemes, SchemeCache};
 pub use store::PersistStats;
+pub use text::{ExternalText, ModuleText, ProgramText};
 
 /// Process-global driver instruments, resolved once from
 /// [`retypd_telemetry::global`] so recording on the solve path is a
@@ -111,8 +116,8 @@ fn driver_metrics() -> &'static DriverMetrics {
 /// Driver configuration.
 #[derive(Clone, Debug)]
 pub struct DriverConfig {
-    /// Worker threads for wave dispatch and batch distribution. `1` makes
-    /// the driver fully sequential (still cache-enabled).
+    /// Worker threads for wave dispatch. `1` makes the driver fully
+    /// sequential (still cache-enabled).
     pub workers: usize,
     /// Maximum entries retained per cache pass (pass-1 schemes and pass-2
     /// refinements are bounded independently); the least-recently-hit entry
@@ -354,43 +359,79 @@ impl<'l> AnalysisDriver<'l> {
     /// [`AnalysisDriver::solve`] against an explicit lattice. The cache is
     /// shared across lattices and segregated by lattice fingerprint (mixed
     /// into every cache key — see [`fingerprint::scc_fingerprint`]), so a
-    /// lattice equal to the driver's own hits the same entries.
+    /// lattice equal to the driver's own hits the same entries. The
+    /// program's text is rendered once, for its cache keys.
     pub fn solve_in(&self, lattice: &Lattice, program: &Program) -> SolverResult {
-        self.solve_program(lattice, program, self.workers())
+        let text = ProgramText::render(program);
+        self.solve_program(lattice, program, &text, Some(program))
+            .expect("a parsed program is never parsed again")
     }
 
-    /// Solves a batch of modules against the driver's lattice. Modules are
-    /// independent, so they are distributed across the worker pool (each
-    /// module's own wave schedule then runs on the thread it landed on);
-    /// with spare workers and few modules, parallelism moves inside each
-    /// module's wave schedule instead. All of them share this driver's
-    /// persistent cache, which is where the incremental win on
-    /// near-duplicate corpora comes from. Reports come back in job order.
+    /// Solves a module from its text against `lattice`. Every cache key
+    /// hashes the text as it arrived, and the constraint text is parsed
+    /// only when the solve meets its first cache miss — at most once, on
+    /// the calling thread — so a fully warm solve parses nothing. For
+    /// canonical text ([`ProgramText::render`]'s) the keys, and so the
+    /// result, are those of [`AnalysisDriver::solve_in`] on the parsed
+    /// program; other text keys apart from it and solves on its own
+    /// entries.
+    ///
+    /// # Errors
+    ///
+    /// The first procedure or external constraint text that does not
+    /// parse, when the solve misses. An external no callsite calls is in
+    /// no cache key, so a fully warm solve answers without reading it.
+    pub fn solve_text(
+        &self,
+        lattice: &Lattice,
+        module: &ModuleText,
+    ) -> Result<SolverResult, String> {
+        self.solve_program(lattice, module.structure(), module.text(), None)
+    }
+
+    /// Solves a batch of modules against the driver's lattice, one module
+    /// after another, each at the driver's full wave parallelism. All of
+    /// them share this driver's cache, which is where the incremental win
+    /// on near-duplicate corpora comes from. Reports come back in job
+    /// order.
     pub fn solve_batch(&self, jobs: &[ModuleJob]) -> Vec<ModuleReport> {
-        let workers = self.workers();
-        let inner = if jobs.len() >= workers { 1 } else { workers };
-        scheduler::run_indexed(jobs.len(), workers, |i| ModuleReport {
-            name: jobs[i].name.clone(),
-            result: self.solve_program(self.lattice(), &jobs[i].program, inner),
-        })
+        jobs.iter()
+            .map(|job| ModuleReport {
+                name: job.name.clone(),
+                result: self.solve(&job.program),
+            })
+            .collect()
     }
 
-    /// One program on an explicit lattice and worker count.
-    fn solve_program(&self, lattice: &Lattice, program: &Program, workers: usize) -> SolverResult {
+    /// One module on an explicit lattice: the solve loop behind
+    /// [`AnalysisDriver::solve_in`] and [`AnalysisDriver::solve_text`].
+    /// Keys come from `structure` and `text`; the misses read `given`, or
+    /// the text parsed onto `structure` at the first miss.
+    fn solve_program(
+        &self,
+        lattice: &Lattice,
+        structure: &Program,
+        text: &ProgramText,
+        given: Option<&Program>,
+    ) -> Result<SolverResult, String> {
         let _solve_span = retypd_telemetry::span("driver.solve");
         let metrics = driver_metrics();
+        let workers = self.workers();
         let lattice_fp = lattice.fingerprint();
         let start = Instant::now();
         let solver = Solver::new(lattice);
-        let cond = Condensation::compute(program);
+        let cond = Condensation::compute(structure);
 
-        // Cross-SCC state, updated between waves only.
+        // Cross-SCC state, updated between waves only. The externals'
+        // schemes join `schemes` at the first miss, the only reader.
         let mut schemes: BTreeMap<Symbol, TypeScheme> = BTreeMap::new();
         let mut scheme_fps: BTreeMap<Symbol, u64> = BTreeMap::new();
-        for (name, scheme) in &program.externals {
-            schemes.insert(*name, scheme.clone());
-            scheme_fps.insert(*name, fingerprint::scheme_fp(scheme));
+        for e in &text.externals {
+            let existentials = e.existentials.iter().map(String::as_str);
+            let fp = fingerprint::scheme_fp_parts(&e.subject, existentials, &e.constraints);
+            scheme_fps.insert(e.name, fp);
         }
+        let mut parsed: Option<Cow<'_, Program>> = None;
         // Phase work is added from cache misses only: cached entries had
         // their `phases` taken before insertion (see below), so a fully
         // warm solve reports zero phase work — the breakdown measures work
@@ -407,25 +448,38 @@ impl<'l> AnalysisDriver<'l> {
         let mut batch = self.store.as_ref().map(|_| store::SolveBatch::default());
 
         // ---- Pass 1: INFERPROCTYPES, one wave of independent SCCs at a
-        // time (callees first). ----
+        // time (callees first). Keys and lookups run here, in wave order;
+        // only the misses go to the workers. ----
         for wave in cond.waves() {
             let _wave_span = retypd_telemetry::span("driver.wave");
-            let outputs = scheduler::run_indexed(wave.len(), workers, |k| {
-                let i = wave[k];
-                let scc = &cond.sccs[i];
-                let fp = fingerprint::scc_fingerprint(
-                    lattice_fp,
-                    program,
-                    scc,
-                    &cond.scc_of,
-                    &scheme_fps,
-                );
-                if let Some(cached) = self.cache.lookup_schemes(fp) {
-                    return (fp, cached, None);
-                }
+            let looked: Vec<(u64, Option<Arc<CachedSchemes>>)> = wave
+                .iter()
+                .map(|&i| {
+                    let fp = fingerprint::scc_fingerprint_parts(
+                        lattice_fp,
+                        &text.globals,
+                        structure,
+                        |p| &text.procs[p],
+                        &cond.sccs[i],
+                        &cond.scc_of,
+                        &scheme_fps,
+                    );
+                    (fp, self.cache.lookup_schemes(fp))
+                })
+                .collect();
+            let misses: Vec<usize> = (0..wave.len()).filter(|&k| looked[k].1.is_none()).collect();
+            let program = if misses.is_empty() {
+                None
+            } else {
+                let ready = first_miss(&mut parsed, structure, text, given, &mut schemes);
+                Some(ready?)
+            };
+            let solved = scheduler::run_indexed(misses.len(), workers, |m| {
+                let program = program.expect("parsed before the misses");
+                let i = wave[misses[m]];
                 let (out, graph) = {
                     let _span = retypd_telemetry::span("driver.scc_solve");
-                    solver.solve_scc(program, scc, &cond.scc_of, &schemes)
+                    solver.solve_scc(program, &cond.sccs[i], &cond.scc_of, &schemes)
                 };
                 // With persistence on, render each scheme's canonical parts
                 // once and hand the strings to the store's writer — the
@@ -458,14 +512,20 @@ impl<'l> AnalysisDriver<'l> {
                         .collect(),
                     constraints: out.constraints,
                 });
-                (fp, entry, Some((out.phases, graph, texts)))
+                (entry, out.phases, graph, texts)
             });
             // Deterministic merge: waves are emitted in ascending SCC order,
             // matching the sequential pass-1 loop.
-            for (k, (fp, entry, fresh)) in outputs.into_iter().enumerate() {
+            let mut solved = solved.into_iter();
+            for (k, (fp, hit)) in looked.into_iter().enumerate() {
                 scc_fps[wave[k]] = fp;
-                match fresh {
-                    Some((phases, graph, texts)) => {
+                let entry = match hit {
+                    Some(entry) => {
+                        stats.cache_hits += 1;
+                        entry
+                    }
+                    None => {
+                        let (entry, phases, graph, texts) = solved.next().expect("one per miss");
                         stats.cache_misses += 1;
                         stats.phases += phases;
                         *graphs[wave[k]].lock().expect("scc graph") = Some(graph);
@@ -475,9 +535,9 @@ impl<'l> AnalysisDriver<'l> {
                             let texts = texts.unwrap_or_default();
                             batch.schemes(fp, Arc::clone(&entry), texts, evicted);
                         }
+                        entry
                     }
-                    None => stats.cache_hits += 1,
-                }
+                };
                 stats.constraints += entry.constraints;
                 for (name, scheme, sfp) in &entry.schemes {
                     schemes.insert(*name, scheme.clone());
@@ -487,29 +547,43 @@ impl<'l> AnalysisDriver<'l> {
         }
 
         // ---- Pass 2: INFERTYPES + REFINEPARAMETERS, wave-scheduled over
-        // the reversed condensation (callers first). ----
-        let actuals = callsite_actuals(program);
+        // the reversed condensation (callers first), looked up and merged
+        // like pass 1. ----
+        let actuals = callsite_actuals(structure);
         let mut sketches: BTreeMap<BaseVar, Sketch> = BTreeMap::new();
         let mut general: BTreeMap<Symbol, Sketch> = BTreeMap::new();
         let mut inconsistencies: Vec<(Symbol, Symbol)> = Vec::new();
         for wave in cond.refine_waves() {
             let _wave_span = retypd_telemetry::span("driver.wave");
-            let outputs = scheduler::run_indexed(wave.len(), workers, |k| {
-                let i = wave[k];
-                let scc = &cond.sccs[i];
-                let fp2 = fingerprint::refine_fingerprint(
-                    scc_fps[i],
-                    program,
-                    scc,
-                    &actuals,
-                    &sketches,
-                );
-                // Taking the graph frees it once this wave is done with it,
-                // hit or miss.
+            let looked: Vec<(u64, Option<Arc<SccRefinement>>)> = wave
+                .iter()
+                .map(|&i| {
+                    let fp2 = fingerprint::refine_fingerprint(
+                        scc_fps[i],
+                        structure,
+                        &cond.sccs[i],
+                        &actuals,
+                        &sketches,
+                    );
+                    let hit = self.cache.lookup_refine(fp2);
+                    if hit.is_some() {
+                        // A hit frees the SCC's graph unused.
+                        graphs[i].lock().expect("scc graph").take();
+                    }
+                    (fp2, hit)
+                })
+                .collect();
+            let misses: Vec<usize> = (0..wave.len()).filter(|&k| looked[k].1.is_none()).collect();
+            let program = if misses.is_empty() {
+                None
+            } else {
+                let ready = first_miss(&mut parsed, structure, text, given, &mut schemes);
+                Some(ready?)
+            };
+            let solved = scheduler::run_indexed(misses.len(), workers, |m| {
+                let program = program.expect("parsed before the misses");
+                let i = wave[misses[m]];
                 let graph = graphs[i].lock().expect("scc graph").take();
-                if let Some(cached) = self.cache.lookup_refine(fp2) {
-                    return (fp2, cached, None);
-                }
                 if graph.is_none() {
                     // Pass 1 hit but pass 2 missed: rebuild the graph.
                     metrics.scc_graph_rebuilds.inc();
@@ -518,7 +592,7 @@ impl<'l> AnalysisDriver<'l> {
                     let _span = retypd_telemetry::span("driver.scc_refine");
                     solver.refine_scc(
                         program,
-                        scc,
+                        &cond.sccs[i],
                         &cond.scc_of,
                         &schemes,
                         &actuals,
@@ -531,16 +605,22 @@ impl<'l> AnalysisDriver<'l> {
                 // work, so hits must contribute zero phase work. This solve
                 // keeps the stripped values through the merge below.
                 let phases = std::mem::take(&mut fresh.stats.phases);
-                (fp2, Arc::new(fresh), Some(phases))
+                (Arc::new(fresh), phases)
             });
             // Merging per wave is equivalent to the sequential merge:
             // distinct SCCs write disjoint keys (unique procedure names and
             // callsite tags), and reads only target keys that earlier
             // (dependent) waves fully merged — see
             // `Condensation::refine_waves`.
-            for (fp2, r, fresh) in outputs {
-                match fresh {
-                    Some(phases) => {
+            let mut solved = solved.into_iter();
+            for (fp2, hit) in looked {
+                let r = match hit {
+                    Some(r) => {
+                        stats.cache_hits += 1;
+                        r
+                    }
+                    None => {
+                        let (r, phases) = solved.next().expect("one per miss");
                         stats.cache_misses += 1;
                         stats.phases += phases;
                         let evicted = self.cache.insert_refine(fp2, Arc::clone(&r));
@@ -548,21 +628,21 @@ impl<'l> AnalysisDriver<'l> {
                         if let Some(batch) = &mut batch {
                             batch.refine(fp2, lattice, Arc::clone(&r), evicted);
                         }
+                        r
                     }
-                    None => stats.cache_hits += 1,
-                }
+                };
                 stats.merge(&r.stats);
                 inconsistencies.extend(r.inconsistencies.iter().cloned());
                 general.extend(r.general.iter().cloned());
                 for (k, v) in &r.sketches {
-                    sketches.insert(k.clone(), v.clone());
+                    sketches.insert(*k, v.clone());
                 }
             }
         }
 
         // ---- Deterministic reduction into the result shape. ----
         let mut procs = BTreeMap::new();
-        for proc in &program.procs {
+        for proc in &structure.procs {
             let pv = BaseVar::Var(proc.name);
             procs.insert(
                 proc.name,
@@ -589,12 +669,37 @@ impl<'l> AnalysisDriver<'l> {
         metrics.solve_ns.record(stats.solve_ns);
         metrics.cache_hits.add(stats.cache_hits);
         metrics.cache_misses.add(stats.cache_misses);
-        SolverResult {
+        Ok(SolverResult {
             procs,
             inconsistencies,
             stats,
-        }
+        })
     }
+}
+
+/// The program a solve's misses read, made ready at the first miss: the
+/// caller's, or the text parsed onto the structure (at most once per
+/// solve). Either way the externals' schemes then join `schemes`, beneath
+/// any procedure scheme of the same name already merged — where the
+/// sequential solver's order leaves them.
+fn first_miss<'a, 'p>(
+    program: &'p mut Option<Cow<'a, Program>>,
+    structure: &Program,
+    text: &ProgramText,
+    given: Option<&'a Program>,
+    schemes: &mut BTreeMap<Symbol, TypeScheme>,
+) -> Result<&'p Program, String> {
+    if program.is_none() {
+        let ready = match given {
+            Some(given) => Cow::Borrowed(given),
+            None => Cow::Owned(text.parse_onto(structure.clone())?),
+        };
+        for (name, scheme) in &ready.externals {
+            schemes.entry(*name).or_insert_with(|| scheme.clone());
+        }
+        *program = Some(ready);
+    }
+    Ok(program.as_deref().expect("set above"))
 }
 
 // An owned driver moves whole into a shard thread and its batch API is

@@ -497,3 +497,34 @@ fn bounded_store_indexes_exactly_the_cached_entries() {
     }
     assert!(driver.cache_stats().evictions > 0, "the job set must churn the cache");
 }
+
+/// A batch solves its modules one after another, each at the driver's
+/// full wave parallelism, so with a cache smaller than a wave the store
+/// still indexes exactly the entries the cache holds after every round.
+/// Batches solved modules side by side once, and one module's solve
+/// could evict an entry another had not yet handed to the store, leaving
+/// a dead frame indexed.
+#[test]
+fn batch_store_indexes_exactly_the_cached_entries() {
+    let lattice = Lattice::c_types();
+    let store = TempFile::new("batch");
+    let jobs: Vec<ModuleJob> = (81u64..=92).map(|s| generated_job(s, 8)).collect();
+    let driver = AnalysisDriver::with_config(
+        &lattice,
+        DriverConfig {
+            workers: 4,
+            cache_capacity: Some(2),
+            persist_path: Some(store.path().to_path_buf()),
+        },
+    );
+    for round in 0..5 {
+        let _ = driver.solve_batch(&jobs);
+        driver.flush_store();
+        let cache = driver.cache_stats();
+        assert_eq!(
+            driver.persist_stats().expect("store").persisted_entries,
+            (cache.scheme_entries + cache.refine_entries) as u64,
+            "round {round}: the store indexes entries the cache no longer holds"
+        );
+    }
+}

@@ -6,8 +6,11 @@
 //!
 //! * the server answers (or cleanly closes) every entry without dying —
 //!   a liveness probe must still succeed after the full corpus;
-//! * reply bytes are **bit-identical** at one shard and at several,
-//!   because every entry fails before admission and never reaches a
+//! * reply bytes are **bit-identical** at one shard and at several:
+//!   every entry but two fails before admission and never reaches a
+//!   shard, and those two (`mod_bad_constraint_text`,
+//!   `mod_batch_bad_constraint_text`) are admitted and fail on whichever
+//!   shard parses their constraint text, with an error that names no
 //!   shard;
 //! * every reply frame the corpus provokes is a protocol `error` frame —
 //!   an entry that earns a `stats` or `solved` reply has drifted into
@@ -15,10 +18,11 @@
 //! * `Request::decode` never panics on any committed payload;
 //! * through a gateway fronting one backend the reply bytes equal
 //!   serve's: the gateway runs serve's connection layer and serve's
-//!   lattice check, and reconstructs the modules of a single-frame batch
-//!   in serve's order; every other `mod_*` entry is forwarded and
-//!   answered by the backend itself — so a free differential check
-//!   covers its front door;
+//!   lattice check, and checks the module structures of a single-frame
+//!   batch in serve's order; every other `mod_*` entry, and every module
+//!   whose constraint text does not parse, is forwarded and answered by
+//!   the backend itself — so a free differential check covers its front
+//!   door;
 //! * `gwstats_*` entries — malformed backend `stats` *replies* — are kept
 //!   off the request socket entirely and instead replay through the
 //!   gateway's health-probe classifier, which must reject each one
@@ -150,15 +154,16 @@ fn corpus_payloads_decode_without_panics_and_without_dispatchable_work() {
             continue; // wire bytes / backend replies, not request payloads.
         }
         // Decode must not panic, and must not produce a request the
-        // server would dispatch or act on — pre-admission errors only.
+        // server would act on without an error reply.
         match Request::decode(&entry.bytes) {
             Err(_) => {}
             Ok(Request::Stats) | Ok(Request::Shutdown) | Ok(Request::Metrics) => {
                 panic!("{} decodes to a control request", entry.name)
             }
-            // Solve requests may decode; they must then die in job
-            // reconstruction, which the replay test proves by demanding
-            // an error reply frame.
+            // Solve requests may decode; they must then die in the
+            // structure check or, past admission, in the constraint-text
+            // parse, which the replay test proves by demanding an error
+            // reply frame.
             Ok(_) => {}
         }
     }

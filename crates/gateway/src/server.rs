@@ -27,9 +27,11 @@
 //!   restarts. `module_fp` is [`WireModule::fingerprint`], a hash of the
 //!   module's wire strings that equals `ModuleJob::fingerprint` for
 //!   canonically rendered text, so routing parses nothing: the gateway
-//!   reconstructs modules only for a single-frame `solve_batch`, which
-//!   serve refuses whole before admission. A lone or streamed malformed
-//!   module is refused by its backend, with serve's own `error` text.
+//!   checks only a single-frame `solve_batch`'s module structures
+//!   (names, callees, subjects, globals), which serve refuses whole
+//!   before admission. Any other malformed module, and any module whose
+//!   constraint text does not parse, is refused by its backend, with
+//!   serve's own `error` text.
 //! * **Supervision.** A health thread probes each backend with the
 //!   ordinary `stats` request, evicts on failure (ring rebuild — the
 //!   live re-shard), restarts spawned children with their original
@@ -333,12 +335,7 @@ impl Shared {
         lattice: &Option<LatticeDescriptor>,
         trace_id: &Option<String>,
     ) -> Result<WireReport, String> {
-        let payload = Request::SolveModule {
-            module: module.clone(),
-            lattice: lattice.clone(),
-            trace_id: trace_id.clone(),
-        }
-        .encode();
+        let payload = Request::encode_solve_module(module, lattice, trace_id);
         let named = |e: String| format!("module {:?}: {e}", module.name);
         for attempt in 0..=self.config.retry_budget {
             let reply = self.forward_solve(key, &payload).map_err(named)?;
@@ -665,8 +662,9 @@ impl Service for Shared {
 /// routes on [`WireModule::fingerprint`]. The pre-forward order is
 /// serve's: the lattice, then — for a single-frame batch only, which
 /// serve refuses whole before admission — every module's
-/// reconstruction, failing on the first bad one. A streaming batch
-/// forwards a malformed module like any other, and its backend's
+/// [`WireModule::structure`], failing on the first bad one. Constraint
+/// text is never parsed here: a module whose text does not parse, like
+/// any module of a streaming batch, is forwarded, and its backend's
 /// `error` becomes that module's entry, as serve reports it.
 fn handle_batch(
     conn: &mut TcpStream,
@@ -681,7 +679,7 @@ fn handle_batch(
         Err(e) => return wire::write_frame(conn, &Response::Error(e).encode()),
     };
     if !stream {
-        if let Some(Err(e)) = modules.iter().map(WireModule::to_job).find(Result::is_err) {
+        if let Some(Err(e)) = modules.iter().map(WireModule::structure).find(Result::is_err) {
             return wire::write_frame(conn, &Response::Error(e.to_string()).encode());
         }
     }

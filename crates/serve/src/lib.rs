@@ -21,10 +21,10 @@
 //!   per-frame [`conn::Service`].
 //! * [`server`] — N shard threads behind that layer, each owning a
 //!   long-lived driver with a bounded persistent cache; shards pass each
-//!   job's lattice to `AnalysisDriver::solve_in`, so per-request lattices
-//!   segregate cache entries by lattice fingerprint. Modules route by
-//!   content fingerprint, so a re-submitted module always finds its warm
-//!   cache. Admission control refuses work past a queue-depth limit with
+//!   job's text and lattice to `AnalysisDriver::solve_text`, so
+//!   per-request lattices segregate cache entries by lattice fingerprint
+//!   and a fully warm module is never parsed. Modules route by content
+//!   fingerprint, so a re-submitted module always finds its warm cache. Admission control refuses work past a queue-depth limit with
 //!   `overloaded` instead of stacking latency.
 //! * [`client`] — a blocking client (plus the [`client::BatchStream`]
 //!   streaming iterator) used by the tests, the gateway's tests and the

@@ -3,20 +3,22 @@
 //! ## Architecture
 //!
 //! ```text
-//!            accept()              bounded admission            shard threads
+//!            accept()      structure check     bounded admission            shard threads
 //!  client ──▶ acceptor ──▶ conn handler ──▶ [queued < limit?] ──▶ shard 0: AnalysisDriver + cache
 //!  client ──▶            ──▶ conn handler ──▶        │         ──▶ shard 1: AnalysisDriver + cache
-//!                                            reject: Overloaded    …  (route: fingerprint % shards)
+//!                          (no parse)      reject: Overloaded    …  (route: fingerprint % shards;
+//!                                                                    parse at the first miss)
 //! ```
 //!
 //! * **One driver per shard.** Each shard thread owns a long-lived
 //!   [`AnalysisDriver`] (owned lattice, bounded cache) for its whole life.
 //!   Modules are routed by [`WireModule::fingerprint`]` % shards` — a hash
-//!   of the wire text as it arrived, equal to [`ModuleJob::fingerprint`]
+//!   of the wire text as it arrived, equal to `ModuleJob::fingerprint`
 //!   for canonically rendered modules — so a re-submitted module always
-//!   lands on the shard whose cache already holds its SCCs (the warm path
-//!   is a pure fingerprint hit) and no constraint text is re-rendered to
-//!   route it.
+//!   lands on the shard whose cache already holds its SCCs, and no
+//!   constraint text is re-rendered to route it. The shard keys the
+//!   module's SCCs from the same text ([`AnalysisDriver::solve_text`]),
+//!   so the warm path is a pure fingerprint hit that parses nothing.
 //! * **Admission control.** A global in-flight job counter guards the
 //!   queues: a request whose batch would push the count past
 //!   [`ServeConfig::queue_depth`] is refused with `overloaded` *before*
@@ -32,17 +34,22 @@
 //! * **Per-request lattices (protocol v2).** A solve request may carry a
 //!   [`retypd_core::LatticeDescriptor`]; the server validates and builds
 //!   it once per connection request (memoized server-wide), shards pass
-//!   it to [`AnalysisDriver::solve_in`], and every
+//!   it to [`AnalysisDriver::solve_text`], and every
 //!   scheme-cache key mixes in the lattice fingerprint — two lattices
 //!   never share cache entries. Absent descriptor ⇒ `c_types`.
 //! * **One solve path.** `solve_module` and both `solve_batch` modes go
-//!   through one function: pre-admission checks, admission, shard
-//!   dispatch, and a [`wire::BatchReply`] fed with the shards' results.
-//!   With `stream: true` it writes one `report` frame per module the
-//!   moment its shard finishes it, plus a terminal `batch_done` —
-//!   time-to-first-report beats whole-batch latency because modules
-//!   stream while siblings still solve. Otherwise it writes one frame,
-//!   with failures joined in submission order.
+//!   through one function: pre-admission checks (the lattice, then each
+//!   module's [`WireModule::structure`]: names, callees, external
+//!   subjects and globals), admission, shard dispatch of the module's
+//!   text, and a [`wire::BatchReply`] fed with the shards' results. The
+//!   connection thread parses no constraint text: a shard parses it at
+//!   the solve's first cache miss, and text that does not parse is that
+//!   module's `error`, in either reply mode. With `stream: true` it
+//!   writes one `report` frame per module the moment its shard finishes
+//!   it, plus a terminal `batch_done` — time-to-first-report beats
+//!   whole-batch latency because modules stream while siblings still
+//!   solve. Otherwise it writes one frame, with failures joined in
+//!   submission order.
 //! * **Hardened connections.** Accept, polled reads, read timeouts,
 //!   per-connection budgets and the drain join are [`crate::conn`]'s job;
 //!   this module supplies only the per-frame handler (its metrics, the
@@ -63,7 +70,7 @@ use std::time::{Duration, Instant};
 use retypd_core::sync::thread::JoinHandle;
 use retypd_core::sync::{mpsc, Arc, Mutex};
 use retypd_core::{Interner, Lattice, LatticeDescriptor, SolverResult};
-use retypd_driver::{AnalysisDriver, DriverConfig, LatticeMemo, ModuleJob};
+use retypd_driver::{AnalysisDriver, DriverConfig, LatticeMemo, ModuleText};
 use retypd_telemetry::{trace_id_hash, Counter, Histogram, MetricsSnapshot, Registry};
 
 use crate::admission::Admission;
@@ -142,7 +149,9 @@ impl Default for ServeConfig {
 struct ShardJob {
     /// Position in the originating batch (responses preserve order).
     index: usize,
-    job: ModuleJob,
+    /// The module's structure, checked before admission, and its text,
+    /// parsed only if the solve misses the cache.
+    job: ModuleText,
     /// [`WireModule::fingerprint`]: the shard key and the report's
     /// `fingerprint`.
     fingerprint: u64,
@@ -376,12 +385,20 @@ impl ServerHandle {
 /// How a shard runs one job. Production is [`solve_job`]; tests inject a
 /// panicking hook to pin the shard's panic isolation end to end over a
 /// real socket.
-type SolveHook =
-    Arc<dyn Fn(&AnalysisDriver<'static>, &ModuleJob, &Lattice) -> SolverResult + Send + Sync>;
+type SolveHook = Arc<
+    dyn Fn(&AnalysisDriver<'static>, &ModuleText, &Lattice) -> Result<SolverResult, String>
+        + Send
+        + Sync,
+>;
 
-/// The production solve: the job's program against the request lattice.
-fn solve_job(driver: &AnalysisDriver<'static>, job: &ModuleJob, lattice: &Lattice) -> SolverResult {
-    driver.solve_in(lattice, &job.program)
+/// The production solve: the job's text against the request lattice,
+/// parsed only if the solve misses. `Err` is the text's parse error.
+fn solve_job(
+    driver: &AnalysisDriver<'static>,
+    job: &ModuleText,
+    lattice: &Lattice,
+) -> Result<SolverResult, String> {
+    driver.solve_text(lattice, job)
 }
 
 /// Starts a server.
@@ -493,11 +510,13 @@ fn shard_main(
     let cells = &shared.shards[shard_id].stats;
     // Resolve the shard instruments once: the per-job record path is then
     // three lock-free atomic adds per histogram. `shard.job_constraints`
-    // records a *deterministic* per-job quantity (the module's constraint
-    // count), so the histogram merged across shards is a pure function of
-    // the job multiset — the quantile bit-identity the acceptance test
-    // pins at 1 vs N shards. The `_ns` histograms are wall-clock and only
-    // asserted non-empty.
+    // records a *deterministic* per-job quantity (the lines of the
+    // module's procedure constraint text: one per subtype constraint,
+    // `VAR` declaration or additive constraint in canonical text, counted
+    // without a parse), so the histogram merged across shards is a pure
+    // function of the job multiset — the quantile bit-identity the
+    // acceptance test pins at 1 vs N shards. The `_ns` histograms are
+    // wall-clock and only asserted non-empty.
     let shard_metrics = &shared.shards[shard_id].metrics;
     let queue_wait_ns = shard_metrics.histogram("shard.queue_wait_ns");
     let solve_ns = shard_metrics.histogram("shard.solve_ns");
@@ -517,14 +536,8 @@ fn shard_main(
         let slot = shared.admission.slot_guard();
         let start = Instant::now();
         queue_wait_ns.record(start.duration_since(msg.enqueued).as_nanos() as u64);
-        job_constraints.record(
-            msg.job
-                .program
-                .procs
-                .iter()
-                .map(|p| p.constraints.len() as u64)
-                .sum(),
-        );
+        let text = &msg.job.text().procs;
+        job_constraints.record(text.iter().map(|t| t.lines().count() as u64).sum());
         // The chaos seam: stall *before* solving so injected slowness is
         // pure latency — the result bytes cannot differ.
         if let Some(delay) = shared.solve_delay {
@@ -549,9 +562,9 @@ fn shard_main(
         solve_ns.record(wall_ns);
         jobs_counter.inc();
         let reply = match solved {
-            Ok(result) => {
+            Ok(Ok(result)) => {
                 jobs_done += 1;
-                let mut wire = WireReport::from_result(&msg.job.name, &result);
+                let mut wire = WireReport::from_result(msg.job.name(), &result);
                 wire.fingerprint = msg.fingerprint;
                 wire.lattice_fp = msg.lattice.fingerprint();
                 wire.shard = shard_id;
@@ -559,6 +572,9 @@ fn shard_main(
                 wire.wall_ns = wall_ns;
                 Ok(wire)
             }
+            // The text did not parse: the error serve used to send before
+            // admission, now this module's own.
+            Ok(Err(parse)) => Err(wire::WireError::Protocol(parse).to_string()),
             Err(panic) => {
                 let what = panic
                     .downcast_ref::<&str>()
@@ -574,7 +590,8 @@ fn shard_main(
                 driver.flush_store();
                 driver = AnalysisDriver::owned(Lattice::c_types(), driver_config.clone());
                 rebuilds += 1;
-                Err(format!("solver panicked on module {:?}: {what}", msg.job.name))
+                let name = msg.job.name();
+                Err(format!("solver panicked on module {name:?}: {what}"))
             }
         };
         // After a panic the rebuilt driver reports a replayed (or, without
@@ -614,13 +631,13 @@ impl conn::Service for Shared {
                 module,
                 lattice,
                 trace_id,
-            }) => return solve(stream, &[module], &lattice, false, &trace_id, self),
+            }) => return solve(stream, vec![module], &lattice, false, &trace_id, self),
             Ok(Request::SolveBatch {
                 modules,
                 lattice,
                 stream: streaming,
                 trace_id,
-            }) => return solve(stream, &modules, &lattice, streaming, &trace_id, self),
+            }) => return solve(stream, modules, &lattice, streaming, &trace_id, self),
             Ok(Request::Stats) => Response::Stats(self.stats()),
             Ok(Request::Metrics) => Response::Metrics(self.merged_metrics()),
             Ok(Request::Shutdown) => {
@@ -649,21 +666,25 @@ impl Shared {
         wrote.is_ok()
     }
 
-    /// Routes a job to its shard (`fingerprint % shards`). `false` means a
-    /// drain hung up the queue between admission and dispatch; the job's
-    /// admission slot has then been released here.
-    fn dispatch(&self, job: ShardJob) -> bool {
+    /// Routes a job to its shard (`fingerprint % shards`). `Err` means a
+    /// drain hung up the queue between admission and dispatch and names
+    /// the module; the job's admission slot has then been released here.
+    fn dispatch(&self, job: ShardJob) -> Result<(), String> {
         let shard = &self.shards[(job.fingerprint % self.shards.len() as u64) as usize];
-        let sent = shard
-            .tx
-            .lock()
-            .expect("shard tx lock")
-            .as_ref()
-            .is_some_and(|tx| tx.send(job).is_ok());
-        if !sent {
-            self.admission.release(1);
+        let bounced = match shard.tx.lock().expect("shard tx lock").as_ref() {
+            Some(tx) => tx.send(job).err().map(|e| e.0),
+            None => Some(job),
+        };
+        match bounced {
+            None => Ok(()),
+            Some(job) => {
+                self.admission.release(1);
+                Err(format!(
+                    "module {:?} not dispatched: server is draining",
+                    job.job.name()
+                ))
+            }
         }
-        sent
     }
 }
 
@@ -703,14 +724,16 @@ fn admit_batch(n: usize, shared: &Shared) -> Result<(), Response> {
 /// Answers `solve_module` and both `solve_batch` modes through one
 /// [`wire::BatchReply`]; `false` means the client is gone. Refusals before
 /// admission are a single frame. A single-frame batch checks the lattice,
-/// then every module, before it costs any admission budget. A streaming
-/// batch is admitted by count and *pipelined*: each module is parsed and
-/// dispatched in turn, with finished reports flushed between dispatches,
-/// and a module that fails to parse (or loses a race with a drain) gets
-/// its own error frame.
+/// then every module's structure, before it costs any admission budget. A
+/// streaming batch is admitted by count and *pipelined*: each module's
+/// structure is checked and the module dispatched in turn, with finished
+/// reports flushed between dispatches, and a module whose structure fails
+/// (or that loses a race with a drain) gets its own error frame.
+/// Constraint text is never parsed here: a shard parses it if the solve
+/// misses, and text that does not parse is that module's error.
 fn solve(
     stream: &mut TcpStream,
-    modules: &[WireModule],
+    modules: Vec<WireModule>,
     lattice: &Option<LatticeDescriptor>,
     streaming: bool,
     trace_id: &Option<String>,
@@ -726,14 +749,19 @@ fn solve(
         Ok(lattice) => lattice,
         Err(e) => return refuse(stream, Response::Error(e)),
     };
-    let mut parsed = Vec::new();
+    let n = modules.len();
+    let mut jobs = modules
+        .into_iter()
+        .map(|m| (m.fingerprint(), m.into_text()));
+    let mut checked = Vec::new();
     if !streaming {
-        match modules.iter().map(WireModule::to_job).collect() {
-            Ok(jobs) => parsed = jobs,
-            Err(e) => return refuse(stream, Response::Error(e.to_string())),
+        for (fingerprint, text) in jobs.by_ref() {
+            match text {
+                Ok(text) => checked.push((fingerprint, Ok(text))),
+                Err(e) => return refuse(stream, Response::Error(e.to_string())),
+            }
         }
     }
-    let n = modules.len();
     let mut reply = wire::BatchReply::new(n, streaming, lattice.fingerprint());
     if n > 0 {
         if let Err(refusal) = admit_batch(n, shared) {
@@ -742,33 +770,27 @@ fn solve(
         let (reply_tx, replies) = mpsc::channel();
         let trace = trace_id.as_deref().map_or(0, trace_id_hash);
         let trace_id: Option<Arc<str>> = trace_id.as_deref().map(Arc::from);
-        let mut parsed = parsed.into_iter();
-        for (index, module) in modules.iter().enumerate() {
-            let refused = match parsed.next().map_or_else(|| module.to_job(), Ok) {
-                Ok(job) => {
-                    let sent = shared.dispatch(ShardJob {
+        for (index, (fingerprint, text)) in checked.into_iter().chain(jobs).enumerate() {
+            let refused = match text {
+                Ok(job) => shared
+                    .dispatch(ShardJob {
                         index,
-                        fingerprint: module.fingerprint(),
+                        fingerprint,
                         job,
                         lattice: Arc::clone(&lattice),
                         enqueued: Instant::now(),
                         trace,
                         trace_id: trace_id.clone(),
                         reply: reply_tx.clone(),
-                    });
+                    })
                     // A single-frame batch leaves an undispatched module
                     // without a result, which its reply reports as
                     // `shutting_down`.
-                    (!sent && streaming).then(|| {
-                        format!(
-                            "module {:?} not dispatched: server is draining",
-                            module.name
-                        )
-                    })
-                }
+                    .err()
+                    .filter(|_| streaming),
                 Err(e) => {
                     // A malformed module costs its slot only for the time
-                    // it took to fail parsing.
+                    // it took to fail its structural check.
                     shared.admission.release(1);
                     Some(e.to_string())
                 }
@@ -777,7 +799,8 @@ fn solve(
                 reply.push(stream, index, Err(e));
             }
             // Flush whatever already finished so the first report is on
-            // the wire while later modules still parse and dispatch.
+            // the wire while later modules are still checked and
+            // dispatched.
             while let Ok((index, result)) = replies.try_recv() {
                 reply.push(stream, index, result);
             }
@@ -797,6 +820,7 @@ mod tests {
     use super::*;
     use crate::client::{Client, ClientError};
     use retypd_core::{BaseVar, Program};
+    use retypd_driver::ModuleJob;
 
     fn job(name: &str) -> ModuleJob {
         ModuleJob {
@@ -823,10 +847,10 @@ mod tests {
         // catch_unwind / slot-release / driver-rebuild path runs over a
         // real socket. A "slow" module stalls before it panics.
         let hook: SolveHook = Arc::new(|driver, job, lattice| {
-            if job.name.contains("slow") {
+            if job.name().contains("slow") {
                 retypd_core::sync::thread::sleep(Duration::from_millis(200));
             }
-            assert!(!job.name.contains("boom"), "injected solver bug");
+            assert!(!job.name().contains("boom"), "injected solver bug");
             solve_job(driver, job, lattice)
         });
         let config = ServeConfig {

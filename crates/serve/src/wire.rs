@@ -54,11 +54,13 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::time::Instant;
 
-use retypd_core::parse::{parse_constraint_set, parse_derived_var};
+use retypd_core::parse::parse_derived_var;
 use retypd_core::solver::{CallTarget, Callsite, PhaseNs, Procedure};
-use retypd_core::{LatticeDescriptor, Program, SolverResult, SolverStats, Symbol, TypeScheme};
+use retypd_core::{
+    ConstraintSet, LatticeDescriptor, Program, SolverResult, SolverStats, Symbol, TypeScheme,
+};
 use retypd_driver::fingerprint::{program_fp_parts, scheme_fp_parts};
-use retypd_driver::{CacheStats, ModuleJob};
+use retypd_driver::{CacheStats, ExternalText, ModuleJob, ModuleText, ProgramText};
 use retypd_telemetry::{HistogramSnapshot, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
 
@@ -120,8 +122,12 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
     if payload.len() > MAX_FRAME_BYTES {
         return Err(proto(format!("frame of {} bytes exceeds cap", payload.len())));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    // One buffer, so the frame leaves as one write: the reader never
+    // wakes on a prefix alone.
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -452,15 +458,57 @@ impl WireModule {
         }
     }
 
-    /// Reconstructs the [`ModuleJob`] this wire form describes. The result
-    /// is solver-identical to the job that produced it: constraint text,
-    /// `VAR` declarations, and additive constraints all round-trip.
+    /// Reconstructs the [`ModuleJob`] this wire form describes: the
+    /// structure, then the constraint text. The result is solver-identical
+    /// to the job that produced it: constraint text, `VAR` declarations,
+    /// and additive constraints all round-trip.
     ///
     /// # Errors
     ///
-    /// Fails on unparsable constraint text or a callsite referencing an
-    /// unknown procedure.
+    /// Fails as [`WireModule::structure`] does, then on unparsable
+    /// constraint text.
     pub fn to_job(&self) -> Result<ModuleJob, WireError> {
+        self.clone().into_text()?.into_job().map_err(proto)
+    }
+
+    /// The module as the driver solves it: its [`WireModule::structure`]
+    /// beside its text, moved as it arrived. Nothing is parsed but names;
+    /// [`retypd_driver::AnalysisDriver::solve_text`] parses the constraint
+    /// text only if the solve misses the cache.
+    ///
+    /// # Errors
+    ///
+    /// Fails as [`WireModule::structure`] does.
+    pub fn into_text(self) -> Result<ModuleText, WireError> {
+        let structure = self.structure()?;
+        let text = ProgramText {
+            procs: self.procs.into_iter().map(|p| p.constraints).collect(),
+            externals: self
+                .externals
+                .into_iter()
+                .map(|e| ExternalText {
+                    name: Symbol::intern(&e.name),
+                    subject: e.subject,
+                    existentials: e.existentials,
+                    constraints: e.constraints,
+                })
+                .collect(),
+            globals: self.globals,
+        };
+        Ok(ModuleText::new(self.name, structure, text))
+    }
+
+    /// The structural half of [`WireModule::to_job`]: procedure names with
+    /// their callsites resolved, external subjects and existentials, and
+    /// globals, every constraint set left empty. Serve checks this before
+    /// admitting a module, and the gateway before forwarding a
+    /// single-frame batch.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a callsite referencing an unknown procedure, an external
+    /// subject or a global that does not parse or carries labels.
+    pub fn structure(&self) -> Result<Program, WireError> {
         let mut program = Program::new();
         // Procedure indices are positional, so resolve names first.
         let index_of: BTreeMap<&str, usize> = self
@@ -470,8 +518,6 @@ impl WireModule {
             .map(|(i, p)| (p.name.as_str(), i))
             .collect();
         for p in &self.procs {
-            let constraints = parse_constraint_set(&p.constraints)
-                .map_err(|e| proto(format!("procedure {}: {e}", p.name)))?;
             let callsites = p
                 .callsites
                 .iter()
@@ -491,7 +537,7 @@ impl WireModule {
                 .collect::<Result<Vec<_>, WireError>>()?;
             program.add_proc(Procedure {
                 name: Symbol::intern(&p.name),
-                constraints,
+                constraints: ConstraintSet::new(),
                 callsites,
             });
         }
@@ -501,13 +547,11 @@ impl WireModule {
             if !subject_dv.path().is_empty() {
                 return Err(proto(format!("external {}: subject has labels", e.name)));
             }
-            let constraints = parse_constraint_set(&e.constraints)
-                .map_err(|err| proto(format!("external {}: {err}", e.name)))?;
             let existentials: BTreeSet<Symbol> =
                 e.existentials.iter().map(|x| Symbol::intern(x)).collect();
             program.externals.insert(
                 Symbol::intern(&e.name),
-                TypeScheme::new(subject_dv.base(), existentials, constraints),
+                TypeScheme::new(subject_dv.base(), existentials, ConstraintSet::new()),
             );
         }
         for g in &self.globals {
@@ -517,10 +561,7 @@ impl WireModule {
             }
             program.globals.insert(dv.base());
         }
-        Ok(ModuleJob {
-            name: self.name.clone(),
-            program,
-        })
+        Ok(program)
     }
 
     /// The routing fingerprint, hashed from the wire strings as they
@@ -875,48 +916,49 @@ fn shard_stats_from_json(j: &Json) -> Result<WireShardStats, WireError> {
     })
 }
 
+/// A request's `v` and `kind` fields.
+fn envelope(kind: &str) -> Vec<(String, Json)> {
+    vec![
+        ("v".into(), Json::u64(PROTOCOL_VERSION)),
+        ("kind".into(), Json::str(kind)),
+    ]
+}
+
+/// A solve request's envelope with its `lattice` and `trace_id`, each
+/// omitted at its default.
+fn solve_envelope(
+    kind: &str,
+    lattice: &Option<LatticeDescriptor>,
+    trace_id: &Option<String>,
+) -> Vec<(String, Json)> {
+    let mut fields = envelope(kind);
+    if let Some(d) = lattice {
+        fields.push(("lattice".into(), Json::str(d.to_string())));
+    }
+    if let Some(id) = trace_id {
+        fields.push(("trace_id".into(), Json::str(id)));
+    }
+    fields
+}
+
 impl Request {
     /// Encodes this request into a frame payload (a v2 envelope; the
     /// `lattice`, `stream` and `trace_id` fields are omitted at their
     /// defaults).
     pub fn encode(&self) -> Vec<u8> {
-        let envelope = |kind: &str| {
-            vec![
-                ("v".into(), Json::u64(PROTOCOL_VERSION)),
-                ("kind".into(), Json::str(kind)),
-            ]
-        };
-        let push_lattice = |fields: &mut Vec<(String, Json)>, l: &Option<LatticeDescriptor>| {
-            if let Some(d) = l {
-                fields.push(("lattice".into(), Json::str(&d.to_string())));
-            }
-        };
-        let push_trace = |fields: &mut Vec<(String, Json)>, t: &Option<String>| {
-            if let Some(id) = t {
-                fields.push(("trace_id".into(), Json::str(id)));
-            }
-        };
         let j = match self {
             Request::SolveModule {
                 module,
                 lattice,
                 trace_id,
-            } => {
-                let mut fields = envelope("solve_module");
-                push_lattice(&mut fields, lattice);
-                push_trace(&mut fields, trace_id);
-                fields.push(("module".into(), module.to_json()));
-                Json::Obj(fields)
-            }
+            } => return Request::encode_solve_module(module, lattice, trace_id),
             Request::SolveBatch {
                 modules,
                 lattice,
                 stream,
                 trace_id,
             } => {
-                let mut fields = envelope("solve_batch");
-                push_lattice(&mut fields, lattice);
-                push_trace(&mut fields, trace_id);
+                let mut fields = solve_envelope("solve_batch", lattice, trace_id);
                 if *stream {
                     fields.push(("stream".into(), Json::Bool(true)));
                 }
@@ -931,6 +973,19 @@ impl Request {
             Request::Shutdown => Json::Obj(envelope("shutdown")),
         };
         encode_msg(&j)
+    }
+
+    /// Encodes a `solve_module` request from borrowed parts: the payload
+    /// [`Request::encode`] writes for the equal [`Request::SolveModule`],
+    /// without moving or cloning the module into one.
+    pub fn encode_solve_module(
+        module: &WireModule,
+        lattice: &Option<LatticeDescriptor>,
+        trace_id: &Option<String>,
+    ) -> Vec<u8> {
+        let mut fields = solve_envelope("solve_module", lattice, trace_id);
+        fields.push(("module".into(), module.to_json()));
+        encode_msg(&Json::Obj(fields))
     }
 
     /// Decodes a request from a frame payload.

@@ -1,27 +1,33 @@
 //! `WireModule::fingerprint` hashes a module's wire strings with
 //! `program_fp`'s byte stream, so serve and the gateway route a module
-//! without rebuilding it:
+//! without rebuilding it, and the driver keys a module's SCCs from the
+//! same strings, so a warm solve never parses them:
 //!
-//! * it equals `ModuleJob::fingerprint` for every module `from_job`
-//!   renders — generated modules, cluster members at call depth 0 and 6,
-//!   and a module with constant globals and a constant external subject;
+//! * the route key equals `ModuleJob::fingerprint`, and the pass-1 and
+//!   pass-2 cache keys of the module's text equal those of the job's
+//!   program, for every module `from_job` renders — generated modules,
+//!   cluster members at call depth 0 and 6, and a module with constant
+//!   globals and a constant external subject;
+//! * a warm solve of the text parses nothing, and text that does not
+//!   parse fails the solve that misses on it with `to_job`'s error;
 //! * a non-canonical rendering of the same constraints reconstructs to an
-//!   equal job but fingerprints apart (routing by text can cost warm
-//!   affinity, never an answer);
-//! * it interns nothing.
+//!   equal job but fingerprints apart, so it misses, parses and solves to
+//!   the canonical answer (keying by text can cost warm hits, never an
+//!   answer);
+//! * the route key interns nothing.
 //!
 //! This file holds a single test, so nothing else in its binary interns
 //! while the interner's size is watched.
 
 use std::collections::BTreeSet;
 
-use retypd_core::{BaseVar, ConstraintSet, Interner, Symbol, TypeScheme};
-use retypd_driver::ModuleJob;
+use retypd_core::{BaseVar, ConstraintSet, Interner, Lattice, SolverResult, Symbol, TypeScheme};
+use retypd_driver::{AnalysisDriver, DriverConfig, ModuleJob};
 use retypd_minic::codegen::compile;
 use retypd_minic::genprog::{ClusterSpec, GenConfig, ProgramGenerator};
 use retypd_minic::Module;
 use retypd_serve::wire::{WireCallsite, WireProc, WireScheme};
-use retypd_serve::WireModule;
+use retypd_serve::{WireModule, WireReport};
 
 fn lift(name: String, module: &Module) -> ModuleJob {
     let (mir, _) = compile(module).expect("generated module compiles");
@@ -41,13 +47,43 @@ fn generated(seed: u64, functions: usize) -> ModuleJob {
     lift(format!("g{seed}x{functions}"), &module)
 }
 
+fn canonical(result: &SolverResult) -> String {
+    WireReport::from_result("", result).canonical_text()
+}
+
+/// A one-worker driver over `c_types` that has solved `job`'s program.
+fn primed<'l>(lattice: &'l Lattice, job: &ModuleJob) -> (AnalysisDriver<'l>, SolverResult) {
+    let driver = AnalysisDriver::with_config(lattice, DriverConfig::with_workers(1));
+    let solved = driver.solve(&job.program);
+    (driver, solved)
+}
+
+/// The route key and every cache key of the job's wire text are the
+/// job's own: after the program's solve, its text hits every entry that
+/// solve made, in both passes, and answers the same.
 fn assert_routes_like_the_job(job: &ModuleJob) {
+    let wire = WireModule::from_job(job);
     assert_eq!(
-        WireModule::from_job(job).fingerprint(),
+        wire.fingerprint(),
         job.fingerprint(),
         "{}: the wire fingerprint differs from the job's",
         job.name
     );
+    let lattice = Lattice::c_types();
+    let (driver, cold) = primed(&lattice, job);
+    let text = wire
+        .into_text()
+        .expect("a rendered module's structure checks");
+    let warm = driver
+        .solve_text(&lattice, &text)
+        .expect("a warm solve parses nothing");
+    assert_eq!(
+        (warm.stats.cache_hits, warm.stats.cache_misses),
+        (cold.stats.cache_hits + cold.stats.cache_misses, 0),
+        "{}: the text's keys differ from the program's",
+        job.name
+    );
+    assert_eq!(canonical(&warm), canonical(&cold), "{}", job.name);
 }
 
 /// A module no earlier code has seen: every name is fresh.
@@ -147,11 +183,39 @@ fn wire_fingerprint_is_the_job_fingerprint_without_interning() {
         "`gx` and `$gx` route as one module"
     );
 
-    // A non-canonical rendering — one procedure's constraint lines in
-    // reverse — parses back to the same job, yet routes as other text.
+    // A warm solve parses nothing: an external no callsite names is in no
+    // cache key, so text that cannot parse there goes unread — a parse
+    // would fail the solve.
     let job = generated(7, 10);
-    let canonical = WireModule::from_job(&job);
-    let mut reordered = canonical.clone();
+    let lattice = Lattice::c_types();
+    let (driver, cold) = primed(&lattice, &job);
+    let mut unread = WireModule::from_job(&job);
+    unread.externals.push(WireScheme {
+        name: "never_called".into(),
+        subject: "never_called".into(),
+        existentials: vec![],
+        constraints: ")(".into(),
+    });
+    let warm = driver.solve_text(&lattice, &unread.into_text().expect("structure checks"));
+    let warm = warm.expect("a warm solve parses nothing");
+    assert_eq!(warm.stats.cache_misses, 0);
+    assert_eq!(canonical(&warm), canonical(&cold));
+    // Text that does not parse fails the solve that misses on it, with
+    // the error `to_job` gives.
+    let mut bad = WireModule::from_job(&job);
+    bad.procs[0].constraints = ")(".into();
+    let refused = bad.to_job().expect_err("the text does not parse");
+    let failed = driver
+        .solve_text(&lattice, &bad.into_text().expect("structure checks"))
+        .expect_err("the changed procedure misses and its text does not parse");
+    assert_eq!(format!("protocol error: {failed}"), refused.to_string());
+
+    // A non-canonical rendering — one procedure's constraint lines in
+    // reverse — parses back to the same job, yet routes as other text and
+    // keys as other text: it misses, parses and solves to the canonical
+    // answer.
+    let canonical_wire = WireModule::from_job(&job);
+    let mut reordered = canonical_wire.clone();
     let proc = reordered
         .procs
         .iter_mut()
@@ -162,7 +226,18 @@ fn wire_fingerprint_is_the_job_fingerprint_without_interning() {
     assert_eq!(back.fingerprint(), job.fingerprint(), "the same job");
     assert_ne!(
         reordered.fingerprint(),
-        canonical.fingerprint(),
+        canonical_wire.fingerprint(),
         "the text differs, so the route key may too"
+    );
+    let solved = driver.solve_text(&lattice, &reordered.into_text().expect("structure checks"));
+    let solved = solved.expect("reordered text parses");
+    assert!(
+        solved.stats.cache_misses > 0,
+        "reordered text hit the canonical entries"
+    );
+    assert_eq!(
+        canonical(&solved),
+        canonical(&cold),
+        "reordered text solved differently"
     );
 }
