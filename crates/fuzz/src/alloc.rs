@@ -9,10 +9,11 @@
 //! ```
 //!
 //! and read [`CountingAlloc::current`] / [`CountingAlloc::peak`] between
-//! iterations. The counters are process-wide relaxed atomics — cheap
-//! enough to leave on for every allocation, precise enough to catch a
-//! mutant that makes the server (or the decode path) balloon by hundreds
-//! of megabytes. Note that [`retypd_core::Symbol`] interning leaks by
+//! iterations, or [`CountingAlloc::allocations`] around one call to count
+//! the allocations it makes. The counters are process-wide relaxed
+//! atomics — cheap enough to leave on for every allocation, precise enough
+//! to catch a mutant that makes the server (or the decode path) balloon by
+//! hundreds of megabytes. Note that [`retypd_core::Symbol`] interning leaks by
 //! design (symbols live for the process), so live-growth bounds must be
 //! generous rather than tight.
 
@@ -26,12 +27,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
-/// The counting allocator: forwards to [`System`], tracking live bytes
-/// and the high-water mark.
+/// The counting allocator: forwards to [`System`], tracking live bytes,
+/// the high-water mark and the number of allocation calls.
 pub struct CountingAlloc;
 
 fn on_alloc(n: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     let live = CURRENT.fetch_add(n, Ordering::Relaxed) + n;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -82,6 +85,12 @@ impl CountingAlloc {
     /// last [`CountingAlloc::reset_peak`]).
     pub fn peak() -> usize {
         PEAK.load(Ordering::Relaxed)
+    }
+
+    /// Allocation calls (`alloc`, `alloc_zeroed` and `realloc`) that have
+    /// succeeded since process start.
+    pub fn allocations() -> usize {
+        ALLOCATIONS.load(Ordering::Relaxed)
     }
 
     /// Resets the high-water mark to the current live count.

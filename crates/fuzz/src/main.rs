@@ -74,7 +74,7 @@ impl TierStats {
         }
     }
 
-    fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json<'_> {
         Json::Obj(vec![
             ("inputs".into(), Json::u64(self.inputs)),
             ("decoded_valid".into(), Json::u64(self.decoded_valid)),

@@ -228,7 +228,7 @@ fn huge_string(rng: &mut StdRng) -> String {
 
 /// An array nested `depth` levels — straddling the parser's
 /// [`retypd_serve::json::MAX_DEPTH`] bound from both sides.
-fn deep_array(depth: usize) -> Json {
+fn deep_array(depth: usize) -> Json<'static> {
     let mut v = Json::u64(1);
     for _ in 0..depth {
         v = Json::Arr(vec![v]);
@@ -237,7 +237,7 @@ fn deep_array(depth: usize) -> Json {
 }
 
 /// Walks to a random node (biased toward descending into containers).
-fn random_node<'a>(v: &'a mut Json, rng: &mut StdRng) -> &'a mut Json {
+fn random_node<'a, 'j>(v: &'a mut Json<'j>, rng: &mut StdRng) -> &'a mut Json<'j> {
     if !rng.gen_bool(0.7) {
         return v;
     }
@@ -257,12 +257,12 @@ fn random_node<'a>(v: &'a mut Json, rng: &mut StdRng) -> &'a mut Json {
     }
 }
 
-fn mutate_json(v: &mut Json, rng: &mut StdRng) {
+fn mutate_json(v: &mut Json<'_>, rng: &mut StdRng) {
     let node = random_node(v, rng);
     match rng.gen_range(0..8u32) {
         0 => *node = Json::Null,
-        1 => *node = Json::Num(huge_number(rng)),
-        2 => *node = Json::Str(huge_string(rng)),
+        1 => *node = Json::Num(huge_number(rng).into()),
+        2 => *node = Json::Str(huge_string(rng).into()),
         // Nesting bomb: sometimes under, sometimes over the parse limit.
         3 => *node = deep_array(rng.gen_range(100..200usize)),
         4 => {
@@ -299,14 +299,14 @@ fn mutate_json(v: &mut Json, rng: &mut StdRng) {
         6 => {
             // Type swap.
             *node = match &*node {
-                Json::Str(s) => Json::Num(s.len().to_string()),
+                Json::Str(s) => Json::Num(s.len().to_string().into()),
                 Json::Num(n) => Json::Str(n.clone()),
-                Json::Bool(b) => Json::Num(u8::from(*b).to_string()),
+                Json::Bool(b) => Json::Num(u8::from(*b).to_string().into()),
                 Json::Null => Json::Obj(vec![("null".into(), Json::Null)]),
                 Json::Arr(a) => Json::Obj(
                     a.iter()
                         .enumerate()
-                        .map(|(i, v)| (i.to_string(), v.clone()))
+                        .map(|(i, v)| (i.to_string().into(), v.clone()))
                         .collect(),
                 ),
                 Json::Obj(m) => Json::Arr(m.iter().map(|(_, v)| v.clone()).collect()),
@@ -393,11 +393,11 @@ fn grammar_descriptor(rng: &mut StdRng) -> String {
 }
 
 /// Replaces the `n`-th string node (depth-first) with `s`.
-fn replace_nth_str(v: &mut Json, n: &mut usize, s: &str) -> bool {
+fn replace_nth_str(v: &mut Json<'_>, n: &mut usize, s: &str) -> bool {
     match v {
         Json::Str(old) => {
             if *n == 0 {
-                *old = s.to_owned();
+                *old = s.to_owned().into();
                 return true;
             }
             *n -= 1;
@@ -409,7 +409,7 @@ fn replace_nth_str(v: &mut Json, n: &mut usize, s: &str) -> bool {
     }
 }
 
-fn count_strs(v: &Json) -> usize {
+fn count_strs(v: &Json<'_>) -> usize {
     match v {
         Json::Str(_) => 1,
         Json::Arr(a) => a.iter().map(count_strs).sum(),
@@ -419,12 +419,12 @@ fn count_strs(v: &Json) -> usize {
 }
 
 /// Sets (or inserts) a top-level envelope member.
-fn set_member(v: &mut Json, key: &str, value: Json) {
+fn set_member<'a>(v: &mut Json<'a>, key: &str, value: Json<'a>) {
     if let Json::Obj(m) = v {
         if let Some(slot) = m.iter_mut().find(|(k, _)| k == key) {
             slot.1 = value;
         } else {
-            m.push((key.to_owned(), value));
+            m.push((key.to_owned().into(), value));
         }
     }
 }
@@ -449,14 +449,14 @@ fn grammar_mutant(rng: &mut StdRng, bases: &[Vec<u8>]) -> Mutant {
         }
         1 => {
             let d = grammar_descriptor(rng);
-            set_member(&mut v, "lattice", Json::Str(d.clone()));
+            set_member(&mut v, "lattice", Json::Str(d.clone().into()));
             grammar.push(d);
         }
         2 => {
             // Version confusion.
             let ver = match rng.gen_range(0..5u32) {
                 0 => Json::u64(rng.gen_range(0..12u64)),
-                1 => Json::Num(huge_number(rng)),
+                1 => Json::Num(huge_number(rng).into()),
                 2 => Json::Str("2".into()),
                 3 => Json::Null,
                 _ => Json::Num("-1".into()),
@@ -472,16 +472,16 @@ fn grammar_mutant(rng: &mut StdRng, bases: &[Vec<u8>]) -> Mutant {
                 3 => grammar_string(rng, 4),
                 _ => String::new(),
             };
-            set_member(&mut v, "kind", Json::Str(kind));
+            set_member(&mut v, "kind", Json::Str(kind.into()));
         }
         4 => {
             // Trace-id confusion: wrong types, empty, over the 64-byte
             // budget, or junk text — the envelope-level validation must
             // refuse these without touching the solve path.
             let trace = match rng.gen_range(0..6u32) {
-                0 => Json::Str(String::new()),
-                1 => Json::Str("A".repeat(rng.gen_range(65..512usize))),
-                2 => Json::Str(grammar_string(rng, 8)),
+                0 => Json::str(""),
+                1 => Json::Str("A".repeat(rng.gen_range(65..512usize)).into()),
+                2 => Json::Str(grammar_string(rng, 8).into()),
                 3 => Json::Arr(vec![Json::u64(1)]),
                 4 => Json::u64(rng.gen()),
                 _ => Json::Null,
@@ -553,14 +553,14 @@ pub fn gateway_stats_mutant(rng: &mut StdRng) -> Vec<u8> {
                 3 => "shutting_down".into(),
                 _ => grammar_string(rng, 4),
             };
-            set_member(&mut v, "kind", Json::Str(kind));
+            set_member(&mut v, "kind", Json::Str(kind.into()));
         }
         1 => {
             // Poison one admission / liveness number.
             let key = ["accepted", "rejected", "queued", "queue_limit", "pid", "start_ns"]
                 [rng.gen_range(0..6usize)];
             let value = match rng.gen_range(0..5u32) {
-                0 => Json::Num(huge_number(rng)),
+                0 => Json::Num(huge_number(rng).into()),
                 1 => Json::Num("-1".into()),
                 2 => Json::Str("64".into()),
                 3 => Json::Null,
@@ -582,7 +582,7 @@ pub fn gateway_stats_mutant(rng: &mut StdRng) -> Vec<u8> {
                 0 => Json::Arr(vec![]),
                 1 => Json::u64(7),
                 2 => Json::Arr(vec![Json::Null, Json::u64(1)]),
-                _ => Json::Str(grammar_string(rng, 4)),
+                _ => Json::Str(grammar_string(rng, 4).into()),
             };
             set_member(&mut v, "shards", shards);
         }

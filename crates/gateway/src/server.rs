@@ -335,7 +335,7 @@ impl Shared {
         lattice: &Option<LatticeDescriptor>,
         trace_id: &Option<String>,
     ) -> Result<WireReport, String> {
-        let payload = Request::encode_solve_module(module, lattice, trace_id);
+        let payload = Request::encode_solve_module(module, lattice.as_ref(), trace_id.as_deref());
         let named = |e: String| format!("module {:?}: {e}", module.name);
         for attempt in 0..=self.config.retry_budget {
             let reply = self.forward_solve(key, &payload).map_err(named)?;

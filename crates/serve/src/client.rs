@@ -128,8 +128,9 @@ impl Client {
         }
     }
 
-    fn roundtrip(&mut self, req: &Request) -> Result<Response, ClientError> {
-        wire::write_frame(&mut self.stream, &req.encode())?;
+    /// Sends one encoded request and decodes its one reply.
+    fn exchange(&mut self, request: &[u8]) -> Result<Response, ClientError> {
+        wire::write_frame(&mut self.stream, request)?;
         let payload = wire::read_frame(&mut self.stream)?
             .ok_or_else(|| ClientError::Unexpected("server closed the connection".into()))?;
         Ok(Response::decode(&payload)?)
@@ -187,11 +188,8 @@ impl Client {
         lattice: Option<&LatticeDescriptor>,
         trace_id: Option<&str>,
     ) -> Result<WireReport, ClientError> {
-        let resp = self.roundtrip(&Request::SolveModule {
-            module: WireModule::from_job(job),
-            lattice: lattice.cloned(),
-            trace_id: trace_id.map(str::to_owned),
-        })?;
+        let module = WireModule::from_job(job);
+        let resp = self.exchange(&Request::encode_solve_module(&module, lattice, trace_id))?;
         Ok(Self::expect_solved(resp, 1)?.remove(0))
     }
 
@@ -208,7 +206,7 @@ impl Client {
     /// protocol or server failures.
     pub fn solve_batch(&mut self, jobs: &[ModuleJob]) -> Result<Vec<WireReport>, ClientError> {
         let modules = jobs.iter().map(WireModule::from_job).collect();
-        let resp = self.roundtrip(&Request::solve_batch(modules))?;
+        let resp = self.exchange(&Request::solve_batch(modules).encode())?;
         Self::expect_solved(resp, jobs.len())
     }
 
@@ -268,7 +266,7 @@ impl Client {
     ///
     /// Fails on protocol or server errors.
     pub fn stats(&mut self) -> Result<WireStats, ClientError> {
-        match self.roundtrip(&Request::Stats)? {
+        match self.exchange(&Request::Stats.encode())? {
             Response::Stats(s) => Ok(s),
             other => Err(refusal(other)),
         }
@@ -282,7 +280,7 @@ impl Client {
     ///
     /// Fails on protocol or server errors.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
-        match self.roundtrip(&Request::Metrics)? {
+        match self.exchange(&Request::Metrics.encode())? {
             Response::Metrics(m) => Ok(m),
             other => Err(refusal(other)),
         }

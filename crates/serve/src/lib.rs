@@ -363,7 +363,7 @@ mod tests {
                 &[],
             ),
         ];
-        fn at<'j>(j: &'j mut Json, path: &[&str]) -> &'j mut Json {
+        fn at<'j, 'a>(j: &'j mut Json<'a>, path: &[&str]) -> &'j mut Json<'a> {
             path.iter().fold(j, |j, step| match j {
                 Json::Obj(members) => {
                     &mut members.iter_mut().find(|(k, _)| k == step).expect("path").1
@@ -373,7 +373,8 @@ mod tests {
             })
         }
         for (reply, path) in cases {
-            let whole = Json::parse(std::str::from_utf8(&reply.encode()).unwrap()).unwrap();
+            let bytes = reply.encode();
+            let whole = Json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
             let Json::Obj(members) = at(&mut whole.clone(), path).clone() else {
                 panic!("{path:?} is not an object");
             };
@@ -404,5 +405,52 @@ mod tests {
         // An announced length over the cap is refused without allocating.
         let huge = (u32::MAX).to_be_bytes();
         assert!(read_frame(&mut &huge[..]).is_err());
+    }
+
+    /// A writer that takes at most 3 bytes per call, across slices, and
+    /// is interrupted on every fourth call.
+    #[derive(Default)]
+    struct Trickle {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl std::io::Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[std::io::IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(4) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let before = self.bytes.len();
+            for b in bufs {
+                let room = 3 - (self.bytes.len() - before);
+                self.bytes.extend_from_slice(&b[..b.len().min(room)]);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frames_survive_short_writes() {
+        use crate::wire::{read_frame, write_frame};
+        for payload in [&b""[..], b"{}", b"abcde", &Request::Stats.encode()] {
+            let mut whole = Vec::new();
+            write_frame(&mut whole, payload).unwrap();
+            assert_eq!(whole[..4], (payload.len() as u32).to_be_bytes());
+            assert_eq!(&whole[4..], payload);
+            let mut trickle = Trickle::default();
+            write_frame(&mut trickle, payload).unwrap();
+            assert_eq!(trickle.bytes, whole, "{payload:?}");
+            assert!(trickle.calls >= whole.len().div_ceil(3));
+            assert_eq!(read_frame(&mut &trickle.bytes[..]).unwrap().as_deref(), Some(payload));
+        }
     }
 }

@@ -44,14 +44,25 @@
 //! in the gateway, is written by [`BatchReply`], so the two servers
 //! cannot disagree on a reply's bytes.
 //!
+//! **Decoding copies each kept string once.** [`Request::decode`] and
+//! [`Response::decode`] check a frame's UTF-8 once and parse it into a
+//! [`Json`] tree that borrows every string without an escape from the
+//! frame. They then consume the tree field by field, in a fixed order: a
+//! string the message keeps is copied out of the frame once, or moved if
+//! the parser had to unescape it (constraint text and sketches span
+//! lines), and a `kind` is compared where it lies. Encoders build trees
+//! that borrow the message, and [`write_frame`] sends a frame's prefix and
+//! payload in one vectored write.
+//!
 //! Reports carry schemes and sketches in their canonical rendered form plus
 //! the full [`SolverStats`]; [`WireReport::canonical_text`] is the
 //! timing-free projection the determinism tests compare byte-for-byte
 //! against in-process and sequential solves.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::time::Instant;
 
 use retypd_core::parse::parse_derived_var;
@@ -115,19 +126,32 @@ fn proto(msg: impl Into<String>) -> WireError {
 
 /// Writes one frame (length prefix + payload).
 ///
+/// The prefix and the payload go out in one vectored write, so on a
+/// socket the frame leaves in one syscall (the reader never wakes on a
+/// prefix alone) without copying the payload behind its prefix. Partial
+/// writes are resumed until the whole frame is out.
+///
 /// # Errors
 ///
 /// Fails on socket errors or an oversized payload.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
     if payload.len() > MAX_FRAME_BYTES {
-        return Err(proto(format!("frame of {} bytes exceeds cap", payload.len())));
+        return Err(proto(format!(
+            "frame of {} bytes exceeds cap",
+            payload.len()
+        )));
     }
-    // One buffer, so the frame leaves as one write: the reader never
-    // wakes on a prefix alone.
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
+    let prefix = (payload.len() as u32).to_be_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(payload)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(WireError::Io(std::io::ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -152,11 +176,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
     }
 }
 
-fn encode_msg(j: &Json) -> Vec<u8> {
+fn encode_msg(j: &Json<'_>) -> Vec<u8> {
     j.encode().into_bytes()
 }
 
-fn decode_msg(payload: &[u8]) -> Result<Json, WireError> {
+/// Checks the frame's UTF-8 once; the tree borrows every unescaped
+/// string from the payload.
+fn decode_msg(payload: &[u8]) -> Result<Json<'_>, WireError> {
     let text = std::str::from_utf8(payload).map_err(|_| proto("frame is not UTF-8"))?;
     Json::parse(text).map_err(|e| proto(format!("bad JSON: {e}")))
 }
@@ -650,7 +676,7 @@ impl WireReport {
 // JSON encoding/decoding
 
 impl WireModule {
-    fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json<'_> {
         Json::Obj(vec![
             ("name".into(), Json::str(&self.name)),
             (
@@ -713,45 +739,36 @@ impl WireModule {
         ])
     }
 
-    fn from_json(j: &Json) -> Result<WireModule, WireError> {
+    fn from_json(mut j: Json<'_>) -> Result<WireModule, WireError> {
         Ok(WireModule {
-            name: str_field(j, "name")?,
-            procs: arr_field(j, "procs")?
-                .iter()
-                .map(|p| {
-                    Ok(WireProc {
-                        name: str_field(p, "name")?,
-                        constraints: str_field(p, "constraints")?,
-                        callsites: arr_field(p, "callsites")?
-                            .iter()
-                            .map(|cs| {
-                                Ok(WireCallsite {
-                                    external: bool_field(cs, "external")?,
-                                    callee: str_field(cs, "callee")?,
-                                    tag: str_field(cs, "tag")?,
-                                })
-                            })
-                            .collect::<Result<_, WireError>>()?,
-                    })
+            name: str_field(&mut j, "name")?,
+            procs: each(arr_field(&mut j, "procs")?, |mut p| {
+                Ok(WireProc {
+                    name: str_field(&mut p, "name")?,
+                    constraints: str_field(&mut p, "constraints")?,
+                    callsites: each(arr_field(&mut p, "callsites")?, |mut cs| {
+                        Ok(WireCallsite {
+                            external: bool_field(&cs, "external")?,
+                            callee: str_field(&mut cs, "callee")?,
+                            tag: str_field(&mut cs, "tag")?,
+                        })
+                    })?,
                 })
-                .collect::<Result<_, WireError>>()?,
-            externals: arr_field(j, "externals")?
-                .iter()
-                .map(|e| {
-                    Ok(WireScheme {
-                        name: str_field(e, "name")?,
-                        subject: str_field(e, "subject")?,
-                        existentials: str_arr_field(e, "existentials")?,
-                        constraints: str_field(e, "constraints")?,
-                    })
+            })?,
+            externals: each(arr_field(&mut j, "externals")?, |mut e| {
+                Ok(WireScheme {
+                    name: str_field(&mut e, "name")?,
+                    subject: str_field(&mut e, "subject")?,
+                    existentials: str_arr_field(&mut e, "existentials")?,
+                    constraints: str_field(&mut e, "constraints")?,
                 })
-                .collect::<Result<_, WireError>>()?,
-            globals: str_arr_field(j, "globals")?,
+            })?,
+            globals: str_arr_field(&mut j, "globals")?,
         })
     }
 }
 
-fn stats_to_json(s: &SolverStats) -> Json {
+fn stats_to_json(s: &SolverStats) -> Json<'static> {
     Json::Obj(vec![
         ("graph_nodes".into(), Json::usize(s.graph_nodes)),
         ("graph_edges".into(), Json::usize(s.graph_edges)),
@@ -770,7 +787,7 @@ fn stats_to_json(s: &SolverStats) -> Json {
     ])
 }
 
-fn stats_from_json(j: &Json) -> Result<SolverStats, WireError> {
+fn stats_from_json(j: &Json<'_>) -> Result<SolverStats, WireError> {
     Ok(SolverStats {
         graph_nodes: usize_field(j, "graph_nodes")?,
         graph_edges: usize_field(j, "graph_edges")?,
@@ -792,7 +809,7 @@ fn stats_from_json(j: &Json) -> Result<SolverStats, WireError> {
 }
 
 impl WireReport {
-    fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json<'_> {
         let mut fields = vec![
             ("name".into(), Json::str(&self.name)),
             ("fingerprint".into(), Json::u64(self.fingerprint)),
@@ -838,51 +855,39 @@ impl WireReport {
         Json::Obj(fields)
     }
 
-    fn from_json(j: &Json) -> Result<WireReport, WireError> {
+    fn from_json(mut j: Json<'_>) -> Result<WireReport, WireError> {
         Ok(WireReport {
-            name: str_field(j, "name")?,
-            fingerprint: u64_field(j, "fingerprint")?,
-            lattice_fp: u64_field(j, "lattice_fp")?,
-            shard: usize_field(j, "shard")?,
-            procs: arr_field(j, "procs")?
-                .iter()
-                .map(|p| {
-                    Ok(WireProcResult {
-                        name: str_field(p, "name")?,
-                        scheme: str_field(p, "scheme")?,
-                        sketch: nullable_str_field(p, "sketch")?,
-                        general: nullable_str_field(p, "general")?,
-                    })
+            name: str_field(&mut j, "name")?,
+            fingerprint: u64_field(&j, "fingerprint")?,
+            lattice_fp: u64_field(&j, "lattice_fp")?,
+            shard: usize_field(&j, "shard")?,
+            procs: each(arr_field(&mut j, "procs")?, |mut p| {
+                Ok(WireProcResult {
+                    name: str_field(&mut p, "name")?,
+                    scheme: str_field(&mut p, "scheme")?,
+                    sketch: nullable_str_field(&mut p, "sketch")?,
+                    general: nullable_str_field(&mut p, "general")?,
                 })
-                .collect::<Result<_, WireError>>()?,
-            inconsistencies: arr_field(j, "inconsistencies")?
-                .iter()
-                .map(|pair| {
-                    let items = pair.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                        proto("inconsistency entries are 2-element arrays")
-                    })?;
-                    Ok((
-                        items[0]
-                            .as_str()
-                            .ok_or_else(|| proto("inconsistency members are strings"))?
-                            .to_owned(),
-                        items[1]
-                            .as_str()
-                            .ok_or_else(|| proto("inconsistency members are strings"))?
-                            .to_owned(),
-                    ))
-                })
-                .collect::<Result<_, WireError>>()?,
-            stats: stats_from_json(
-                j.get("stats").ok_or_else(|| proto("missing stats"))?,
-            )?,
-            wall_ns: u64_field(j, "wall_ns")?,
-            trace_id: opt_str_field(j, "trace_id")?,
+            })?,
+            inconsistencies: each(arr_field(&mut j, "inconsistencies")?, |pair| {
+                let Json::Arr(items) = pair else {
+                    return Err(proto("inconsistency entries are 2-element arrays"));
+                };
+                let [a, b] = <[Json<'_>; 2]>::try_from(items)
+                    .map_err(|_| proto("inconsistency entries are 2-element arrays"))?;
+                let member = |j: Json<'_>| {
+                    into_string(j).ok_or_else(|| proto("inconsistency members are strings"))
+                };
+                Ok((member(a)?, member(b)?))
+            })?,
+            stats: stats_from_json(j.get("stats").ok_or_else(|| proto("missing stats"))?)?,
+            wall_ns: u64_field(&j, "wall_ns")?,
+            trace_id: opt_str_field(&mut j, "trace_id")?,
         })
     }
 }
 
-fn shard_stats_to_json(s: &WireShardStats) -> Json {
+fn shard_stats_to_json(s: &WireShardStats) -> Json<'static> {
     Json::Obj(vec![
         ("shard".into(), Json::usize(s.shard)),
         ("jobs".into(), Json::u64(s.jobs)),
@@ -898,26 +903,29 @@ fn shard_stats_to_json(s: &WireShardStats) -> Json {
     ])
 }
 
-fn shard_stats_from_json(j: &Json) -> Result<WireShardStats, WireError> {
+fn shard_stats_from_json(j: Json<'_>) -> Result<WireShardStats, WireError> {
     Ok(WireShardStats {
-        shard: usize_field(j, "shard")?,
-        jobs: u64_field(j, "jobs")?,
-        rebuilds: u64_field(j, "rebuilds")?,
+        shard: usize_field(&j, "shard")?,
+        jobs: u64_field(&j, "jobs")?,
+        rebuilds: u64_field(&j, "rebuilds")?,
         cache: CacheStats {
-            hits: u64_field(j, "hits")?,
-            misses: u64_field(j, "misses")?,
-            evictions: u64_field(j, "evictions")?,
-            scheme_entries: usize_field(j, "scheme_entries")?,
-            refine_entries: usize_field(j, "refine_entries")?,
+            hits: u64_field(&j, "hits")?,
+            misses: u64_field(&j, "misses")?,
+            evictions: u64_field(&j, "evictions")?,
+            scheme_entries: usize_field(&j, "scheme_entries")?,
+            refine_entries: usize_field(&j, "refine_entries")?,
         },
-        persisted_entries: u64_field(j, "persisted_entries")?,
-        replayed_entries: u64_field(j, "replayed_entries")?,
-        replay_ns: u64_field(j, "replay_ns")?,
+        persisted_entries: u64_field(&j, "persisted_entries")?,
+        replayed_entries: u64_field(&j, "replayed_entries")?,
+        replay_ns: u64_field(&j, "replay_ns")?,
     })
 }
 
+/// An object's members, keyed by `'static` names or borrowed text.
+type Members<'a> = Vec<(Cow<'a, str>, Json<'a>)>;
+
 /// A request's `v` and `kind` fields.
-fn envelope(kind: &str) -> Vec<(String, Json)> {
+fn envelope(kind: &'static str) -> Members<'static> {
     vec![
         ("v".into(), Json::u64(PROTOCOL_VERSION)),
         ("kind".into(), Json::str(kind)),
@@ -926,11 +934,11 @@ fn envelope(kind: &str) -> Vec<(String, Json)> {
 
 /// A solve request's envelope with its `lattice` and `trace_id`, each
 /// omitted at its default.
-fn solve_envelope(
-    kind: &str,
-    lattice: &Option<LatticeDescriptor>,
-    trace_id: &Option<String>,
-) -> Vec<(String, Json)> {
+fn solve_envelope<'a>(
+    kind: &'static str,
+    lattice: Option<&LatticeDescriptor>,
+    trace_id: Option<&'a str>,
+) -> Members<'a> {
     let mut fields = envelope(kind);
     if let Some(d) = lattice {
         fields.push(("lattice".into(), Json::str(d.to_string())));
@@ -951,14 +959,17 @@ impl Request {
                 module,
                 lattice,
                 trace_id,
-            } => return Request::encode_solve_module(module, lattice, trace_id),
+            } => {
+                return Request::encode_solve_module(module, lattice.as_ref(), trace_id.as_deref())
+            }
             Request::SolveBatch {
                 modules,
                 lattice,
                 stream,
                 trace_id,
             } => {
-                let mut fields = solve_envelope("solve_batch", lattice, trace_id);
+                let mut fields =
+                    solve_envelope("solve_batch", lattice.as_ref(), trace_id.as_deref());
                 if *stream {
                     fields.push(("stream".into(), Json::Bool(true)));
                 }
@@ -977,18 +988,21 @@ impl Request {
 
     /// Encodes a `solve_module` request from borrowed parts: the payload
     /// [`Request::encode`] writes for the equal [`Request::SolveModule`],
-    /// without moving or cloning the module into one.
+    /// without moving or cloning the module, lattice or trace id into one.
     pub fn encode_solve_module(
         module: &WireModule,
-        lattice: &Option<LatticeDescriptor>,
-        trace_id: &Option<String>,
+        lattice: Option<&LatticeDescriptor>,
+        trace_id: Option<&str>,
     ) -> Vec<u8> {
         let mut fields = solve_envelope("solve_module", lattice, trace_id);
         fields.push(("module".into(), module.to_json()));
         encode_msg(&Json::Obj(fields))
     }
 
-    /// Decodes a request from a frame payload.
+    /// Decodes a request from a frame payload. The frame's UTF-8 is
+    /// checked once and every string of the module is copied once, from
+    /// the payload into the [`WireModule`] (an escaped string is moved,
+    /// as unescaped by the parser).
     ///
     /// # Errors
     ///
@@ -996,7 +1010,7 @@ impl Request {
     /// [`PROTOCOL_VERSION`], an unknown `kind`, or an unparsable lattice
     /// descriptor.
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
-        let j = decode_msg(payload)?;
+        let mut j = decode_msg(payload)?;
         let version = u64_field(&j, "v")?;
         if version != PROTOCOL_VERSION {
             return Err(proto(format!(
@@ -1018,10 +1032,10 @@ impl Request {
         };
         // Envelope-level trace id: validated for every kind (control
         // requests simply have no report to echo it in).
-        let trace_id = match j.get("trace_id") {
+        let trace_id = match j.take("trace_id") {
             None | Some(Json::Null) => None,
             Some(Json::Str(s)) if !s.is_empty() && s.len() <= MAX_TRACE_ID_BYTES => {
-                Some(s.clone())
+                Some(s.into_owned())
             }
             Some(Json::Str(_)) => {
                 return Err(proto(format!(
@@ -1030,19 +1044,16 @@ impl Request {
             }
             Some(_) => return Err(proto("field \"trace_id\" must be a string")),
         };
-        match str_field(&j, "kind")?.as_str() {
+        match &*str_ref_field(&mut j, "kind")? {
             "solve_module" => Ok(Request::SolveModule {
                 module: WireModule::from_json(
-                    j.get("module").ok_or_else(|| proto("missing module"))?,
+                    j.take("module").ok_or_else(|| proto("missing module"))?,
                 )?,
                 lattice,
                 trace_id,
             }),
             "solve_batch" => Ok(Request::SolveBatch {
-                modules: arr_field(&j, "modules")?
-                    .iter()
-                    .map(WireModule::from_json)
-                    .collect::<Result<_, WireError>>()?,
+                modules: each(arr_field(&mut j, "modules")?, WireModule::from_json)?,
                 lattice,
                 stream,
                 trace_id,
@@ -1113,7 +1124,7 @@ impl Response {
                     Json::Obj(
                         m.counters
                             .iter()
-                            .map(|(n, v)| (n.clone(), Json::u64(*v)))
+                            .map(|(n, v)| (n.into(), Json::u64(*v)))
                             .collect(),
                     ),
                 ),
@@ -1122,7 +1133,7 @@ impl Response {
                     Json::Obj(
                         m.gauges
                             .iter()
-                            .map(|(n, v)| (n.clone(), Json::Num(v.to_string())))
+                            .map(|(n, v)| (n.into(), Json::Num(v.to_string().into())))
                             .collect(),
                     ),
                 ),
@@ -1162,34 +1173,32 @@ impl Response {
         encode_msg(&j)
     }
 
-    /// Decodes a response from a frame payload.
+    /// Decodes a response from a frame payload, copying each string it
+    /// keeps once, as [`Request::decode`] does.
     ///
     /// # Errors
     ///
     /// Fails on malformed JSON or an unknown `kind`.
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
-        let j = decode_msg(payload)?;
-        match str_field(&j, "kind")?.as_str() {
-            "solved" => Ok(Response::Solved(
-                arr_field(&j, "reports")?
-                    .iter()
-                    .map(WireReport::from_json)
-                    .collect::<Result<_, WireError>>()?,
-            )),
+        let mut j = decode_msg(payload)?;
+        match &*str_ref_field(&mut j, "kind")? {
+            "solved" => Ok(Response::Solved(each(
+                arr_field(&mut j, "reports")?,
+                WireReport::from_json,
+            )?)),
             "report" => {
                 let index = usize_field(&j, "index")?;
-                let result = match j.get("report") {
+                let result = match j.take("report") {
                     Some(r) => Ok(Box::new(WireReport::from_json(r)?)),
-                    None => Err(str_field(&j, "error").map_err(|_| {
-                        proto("report frames carry either a report or an error")
-                    })?),
+                    None => Err(str_field(&mut j, "error")
+                        .map_err(|_| proto("report frames carry either a report or an error"))?),
                 };
                 Ok(Response::Report { index, result })
             }
             "batch_done" => Ok(Response::BatchDone(WireBatchDone {
                 modules: usize_field(&j, "modules")?,
                 delivered: usize_field(&j, "delivered")?,
-                errors: str_arr_field(&j, "errors")?,
+                errors: str_arr_field(&mut j, "errors")?,
                 wall_ns: u64_field(&j, "wall_ns")?,
                 lattice_fp: u64_field(&j, "lattice_fp")?,
             })),
@@ -1200,10 +1209,7 @@ impl Response {
                 queue_limit: usize_field(&j, "queue_limit")?,
                 pid: u64_field(&j, "pid")?,
                 start_ns: u64_field(&j, "start_ns")?,
-                shards: arr_field(&j, "shards")?
-                    .iter()
-                    .map(shard_stats_from_json)
-                    .collect::<Result<_, WireError>>()?,
+                shards: each(arr_field(&mut j, "shards")?, shard_stats_from_json)?,
             })),
             "overloaded" => Ok(Response::Overloaded {
                 queued: usize_field(&j, "queued")?,
@@ -1212,56 +1218,51 @@ impl Response {
             "metrics" => {
                 // Every member must parse as the field's number type.
                 fn numbers<T: std::str::FromStr>(
-                    j: &Json,
+                    j: &mut Json<'_>,
                     key: &str,
                 ) -> Result<Vec<(String, T)>, WireError> {
-                    let Some(Json::Obj(members)) = j.get(key) else {
+                    let Some(Json::Obj(members)) = j.take(key) else {
                         return Err(proto(format!("missing object field {key:?}")));
                     };
                     members
-                        .iter()
+                        .into_iter()
                         .map(|(n, v)| {
                             let parsed = match v {
                                 Json::Num(num) => num.parse().ok(),
                                 _ => None,
                             };
-                            parsed.map(|x| (n.clone(), x)).ok_or_else(|| {
-                                proto(format!("{key:?} member {n:?} is not a number"))
-                            })
+                            match parsed {
+                                Some(x) => Ok((n.into_owned(), x)),
+                                None => Err(proto(format!("{key:?} member {n:?} is not a number"))),
+                            }
                         })
                         .collect()
                 }
-                let counters = numbers(&j, "counters")?;
-                let gauges = numbers(&j, "gauges")?;
-                let histograms = arr_field(&j, "histograms")?
-                    .iter()
-                    .map(|h| {
-                        let name = str_field(h, "name")?;
-                        let count = u64_field(h, "count")?;
-                        let sum = u64_field(h, "sum")?;
-                        let buckets = arr_field(h, "buckets")?
-                            .iter()
-                            .map(|pair| {
-                                let items =
-                                    pair.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                                        proto("histogram buckets are 2-element arrays")
-                                    })?;
-                                match (items[0].as_u64(), items[1].as_u64()) {
-                                    (Some(b), Some(c)) => Ok((b, c)),
-                                    _ => Err(proto("histogram buckets are u64 pairs")),
-                                }
-                            })
-                            .collect::<Result<Vec<_>, WireError>>()?;
-                        // The quantiles must be present, but the snapshot
-                        // derives them from the buckets.
-                        for q in ["p50", "p95", "p99"] {
-                            u64_field(h, q)?;
+                let counters = numbers(&mut j, "counters")?;
+                let gauges = numbers(&mut j, "gauges")?;
+                let histograms = each(arr_field(&mut j, "histograms")?, |mut h| {
+                    let name = str_field(&mut h, "name")?;
+                    let count = u64_field(&h, "count")?;
+                    let sum = u64_field(&h, "sum")?;
+                    let buckets = each(arr_field(&mut h, "buckets")?, |pair| {
+                        let items = pair
+                            .as_arr()
+                            .filter(|a| a.len() == 2)
+                            .ok_or_else(|| proto("histogram buckets are 2-element arrays"))?;
+                        match (items[0].as_u64(), items[1].as_u64()) {
+                            (Some(b), Some(c)) => Ok((b, c)),
+                            _ => Err(proto("histogram buckets are u64 pairs")),
                         }
-                        let mut snap = HistogramSnapshot::from_buckets(&buckets, sum);
-                        snap.count = count;
-                        Ok((name, snap))
-                    })
-                    .collect::<Result<_, WireError>>()?;
+                    })?;
+                    // The quantiles must be present, but the snapshot
+                    // derives them from the buckets.
+                    for q in ["p50", "p95", "p99"] {
+                        u64_field(&h, q)?;
+                    }
+                    let mut snap = HistogramSnapshot::from_buckets(&buckets, sum);
+                    snap.count = count;
+                    Ok((name, snap))
+                })?;
                 Ok(Response::Metrics(MetricsSnapshot {
                     counters,
                     gauges,
@@ -1269,7 +1270,7 @@ impl Response {
                 }))
             }
             "shutting_down" => Ok(Response::ShuttingDown),
-            "error" => Ok(Response::Error(str_field(&j, "message")?)),
+            "error" => Ok(Response::Error(str_field(&mut j, "message")?)),
             other => Err(proto(format!("unknown response kind {other:?}"))),
         }
     }
@@ -1387,16 +1388,35 @@ impl BatchReply {
 
 // ---------------------------------------------------------------------------
 // Field helpers
+//
+// The decoders consume the parsed tree: a string field is taken out of its
+// object ([`Json::take`]) and copied once if the tree borrows it from the
+// frame, or moved if the parser unescaped it. Numbers and bools are read
+// in place.
 
-fn str_field(j: &Json, key: &str) -> Result<String, WireError> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| proto(format!("missing string field {key:?}")))
+/// A string value as an owned `String`: one copy of a borrowed string, a
+/// move of an unescaped one.
+fn into_string(j: Json<'_>) -> Option<String> {
+    match j {
+        Json::Str(s) => Some(s.into_owned()),
+        _ => None,
+    }
+}
+
+fn str_field(j: &mut Json<'_>, key: &str) -> Result<String, WireError> {
+    str_ref_field(j, key).map(Cow::into_owned)
+}
+
+/// A string field the decoder only reads (a `kind`): no copy.
+fn str_ref_field<'a>(j: &mut Json<'a>, key: &str) -> Result<Cow<'a, str>, WireError> {
+    match j.take(key) {
+        Some(Json::Str(s)) => Ok(s),
+        _ => Err(proto(format!("missing string field {key:?}"))),
+    }
 }
 
 /// A field the encoder omits at its default: absent, a string or `null`.
-fn opt_str_field(j: &Json, key: &str) -> Result<Option<String>, WireError> {
+fn opt_str_field(j: &mut Json<'_>, key: &str) -> Result<Option<String>, WireError> {
     match j.get(key) {
         None => Ok(None),
         Some(_) => nullable_str_field(j, key),
@@ -1404,47 +1424,56 @@ fn opt_str_field(j: &Json, key: &str) -> Result<Option<String>, WireError> {
 }
 
 /// A field the encoder always writes, as a string or `null`.
-fn nullable_str_field(j: &Json, key: &str) -> Result<Option<String>, WireError> {
-    match j.get(key) {
+fn nullable_str_field(j: &mut Json<'_>, key: &str) -> Result<Option<String>, WireError> {
+    match j.take(key) {
         Some(Json::Null) => Ok(None),
-        Some(Json::Str(s)) => Ok(Some(s.clone())),
+        Some(Json::Str(s)) => Ok(Some(s.into_owned())),
         Some(_) => Err(proto(format!("field {key:?} must be a string or null"))),
         None => Err(proto(format!("missing string-or-null field {key:?}"))),
     }
 }
 
-fn bool_field(j: &Json, key: &str) -> Result<bool, WireError> {
+fn bool_field(j: &Json<'_>, key: &str) -> Result<bool, WireError> {
     match j.get(key) {
         Some(Json::Bool(b)) => Ok(*b),
         _ => Err(proto(format!("missing bool field {key:?}"))),
     }
 }
 
-fn u64_field(j: &Json, key: &str) -> Result<u64, WireError> {
+fn u64_field(j: &Json<'_>, key: &str) -> Result<u64, WireError> {
     j.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| proto(format!("missing u64 field {key:?}")))
 }
 
-fn usize_field(j: &Json, key: &str) -> Result<usize, WireError> {
+fn usize_field(j: &Json<'_>, key: &str) -> Result<usize, WireError> {
     j.get(key)
         .and_then(Json::as_usize)
         .ok_or_else(|| proto(format!("missing usize field {key:?}")))
 }
 
-fn arr_field<'j>(j: &'j Json, key: &str) -> Result<&'j [Json], WireError> {
-    j.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| proto(format!("missing array field {key:?}")))
+fn arr_field<'a>(j: &mut Json<'a>, key: &str) -> Result<Vec<Json<'a>>, WireError> {
+    match j.take(key) {
+        Some(Json::Arr(items)) => Ok(items),
+        _ => Err(proto(format!("missing array field {key:?}"))),
+    }
 }
 
-fn str_arr_field(j: &Json, key: &str) -> Result<Vec<String>, WireError> {
-    arr_field(j, key)?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| proto(format!("{key:?} members must be strings")))
-        })
-        .collect()
+fn str_arr_field(j: &mut Json<'_>, key: &str) -> Result<Vec<String>, WireError> {
+    each(arr_field(j, key)?, |v| {
+        into_string(v).ok_or_else(|| proto(format!("{key:?} members must be strings")))
+    })
+}
+
+/// Decodes every item of an array in order, into a `Vec` allocated once at
+/// its final length; the first failure is the result.
+fn each<'a, T>(
+    items: Vec<Json<'a>>,
+    mut decode: impl FnMut(Json<'a>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let mut out = Vec::with_capacity(items.len());
+    for item in items {
+        out.push(decode(item)?);
+    }
+    Ok(out)
 }
