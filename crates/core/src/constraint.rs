@@ -23,7 +23,9 @@ impl SubtypeConstraint {
 
 impl fmt::Display for SubtypeConstraint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ⊑ {}", self.lhs, self.rhs)
+        self.lhs.fmt(f)?;
+        f.write_str(" ⊑ ")?;
+        self.rhs.fmt(f)
     }
 }
 
@@ -56,11 +58,16 @@ pub struct AddSubConstraint {
 
 impl fmt::Display for AddSubConstraint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let k = match self.kind {
-            AddSubKind::Add => "Add",
-            AddSubKind::Sub => "Sub",
-        };
-        write!(f, "{k}({}, {}; {})", self.x, self.y, self.z)
+        f.write_str(match self.kind {
+            AddSubKind::Add => "Add(",
+            AddSubKind::Sub => "Sub(",
+        })?;
+        self.x.fmt(f)?;
+        f.write_str(", ")?;
+        self.y.fmt(f)?;
+        f.write_str("; ")?;
+        self.z.fmt(f)?;
+        f.write_str(")")
     }
 }
 
@@ -186,27 +193,22 @@ impl ConstraintSet {
 
 impl fmt::Display for ConstraintSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
+        let mut sep = "";
         for c in &self.subtypes {
-            if !first {
-                writeln!(f)?;
-            }
-            write!(f, "{c}")?;
-            first = false;
+            f.write_str(sep)?;
+            c.fmt(f)?;
+            sep = "\n";
         }
         for v in &self.var_decls {
-            if !first {
-                writeln!(f)?;
-            }
-            write!(f, "VAR {v}")?;
-            first = false;
+            f.write_str(sep)?;
+            f.write_str("VAR ")?;
+            v.fmt(f)?;
+            sep = "\n";
         }
         for a in &self.addsubs {
-            if !first {
-                writeln!(f)?;
-            }
-            write!(f, "{a}")?;
-            first = false;
+            f.write_str(sep)?;
+            a.fmt(f)?;
+            sep = "\n";
         }
         Ok(())
     }

@@ -50,20 +50,17 @@ impl BaseVar {
 impl fmt::Display for BaseVar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BaseVar::Var(s) => write!(f, "{s}"),
+            BaseVar::Var(s) => f.write_str(s.as_str()),
             BaseVar::Const(s) => {
                 let name = s.as_str();
                 // Constants must render in a form the parser reads back as
                 // a constant: `#tag` and well-known names are self-marking,
                 // anything else (a custom-lattice element) needs its `$`
                 // sigil or the round trip degrades it to a variable.
-                if name.starts_with('#')
-                    || crate::parse::WELL_KNOWN_CONSTANTS.contains(&name)
-                {
-                    write!(f, "{name}")
-                } else {
-                    write!(f, "${name}")
+                if !name.starts_with('#') && !crate::parse::WELL_KNOWN_CONSTANTS.contains(&name) {
+                    f.write_str("$")?;
                 }
+                f.write_str(name)
             }
         }
     }
@@ -189,9 +186,10 @@ impl From<BaseVar> for DerivedVar {
 
 impl fmt::Display for DerivedVar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.base)?;
+        self.base.fmt(f)?;
         for l in &self.path {
-            write!(f, ".{l}")?;
+            f.write_str(".")?;
+            l.fmt(f)?;
         }
         Ok(())
     }

@@ -45,8 +45,8 @@ impl Loc {
 impl fmt::Display for Loc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Loc::Stack(k) => write!(f, "stack{k}"),
-            Loc::Reg(r) => write!(f, "{r}"),
+            Loc::Stack(k) => f.write_str("stack").and_then(|()| k.fmt(f)),
+            Loc::Reg(r) => f.write_str(r.as_str()),
         }
     }
 }
@@ -137,11 +137,16 @@ pub fn word_variance(word: &[Label]) -> Variance {
 impl fmt::Display for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Label::In(loc) => write!(f, "in_{loc}"),
-            Label::Out(loc) => write!(f, "out_{loc}"),
+            Label::In(loc) => f.write_str("in_").and_then(|()| loc.fmt(f)),
+            Label::Out(loc) => f.write_str("out_").and_then(|()| loc.fmt(f)),
             Label::Load => f.write_str("load"),
             Label::Store => f.write_str("store"),
-            Label::Sigma { bits, offset } => write!(f, "σ{bits}@{offset}"),
+            Label::Sigma { bits, offset } => {
+                f.write_str("σ")?;
+                bits.fmt(f)?;
+                f.write_str("@")?;
+                offset.fmt(f)
+            }
         }
     }
 }

@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::constraint::ConstraintSet;
 use crate::dtv::{BaseVar, DerivedVar};
@@ -15,11 +16,14 @@ use crate::intern::Symbol;
 ///
 /// The Figure 2 example renders as
 /// `∀close_last. (∃τ. close_last.in_stack0 ⊑ τ ∧ …) ⇒ close_last`.
+///
+/// A scheme is immutable: its existentials and constraints live behind
+/// shared pointers, so `clone` bumps two reference counts and shares them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TypeScheme {
     subject: BaseVar,
-    existentials: BTreeSet<Symbol>,
-    constraints: ConstraintSet,
+    existentials: Arc<BTreeSet<Symbol>>,
+    constraints: Arc<ConstraintSet>,
 }
 
 impl TypeScheme {
@@ -31,19 +35,15 @@ impl TypeScheme {
     ) -> TypeScheme {
         TypeScheme {
             subject,
-            existentials,
-            constraints,
+            existentials: Arc::new(existentials),
+            constraints: Arc::new(constraints),
         }
     }
 
     /// An empty scheme for a procedure with no constraints (used as the
     /// initial assumption for procedures in the same SCC, Algorithm F.1).
     pub fn empty(subject: BaseVar) -> TypeScheme {
-        TypeScheme {
-            subject,
-            existentials: BTreeSet::new(),
-            constraints: ConstraintSet::new(),
-        }
+        TypeScheme::new(subject, BTreeSet::new(), ConstraintSet::new())
     }
 
     /// The procedure's type variable.
@@ -103,28 +103,28 @@ impl TypeScheme {
 
 impl fmt::Display for TypeScheme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "∀{}. ", self.subject)?;
+        f.write_str("∀")?;
+        self.subject.fmt(f)?;
+        f.write_str(". (")?;
         if !self.existentials.is_empty() {
-            write!(f, "(∃")?;
-            for e in &self.existentials {
-                write!(f, " {e}")?;
+            f.write_str("∃")?;
+            for e in self.existentials.iter() {
+                f.write_str(" ")?;
+                f.write_str(e.as_str())?;
             }
-            write!(f, ". ")?;
-        } else {
-            write!(f, "(")?;
+            f.write_str(". ")?;
         }
-        let mut first = true;
+        let mut sep = "";
         for c in self.constraints.subtypes() {
-            if !first {
-                write!(f, " ∧ ")?;
-            }
-            write!(f, "{c}")?;
-            first = false;
+            f.write_str(sep)?;
+            c.fmt(f)?;
+            sep = " ∧ ";
         }
-        if first {
-            write!(f, "⊤")?;
+        if sep.is_empty() {
+            f.write_str("⊤")?;
         }
-        write!(f, ") ⇒ {}", self.subject)
+        f.write_str(") ⇒ ")?;
+        self.subject.fmt(f)
     }
 }
 

@@ -21,13 +21,14 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::bitset::BitSet;
 use crate::dtv::{BaseVar, DerivedVar};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::graph::{ConstraintGraph, NodeId};
 use crate::intern::Symbol;
-use crate::label::Label;
+use crate::label::{Label, Loc};
 use crate::lattice::{Lattice, LatticeElem};
 use crate::shapes::{ClassId, ShapeQuotient};
 use crate::variance::Variance;
@@ -53,7 +54,7 @@ pub struct SketchStateSpec {
     pub edges: Vec<(Label, SketchState)>,
 }
 
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq)]
 struct Node {
     mark: LatticeElem,
     lower: LatticeElem,
@@ -63,9 +64,12 @@ struct Node {
 
 /// A sketch: a rooted, deterministic, prefix-closed automaton over field
 /// labels with Λ-marked states.
-#[derive(Clone, PartialEq, Eq, Debug)]
+///
+/// A sketch is immutable once built: its states live in one shared
+/// allocation, so `clone` bumps a reference count and shares them.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Sketch {
-    nodes: Vec<Node>,
+    nodes: Arc<[Node]>,
     root: SketchState,
 }
 
@@ -82,12 +86,12 @@ impl Sketch {
         upper: LatticeElem,
     ) -> Sketch {
         Sketch {
-            nodes: vec![Node {
+            nodes: Arc::new([Node {
                 mark,
                 lower,
                 upper,
                 edges: BTreeMap::new(),
-            }],
+            }]),
             root: 0,
         }
     }
@@ -123,6 +127,7 @@ impl Sketch {
                 edges,
             });
         }
+        let nodes = nodes.into();
         Some(Sketch { nodes, root })
     }
 
@@ -270,6 +275,7 @@ impl Sketch {
             node.lower = lower;
             node.upper = upper;
         }
+        let nodes = nodes.into();
         Some(Sketch { nodes, root: 0 })
     }
 
@@ -365,6 +371,7 @@ impl Sketch {
                 nodes[sid as usize].edges.insert(l, tid);
             }
         }
+        let nodes = nodes.into();
         Sketch { nodes, root: 0 }
     }
 
@@ -562,6 +569,64 @@ impl fmt::Display for Sketch {
         }
         Ok(())
     }
+}
+
+/// The wire's `sketch`/`general` text: the bytes `#[derive(Debug)]`
+/// prints for `{:?}`, written piece by piece. `{:#?}` prints the same
+/// one-line form.
+impl fmt::Debug for Sketch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Sketch { nodes: [")?;
+        for (i, n) in self.nodes.iter().enumerate() {
+            f.write_str(if i == 0 { "" } else { ", " })?;
+            f.write_str("Node { mark: LatticeElem(")?;
+            fmt::Display::fmt(&n.mark.0, f)?;
+            f.write_str("), lower: LatticeElem(")?;
+            fmt::Display::fmt(&n.lower.0, f)?;
+            f.write_str("), upper: LatticeElem(")?;
+            fmt::Display::fmt(&n.upper.0, f)?;
+            f.write_str("), edges: {")?;
+            for (j, (&l, t)) in n.edges.iter().enumerate() {
+                f.write_str(if j == 0 { "" } else { ", " })?;
+                debug_label(l, f)?;
+                f.write_str(": ")?;
+                fmt::Display::fmt(t, f)?;
+            }
+            f.write_str("} }")?;
+        }
+        f.write_str("], root: ")?;
+        fmt::Display::fmt(&self.root, f)?;
+        f.write_str(" }")
+    }
+}
+
+/// A label as its derived `{:?}` prints it, in one line.
+fn debug_label(l: Label, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    let (variant, loc) = match l {
+        Label::In(loc) => ("In(", loc),
+        Label::Out(loc) => ("Out(", loc),
+        Label::Sigma { bits, offset } => {
+            f.write_str("Sigma { bits: ")?;
+            fmt::Display::fmt(&bits, f)?;
+            f.write_str(", offset: ")?;
+            fmt::Display::fmt(&offset, f)?;
+            return f.write_str(" }");
+        }
+        // `Load` and `Store` print their bare names in any mode.
+        Label::Load | Label::Store => return fmt::Debug::fmt(&l, f),
+    };
+    f.write_str(variant)?;
+    match loc {
+        Loc::Stack(k) => {
+            f.write_str("Stack(")?;
+            fmt::Display::fmt(&k, f)?;
+        }
+        Loc::Reg(r) => {
+            f.write_str("Reg(")?;
+            fmt::Debug::fmt(r.as_str(), f)?;
+        }
+    }
+    f.write_str("))")
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! at a solve's first miss.
 
 use retypd_core::parse::parse_constraint_set;
-use retypd_core::{Program, Symbol, TypeScheme};
+use retypd_core::{ConstraintSet, Program, Symbol, TypeScheme};
 
 use crate::fingerprint::global_text;
 use crate::ModuleJob;
@@ -46,14 +46,18 @@ pub struct ProgramText {
 
 impl ProgramText {
     /// The canonical text of a parsed program: what the wire carries for
-    /// it, and what [`crate::fingerprint::scc_fingerprint`] renders.
+    /// it, and what [`crate::fingerprint::scc_fingerprint`] renders. Each
+    /// constraint set renders into one reused buffer and is copied out at
+    /// its final length.
     pub fn render(program: &Program) -> ProgramText {
+        let mut buf = String::new();
+        let mut text = |cs: &ConstraintSet| {
+            buf.clear();
+            let _ = std::fmt::Write::write_fmt(&mut buf, format_args!("{cs}"));
+            buf.as_str().to_owned()
+        };
         ProgramText {
-            procs: program
-                .procs
-                .iter()
-                .map(|p| p.constraints.to_string())
-                .collect(),
+            procs: program.procs.iter().map(|p| text(&p.constraints)).collect(),
             externals: program
                 .externals
                 .iter()
@@ -65,7 +69,7 @@ impl ProgramText {
                         .iter()
                         .map(|x| x.as_str().to_owned())
                         .collect(),
-                    constraints: s.constraints().to_string(),
+                    constraints: text(s.constraints()),
                 })
                 .collect(),
             globals: program

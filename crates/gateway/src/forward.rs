@@ -24,7 +24,8 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use retypd_serve::conn::{is_timeout, FrameReader, Polled};
-use retypd_serve::wire::{self, Response};
+use retypd_serve::json::Json;
+use retypd_serve::wire;
 
 /// One poll of `rd`: `Ok(Some(payload))` when the frame completed,
 /// `Ok(None)` when the read timed out with the frame still incomplete
@@ -219,16 +220,17 @@ fn hedge_alone(
 
 /// Whether a hedge reply is allowed to win the race. Success kinds win;
 /// refusals and failures do not — a struggling hedge target must not
-/// mask a healthy primary's answer.
+/// mask a healthy primary's answer. Only the `kind` is read: the frame is
+/// forwarded undecoded, as the primary's reply is. A frame that does not
+/// parse, or has no string `kind`, does not win.
 fn hedge_reply_wins(payload: &[u8]) -> bool {
-    matches!(
-        Response::decode(payload),
-        Ok(Response::Solved(_)
-            | Response::Report { .. }
-            | Response::BatchDone(_)
-            | Response::Stats(_)
-            | Response::Metrics(_))
-    )
+    match std::str::from_utf8(payload).map(Json::parse) {
+        Ok(Ok(reply)) => matches!(
+            reply.get("kind").and_then(Json::as_str),
+            Some("solved" | "report" | "batch_done" | "stats" | "metrics")
+        ),
+        _ => false,
+    }
 }
 
 /// Writes one frame with a bounded write timeout (a wedged backend must
@@ -264,6 +266,7 @@ fn set_read_timeout(stream: &mut TcpStream, d: Duration) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use retypd_serve::wire::Response;
     use std::net::TcpListener;
 
     /// A one-shot server thread: accepts one connection, reads one frame,
@@ -294,6 +297,85 @@ mod tests {
             shards: vec![],
         })
         .encode()
+    }
+
+    #[test]
+    fn hedge_replies_are_classified_by_kind() {
+        use retypd_core::{Lattice, Solver};
+        use retypd_serve::wire::WireBatchDone;
+        use retypd_serve::WireReport;
+
+        let program = retypd_core::Program::new();
+        let report =
+            WireReport::from_result("m", &Solver::new(&Lattice::c_types()).infer(&program));
+        let replies = [
+            (Response::Solved(vec![report.clone()]), true),
+            (
+                Response::Report {
+                    index: 0,
+                    result: Ok(Box::new(report)),
+                },
+                true,
+            ),
+            (
+                Response::Report {
+                    index: 1,
+                    result: Err("panicked".into()),
+                },
+                true,
+            ),
+            (
+                Response::BatchDone(WireBatchDone {
+                    modules: 2,
+                    delivered: 1,
+                    errors: vec!["panicked".into()],
+                    wall_ns: 1,
+                    lattice_fp: 1,
+                }),
+                true,
+            ),
+            (
+                Response::decode(&stats_reply()).expect("stats decode"),
+                true,
+            ),
+            (Response::Metrics(Default::default()), true),
+            (
+                Response::Overloaded {
+                    queued: 8,
+                    limit: 8,
+                },
+                false,
+            ),
+            (Response::ShuttingDown, false),
+            (Response::Error("bad".into()), false),
+        ];
+        for (reply, wins) in replies {
+            let frame = reply.encode();
+            // The rule a full decode applied before.
+            let decoded_wins = matches!(
+                Response::decode(&frame),
+                Ok(Response::Solved(_)
+                    | Response::Report { .. }
+                    | Response::BatchDone(_)
+                    | Response::Stats(_)
+                    | Response::Metrics(_))
+            );
+            assert_eq!(decoded_wins, wins, "{reply:?}");
+            assert_eq!(hedge_reply_wins(&frame), wins, "{reply:?}");
+        }
+        for garbage in [
+            &b""[..],
+            b"\xff\xfe",
+            b"{\"kind\": \"solved\"",
+            b"[]",
+            b"{\"kind\": 1}",
+        ] {
+            assert!(
+                !hedge_reply_wins(garbage),
+                "{:?}",
+                String::from_utf8_lossy(garbage)
+            );
+        }
     }
 
     #[test]

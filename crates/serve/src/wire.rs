@@ -437,50 +437,39 @@ pub enum Response {
 // Program <-> wire conversion
 
 impl WireModule {
-    /// Renders a [`ModuleJob`] into its wire form.
+    /// Renders a [`ModuleJob`] into its wire form: the job's
+    /// [`ProgramText::render`] beside its names and callsites.
     pub fn from_job(job: &ModuleJob) -> WireModule {
         let program = &job.program;
+        let text = ProgramText::render(program);
         WireModule {
             name: job.name.clone(),
-            procs: program
-                .procs
-                .iter()
-                .map(|p| WireProc {
+            procs: std::iter::zip(&program.procs, text.procs)
+                .map(|(p, constraints)| WireProc {
                     name: p.name.as_str().to_owned(),
-                    constraints: p.constraints.to_string(),
+                    constraints,
                     callsites: p
                         .callsites
                         .iter()
-                        .map(|cs| match cs.callee {
-                            CallTarget::Internal(i) => WireCallsite {
-                                external: false,
-                                callee: program.procs[i].name.as_str().to_owned(),
-                                tag: cs.tag.clone(),
-                            },
-                            CallTarget::External(n) => WireCallsite {
-                                external: true,
-                                callee: n.as_str().to_owned(),
-                                tag: cs.tag.clone(),
-                            },
+                        .map(|cs| WireCallsite {
+                            external: matches!(cs.callee, CallTarget::External(_)),
+                            callee: cs.callee_name(program).as_str().to_owned(),
+                            tag: cs.tag.clone(),
                         })
                         .collect(),
                 })
                 .collect(),
-            externals: program
+            externals: text
                 .externals
-                .iter()
-                .map(|(name, scheme)| WireScheme {
-                    name: name.as_str().to_owned(),
-                    subject: scheme.subject().to_string(),
-                    existentials: scheme
-                        .existentials()
-                        .iter()
-                        .map(|e| e.as_str().to_owned())
-                        .collect(),
-                    constraints: scheme.constraints().to_string(),
+                .into_iter()
+                .map(|e| WireScheme {
+                    name: e.name.as_str().to_owned(),
+                    subject: e.subject,
+                    existentials: e.existentials,
+                    constraints: e.constraints,
                 })
                 .collect(),
-            globals: program.globals.iter().map(|g| g.to_string()).collect(),
+            globals: text.globals,
         }
     }
 
@@ -628,7 +617,16 @@ impl WireReport {
     /// and wall clock zeroed; the serve shard sets them) — also the shape
     /// used for in-process references in the determinism tests and the
     /// benchmark.
+    ///
+    /// Every scheme and sketch renders into one reused buffer and is copied
+    /// out at its final length.
     pub fn from_result(name: &str, result: &SolverResult) -> WireReport {
+        let mut buf = String::new();
+        let mut text = |args: fmt::Arguments<'_>| {
+            buf.clear();
+            let _ = fmt::Write::write_fmt(&mut buf, args);
+            buf.as_str().to_owned()
+        };
         WireReport {
             name: name.to_owned(),
             fingerprint: 0,
@@ -639,9 +637,12 @@ impl WireReport {
                 .iter()
                 .map(|(pname, pr)| WireProcResult {
                     name: pname.as_str().to_owned(),
-                    scheme: pr.scheme.to_string(),
-                    sketch: pr.sketch.as_ref().map(|s| format!("{s:?}")),
-                    general: pr.general_sketch.as_ref().map(|s| format!("{s:?}")),
+                    scheme: text(format_args!("{}", pr.scheme)),
+                    sketch: pr.sketch.as_ref().map(|s| text(format_args!("{s:?}"))),
+                    general: pr
+                        .general_sketch
+                        .as_ref()
+                        .map(|s| text(format_args!("{s:?}"))),
                 })
                 .collect(),
             inconsistencies: result
