@@ -87,8 +87,8 @@ pub const DEFAULT_MAX_ITERATIONS: u64 = 50_000;
 // Abstract models: always compiled, loom::modelled used explicitly.
 
 /// Release/acquire message passing: the pattern behind every
-/// "publish a value, flip a flag" protocol in the workspace (store
-/// writer gauges, drain flags). The reader may only touch the plain
+/// "publish a value, flip a flag" protocol in the workspace (the
+/// connection loop's drain flags). The reader may only touch the plain
 /// data after an acquire load observes the release store.
 fn mp_publish() {
     use loom::cell::RaceCell;

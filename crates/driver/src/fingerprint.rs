@@ -19,9 +19,9 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use retypd_core::{Program, Sketch, Symbol, TypeScheme};
 use retypd_core::dtv::BaseVar;
 use retypd_core::solver::CallTarget;
+use retypd_core::{Program, Sketch, Symbol, TypeScheme};
 
 pub use retypd_core::fnv::Fnv64;
 
@@ -40,7 +40,7 @@ pub fn scheme_fp(s: &TypeScheme) -> u64 {
 /// [`scheme_fp`] over pre-rendered parts, existentials in ascending
 /// order. The driver renders a solved scheme's subject and constraint
 /// text once, fingerprints the strings here, and hands the same strings
-/// to the scheme store's writer — what gets persisted is byte-for-byte
+/// to the scheme store — what gets persisted is byte-for-byte
 /// the text that was fingerprinted. Nothing is interned, so a wire
 /// module's externals hash straight from their wire strings.
 pub fn scheme_fp_parts<'a>(

@@ -53,10 +53,10 @@ pub mod scheduler;
 pub mod store;
 pub mod text;
 
+use retypd_core::sync::{Arc, Mutex, OnceLock};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use retypd_core::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use retypd_telemetry::{Counter, Histogram};
@@ -65,8 +65,8 @@ use retypd_core::dtv::BaseVar;
 use retypd_core::fxhash::FxHashMap;
 use retypd_core::sketch::Sketch;
 use retypd_core::{
-    callsite_actuals, Condensation, Lattice, LatticeDescriptor, LatticeError, ProcResult,
-    Program, SccGraph, SccRefinement, Solver, SolverResult, SolverStats, Symbol, TypeScheme,
+    callsite_actuals, Condensation, Lattice, LatticeDescriptor, LatticeError, ProcResult, Program,
+    SccGraph, SccRefinement, Solver, SolverResult, SolverStats, Symbol, TypeScheme,
 };
 
 pub use cache::{CacheStats, CachedSchemes, SchemeCache};
@@ -88,7 +88,9 @@ struct DriverMetrics {
     /// [`PersistStats`] where they can't clobber each other.
     store_replayed: Arc<Counter>,
     store_replay_ns: Arc<Histogram>,
-    /// Bumped by the store's writer thread when a compaction lands.
+    /// Frames appended to any store's log.
+    store_append_frames: Arc<Counter>,
+    /// Bumped when a store's compaction lands.
     store_compactions: Arc<Counter>,
     /// Pass-2 misses whose SCC graph had to be rebuilt because pass 1 was
     /// a cache hit (a cold pass 1 hands its graph to pass 2).
@@ -107,6 +109,7 @@ fn driver_metrics() -> &'static DriverMetrics {
             cache_evictions: g.counter("driver.cache_evictions"),
             store_replayed: g.counter("driver.store_replayed_entries"),
             store_replay_ns: g.histogram("driver.store_replay_ns"),
+            store_append_frames: g.counter("driver.store_append_frames"),
             store_compactions: g.counter("driver.store_compactions"),
             scc_graph_rebuilds: g.counter("driver.scc_graph_rebuilds"),
         }
@@ -126,8 +129,8 @@ pub struct DriverConfig {
     /// `retypd-serve` always sets a bound.
     pub cache_capacity: Option<usize>,
     /// Path of the persistent scheme-store log ([`store`]). `Some` makes
-    /// cache inserts append to the log (asynchronously, off the solve
-    /// path) and driver construction replay it, so a restarted process
+    /// cache inserts append to the log (flushed to the OS as each solve
+    /// ends) and driver construction replay it, so a restarted process
     /// answers previously-seen modules from warm fingerprint hits. `None`
     /// (the default) keeps the cache process-lifetime only.
     pub persist_path: Option<PathBuf>,
@@ -330,18 +333,19 @@ impl<'l> AnalysisDriver<'l> {
         self.store.as_ref().map(|s| s.stats())
     }
 
-    /// Blocks until every pending store append has been flushed to the OS.
-    /// No-op without a store. `retypd-serve`'s panic-rebuild path calls
-    /// this on the wounded driver so the replacement's replay sees every
-    /// entry the old driver solved.
+    /// Flushes buffered store appends to the OS. Every solve already
+    /// flushes as it returns; a solve that panicked did not, so
+    /// `retypd-serve`'s panic-rebuild path calls this on the wounded driver
+    /// so the replacement's replay sees every entry the old driver solved.
+    /// No-op without a store.
     pub fn flush_store(&self) {
         if let Some(s) = &self.store {
             s.flush();
         }
     }
 
-    /// Forces a store compaction (snapshot rewrite + atomic rename) and
-    /// waits for it to land. No-op without a store.
+    /// Forces a store compaction (snapshot rewrite + atomic rename).
+    /// No-op without a store.
     pub fn compact_store(&self) {
         if let Some(s) = &self.store {
             s.compact();
@@ -442,11 +446,6 @@ impl<'l> AnalysisDriver<'l> {
         // takes (and frees) it.
         let graphs: Vec<Mutex<Option<SccGraph>>> =
             cond.sccs.iter().map(|_| Mutex::new(None)).collect();
-        // This solve's cache inserts for the store, made by the merge loops
-        // below in task order, so neither the cache nor the log sees them
-        // in worker-timing order.
-        let mut batch = self.store.as_ref().map(|_| store::SolveBatch::default());
-
         // ---- Pass 1: INFERPROCTYPES, one wave of independent SCCs at a
         // time (callees first). Keys and lookups run here, in wave order;
         // only the misses go to the workers. ----
@@ -482,9 +481,9 @@ impl<'l> AnalysisDriver<'l> {
                     solver.solve_scc(program, &cond.sccs[i], &cond.scc_of, &schemes)
                 };
                 // With persistence on, render each scheme's canonical parts
-                // once and hand the strings to the store's writer — the
-                // fingerprint covers exactly the text that gets persisted,
-                // and the writer never renders a scheme itself.
+                // once and hand the strings to the store — the fingerprint
+                // covers exactly the text that gets persisted, and the store
+                // never renders a scheme itself.
                 let mut texts = self.store.as_ref().map(|_| Vec::new());
                 let entry = Arc::new(CachedSchemes {
                     schemes: out
@@ -515,7 +514,8 @@ impl<'l> AnalysisDriver<'l> {
                 (entry, out.phases, graph, texts)
             });
             // Deterministic merge: waves are emitted in ascending SCC order,
-            // matching the sequential pass-1 loop.
+            // matching the sequential pass-1 loop. Every insert goes through
+            // the store, if any, so the log sees it in this order too.
             let mut solved = solved.into_iter();
             for (k, (fp, hit)) in looked.into_iter().enumerate() {
                 scc_fps[wave[k]] = fp;
@@ -529,12 +529,13 @@ impl<'l> AnalysisDriver<'l> {
                         stats.cache_misses += 1;
                         stats.phases += phases;
                         *graphs[wave[k]].lock().expect("scc graph") = Some(graph);
-                        let evicted = self.cache.insert_schemes(fp, Arc::clone(&entry));
+                        let evicted = match (&self.store, texts) {
+                            (Some(store), Some(texts)) => {
+                                store.insert_schemes(&self.cache, fp, Arc::clone(&entry), &texts)
+                            }
+                            _ => self.cache.insert_schemes(fp, Arc::clone(&entry)),
+                        };
                         metrics.cache_evictions.add(evicted.len() as u64);
-                        if let Some(batch) = &mut batch {
-                            let texts = texts.unwrap_or_default();
-                            batch.schemes(fp, Arc::clone(&entry), texts, evicted);
-                        }
                         entry
                     }
                 };
@@ -623,11 +624,13 @@ impl<'l> AnalysisDriver<'l> {
                         let (r, phases) = solved.next().expect("one per miss");
                         stats.cache_misses += 1;
                         stats.phases += phases;
-                        let evicted = self.cache.insert_refine(fp2, Arc::clone(&r));
+                        let evicted = match &self.store {
+                            Some(store) => {
+                                store.insert_refine(&self.cache, fp2, lattice, Arc::clone(&r))
+                            }
+                            None => self.cache.insert_refine(fp2, Arc::clone(&r)),
+                        };
                         metrics.cache_evictions.add(evicted.len() as u64);
-                        if let Some(batch) = &mut batch {
-                            batch.refine(fp2, lattice, Arc::clone(&r), evicted);
-                        }
                         r
                     }
                 };
@@ -658,11 +661,11 @@ impl<'l> AnalysisDriver<'l> {
         }
         inconsistencies.sort();
         inconsistencies.dedup();
-        // The store's end-of-solve hook hands over this solve's inserts
-        // and checks compaction here (not on the insert path), so eviction
-        // churn within one solve triggers at most one rewrite.
-        if let (Some(store), Some(batch)) = (&self.store, batch) {
-            store.solve_finished(batch);
+        // The store flushes this solve's records and checks compaction here
+        // (not on the insert path), so eviction churn within one solve
+        // triggers at most one rewrite.
+        if let Some(store) = &self.store {
+            store.solve_finished();
         }
         stats.solve_ns = start.elapsed().as_nanos() as u64;
         metrics.solves.inc();
@@ -764,8 +767,7 @@ mod tests {
         let prog = sample_program();
         let seq = Solver::new(&lattice).infer(&prog);
         for workers in [1, 4] {
-            let driver =
-                AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(workers));
+            let driver = AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(workers));
             let got = driver.solve(&prog);
             assert_eq!(render(&got), render(&seq), "workers = {workers}");
         }
@@ -780,10 +782,12 @@ mod tests {
         assert_eq!(first.stats.cache_hits, 0);
         assert!(first.stats.cache_misses > 0);
         let second = driver.solve(&prog);
-        assert_eq!(second.stats.cache_misses, 0, "re-submitted module must be a 100% hit");
         assert_eq!(
-            second.stats.cache_hits,
-            first.stats.cache_misses,
+            second.stats.cache_misses, 0,
+            "re-submitted module must be a 100% hit"
+        );
+        assert_eq!(
+            second.stats.cache_hits, first.stats.cache_misses,
             "every SCC answered from cache"
         );
         assert_eq!(render(&first), render(&second));
@@ -804,9 +808,15 @@ mod tests {
         let driver = AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(1));
         driver.solve(&var);
         let got = driver.solve(&constant);
-        assert_eq!(got.stats.cache_hits, 0, "`$gx` reused the entry solved for `gx`");
+        assert_eq!(
+            got.stats.cache_hits, 0,
+            "`$gx` reused the entry solved for `gx`"
+        );
         let want = Solver::new(&lattice).infer(&constant);
         assert_eq!(render(&got), render(&want));
-        assert_ne!(fingerprint::program_fp(&var), fingerprint::program_fp(&constant));
+        assert_ne!(
+            fingerprint::program_fp(&var),
+            fingerprint::program_fp(&constant)
+        );
     }
 }

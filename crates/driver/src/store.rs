@@ -55,8 +55,8 @@
 //! offset, payload length and, for a pass-2 record, the lattice
 //! fingerprint it references — a fixed-size entry per record, no payload
 //! bytes (evictions remove their index entry). When the log grows past
-//! `max(64 KiB, 4 × live bytes)` — checked after each solve and forceable
-//! via [`crate::AnalysisDriver::compact_store`] — the writer flushes,
+//! `max(64 KiB, 4 × live bytes)` — checked when a solve ends and forceable
+//! via [`crate::AnalysisDriver::compact_store`] — the store flushes,
 //! drops lattice records no live pass-2 record references, and copies the
 //! live frames out of the old log into a sibling temporary file in
 //! deterministic order (lattices, then pass-1 entries, then pass-2
@@ -66,34 +66,34 @@
 //! re-solve after a restart. Replaying a compacted log reproduces the
 //! live cache contents bit-identically.
 //!
-//! ## The writer thread
+//! ## Appends
 //!
-//! Appends never block the solve hot path on disk or on serialization.
-//! The driver collects a solve's cache inserts on the solving thread, in
-//! the order it makes them: every pass-1 miss in SCC order, then every
-//! pass-2 miss. Each insert carries its entry as an `Arc` clone, the
-//! fingerprints it evicted, and for pass 1 the scheme text the solve
-//! already rendered to fingerprint it; the solve lattice's descriptor text
-//! and element names are snapshotted once per solve. At the end of the
-//! solve the whole batch goes to the store's writer thread, which
-//! `SchemeStore::open` spawns, as one channel message. The writer renders
-//! each record, appends its frame, records the offset in the live index
-//! and drops the payload, flushing once per wake-up. Since the solving
-//! thread orders every insert, the log's record order and the evictions it
-//! mirrors do not depend on the worker count or thread timing.
-//! [`SchemeStore::flush`] is the synchronization barrier (used by tests,
-//! benches, and the serve crate's panic-rebuild path). Any I/O error
-//! disables the writer with a warning — persistence is an accelerator, so
-//! it degrades to the in-memory-only behavior rather than failing solves.
+//! The solving thread appends. The driver's merge loops make every cache
+//! insert in task order — every pass-1 miss in SCC order, then every
+//! pass-2 miss — and each goes through the store, which takes its one
+//! lock, makes the cache insert, removes the evicted fingerprints from the
+//! live index, encodes the record (pass 1 from the scheme text the solve
+//! already rendered to fingerprint it) and appends its frame to a buffered
+//! writer. Holding the lock across the cache insert keeps the log in the
+//! cache's own order even when two threads solve on one driver, so the
+//! index never holds an evicted entry; and since the merge loops order
+//! every insert, a solve's records do not depend on the worker count or
+//! on when its wave workers finish. When the solve ends the store
+//! flushes once — the bytes reach the page cache, with no fsync — and
+//! runs the compaction check, compacting inline when it fires. So a
+//! solve's records are in the file, and [`PersistStats`] is exact, when
+//! the solve returns; [`SchemeStore::flush`] stays the explicit barrier.
+//! Any I/O error stops writing with one warning — persistence is an
+//! accelerator, so it degrades to the in-memory-only behavior rather than
+//! failing solves — and a poisoned lock is treated the same way.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use retypd_core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use retypd_core::sync::thread::JoinHandle;
-use retypd_core::sync::{mpsc, Arc};
 use std::time::Instant;
+
+use retypd_core::sync::{Arc, Mutex, MutexGuard};
 
 use retypd_core::fxhash::{FxHashMap, FxHashSet};
 use retypd_core::parse::{parse_constraint_set, parse_derived_var};
@@ -213,11 +213,13 @@ impl<'a> Cursor<'a> {
     }
 
     fn u32(&mut self) -> Option<u32> {
-        self.bytes(4).map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+        self.bytes(4)
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
     }
 
     fn u64(&mut self) -> Option<u64> {
-        self.bytes(8).map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        self.bytes(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
     }
 
     fn str(&mut self) -> Option<&'a str> {
@@ -309,12 +311,18 @@ fn decode_schemes(payload: &[u8]) -> Option<(u64, CachedSchemes)> {
         let scheme = TypeScheme::new(subject.base(), existentials, constraints);
         schemes.push((name, scheme, sfp));
     }
-    c.done().then_some((fp, CachedSchemes { schemes, constraints }))
+    c.done().then_some((
+        fp,
+        CachedSchemes {
+            schemes,
+            constraints,
+        },
+    ))
 }
 
 /// Renders a `Display` value into `scratch` (clearing it first) and
-/// appends it length-prefixed — the writer thread reuses one scratch
-/// buffer across every record it encodes.
+/// appends it length-prefixed — the store reuses one scratch buffer
+/// across every record it encodes.
 fn put_display(buf: &mut Vec<u8>, scratch: &mut String, value: impl std::fmt::Display) {
     use std::fmt::Write as _;
     scratch.clear();
@@ -322,13 +330,13 @@ fn put_display(buf: &mut Vec<u8>, scratch: &mut String, value: impl std::fmt::Di
     put_str(buf, scratch);
 }
 
-/// Rendered label texts, memoized per writer thread — the label
-/// vocabulary is tiny and repeats on nearly every sketch edge, so one
-/// `Display` render per distinct label replaces one per edge.
+/// Rendered label texts, memoized per store — the label vocabulary is
+/// tiny and repeats on nearly every sketch edge, so one `Display` render
+/// per distinct label replaces one per edge.
 type LabelCache = FxHashMap<Label, Box<str>>;
 
-fn put_sketch(buf: &mut Vec<u8>, sketch: &Sketch, names: &NameTable, labels: &mut LabelCache) {
-    let name = |e: retypd_core::LatticeElem| names.get(e.index()).copied().unwrap_or("");
+fn put_sketch(buf: &mut Vec<u8>, sketch: &Sketch, lattice: &Lattice, labels: &mut LabelCache) {
+    let name = |e| lattice.name(e);
     put_u64(buf, fingerprint::sketch_fp(sketch));
     put_u32(buf, sketch.len() as u32);
     put_u32(buf, sketch.root());
@@ -391,7 +399,12 @@ fn take_sketch(c: &mut Cursor<'_>, lattice: &Lattice, memo: &mut LabelMemo) -> O
             let target = c.u32()?;
             edges.push((label, target));
         }
-        states.push(SketchStateSpec { mark, lower, upper, edges });
+        states.push(SketchStateSpec {
+            mark,
+            lower,
+            upper,
+            edges,
+        });
     }
     let sketch = Sketch::from_states(states, root)?;
     (fingerprint::sketch_fp(&sketch) == sfp).then_some(sketch)
@@ -401,7 +414,7 @@ fn encode_refine(
     fp: u64,
     lattice_fp: u64,
     r: &SccRefinement,
-    names: &NameTable,
+    lattice: &Lattice,
     labels: &mut LabelCache,
     scratch: &mut String,
 ) -> Vec<u8> {
@@ -412,12 +425,12 @@ fn encode_refine(
     put_u32(&mut buf, r.sketches.len() as u32);
     for (var, sketch) in &r.sketches {
         put_display(&mut buf, scratch, var);
-        put_sketch(&mut buf, sketch, names, labels);
+        put_sketch(&mut buf, sketch, lattice, labels);
     }
     put_u32(&mut buf, r.general.len() as u32);
     for (name, sketch) in &r.general {
         put_str(&mut buf, name.as_str());
-        put_sketch(&mut buf, sketch, names, labels);
+        put_sketch(&mut buf, sketch, lattice, labels);
     }
     put_u32(&mut buf, r.inconsistencies.len() as u32);
     for (a, b) in &r.inconsistencies {
@@ -527,8 +540,8 @@ pub struct PersistStats {
     /// mismatches, unresolvable lattices, undecodable payloads.
     pub dropped_records: u64,
     /// Cache entries whose frames the store's live index holds (both
-    /// passes, post eviction; what a restart would replay, modulo the
-    /// queue). An entry whose append failed is not counted.
+    /// passes, post eviction; what a restart would replay once the last
+    /// solve has returned). An entry whose append failed is not counted.
     pub persisted_entries: u64,
     /// Bytes of the live frames (headers and payloads) — what a
     /// compaction would copy into the new log after its magic.
@@ -537,119 +550,18 @@ pub struct PersistStats {
     pub appended_entries: u64,
     /// Compactions performed since construction.
     pub compactions: u64,
-    /// Current log size in bytes, as of the last batch the writer
-    /// finished (exact after [`SchemeStore::flush`]).
+    /// Current log size in bytes, frames still in the write buffer
+    /// included (the file's length once the last solve has returned).
     pub log_bytes: u64,
-}
-
-/// A snapshot of a lattice's element names, taken on the solve path
-/// (where the `&Lattice` is in scope) so the writer thread can serialize
-/// sketch states without needing the lattice itself. Indexed by
-/// [`retypd_core::LatticeElem::index`]; names are `&'static str`
-/// (interned by the lattice), so the snapshot is a handful of pointer
-/// copies and each lookup is an array read.
-type NameTable = Vec<&'static str>;
-
-/// What the writer needs from a solve's lattice and cannot reach itself:
-/// its fingerprint, its descriptor text (appended before the first pass-2
-/// record that references it) and its element names.
-struct LatticeSnapshot {
-    fp: u64,
-    descriptor: String,
-    names: NameTable,
-}
-
-impl LatticeSnapshot {
-    fn of(lattice: &Lattice) -> LatticeSnapshot {
-        LatticeSnapshot {
-            fp: lattice.fingerprint(),
-            descriptor: lattice.descriptor().to_string(),
-            names: lattice.elements().map(|e| lattice.name(e)).collect(),
-        }
-    }
 }
 
 /// A solved scheme's canonical text, rendered once on the solve path —
 /// [`fingerprint::scheme_fp_parts`] hashes these exact strings, and the
-/// writer persists them verbatim, so the record is content-addressed by
+/// store persists them verbatim, so the record is content-addressed by
 /// construction with no second render.
 pub(crate) struct SchemeText {
     pub subject: String,
     pub constraints: String,
-}
-
-/// One cache insert on its way to the log: the entry, its fingerprint,
-/// and the fingerprints the insert evicted, which leave the live index
-/// before the entry is appended.
-struct Insert<T> {
-    fp: u64,
-    entry: Arc<T>,
-    evicted: Vec<u64>,
-}
-
-/// One solve's cache inserts, in the order the solving thread made them:
-/// every pass-1 insert with its pre-rendered scheme text, then every
-/// pass-2 insert with the lattice snapshot, taken at the solve's first
-/// pass-2 insert. Handed to the writer whole by
-/// [`SchemeStore::solve_finished`], which encodes it off the solve path.
-#[derive(Default)]
-pub(crate) struct SolveBatch {
-    schemes: Vec<(Insert<CachedSchemes>, Vec<SchemeText>)>,
-    refines: Option<(LatticeSnapshot, Vec<Insert<SccRefinement>>)>,
-}
-
-impl SolveBatch {
-    /// Adds a pass-1 insert.
-    pub(crate) fn schemes(
-        &mut self,
-        fp: u64,
-        entry: Arc<CachedSchemes>,
-        texts: Vec<SchemeText>,
-        evicted: Vec<u64>,
-    ) {
-        self.schemes.push((Insert { fp, entry, evicted }, texts));
-    }
-
-    /// Adds a pass-2 insert solved against `lattice`.
-    pub(crate) fn refine(
-        &mut self,
-        fp: u64,
-        lattice: &Lattice,
-        entry: Arc<SccRefinement>,
-        evicted: Vec<u64>,
-    ) {
-        let (_, inserts) = self
-            .refines
-            .get_or_insert_with(|| (LatticeSnapshot::of(lattice), Vec::new()));
-        inserts.push(Insert { fp, entry, evicted });
-    }
-}
-
-/// Messages to the writer thread.
-enum Msg {
-    /// Append one solve's inserts.
-    Solve(SolveBatch),
-    /// Copy the live frames into a fresh log (temp file + atomic
-    /// rename), then continue appending to the new file.
-    Compact,
-    /// Flush buffered writes and ack.
-    Flush(mpsc::Sender<()>),
-}
-
-/// Gauges shared with the writer thread, which updates them after each
-/// batch it processes. They lag the queue by at most one batch — fine for
-/// the compaction trigger and the stats report, and [`SchemeStore::flush`]
-/// is the barrier that makes them exact.
-#[derive(Default)]
-struct Shared {
-    log_bytes: AtomicU64,
-    live_bytes: AtomicU64,
-    live_entries: AtomicU64,
-    appended: AtomicU64,
-    compactions: AtomicU64,
-    /// Set when a compaction is enqueued, cleared when it lands — keeps a
-    /// backlogged queue from triggering a pile of redundant rewrites.
-    compact_pending: AtomicBool,
 }
 
 /// Where one live record's frame sits in the log.
@@ -672,9 +584,9 @@ impl Frame {
 }
 
 /// The live index: a [`Frame`] per live record, by fingerprint, and the
-/// bytes they add up to. Compaction copies exactly these frames. Owned
-/// by the writer thread (seeded by replay at construction), so its
-/// offsets always match the file with no locking at all.
+/// bytes they add up to. Compaction copies exactly these frames. Seeded
+/// by replay and kept under the store's lock with the log it describes,
+/// so its offsets always match the file.
 #[derive(Default)]
 struct Index {
     /// One map per payload kind, at `kind - 1`: lattices, pass-1 entries,
@@ -712,17 +624,38 @@ impl Index {
 }
 
 /// The persistent store attached to one driver. See the module docs for
-/// the format, replay, and compaction story.
+/// the format, replay, compaction and append story.
 pub struct SchemeStore {
     path: PathBuf,
-    shared: Arc<Shared>,
-    /// The writer thread's queue and handle; `Drop` takes them to close
-    /// the queue and join the thread.
-    writer: Option<(mpsc::Sender<Msg>, JoinHandle<()>)>,
+    /// The append side: every insert, flush and compaction takes this
+    /// lock, so the log sees inserts in the cache's own order.
+    log: Mutex<Log>,
     replayed_entries: u64,
     replay_ns: u64,
     dropped_records: u64,
 }
+
+/// What the store's lock guards: the log's buffered writer, the live
+/// index of its frames, and the gauges [`SchemeStore::stats`] reports.
+struct Log {
+    out: BufWriter<File>,
+    index: Index,
+    /// Log size in bytes, buffered frames included.
+    bytes: u64,
+    appended: u64,
+    compactions: u64,
+    /// Set by an I/O error: appends still count (so the compaction
+    /// trigger fires) but stop reaching the file — and the index — until
+    /// a compaction gives a fresh file; one warning, not one per record.
+    broken: bool,
+    labels: LabelCache,
+    scratch: String,
+}
+
+/// The log's write buffer, comfortably larger than a typical solve's
+/// records, so a solve costs one write syscall at its flush rather than
+/// one per 8 KiB of frames.
+const LOG_BUF: usize = 256 << 10;
 
 impl std::fmt::Debug for SchemeStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -735,16 +668,15 @@ impl std::fmt::Debug for SchemeStore {
 
 impl SchemeStore {
     /// Opens (creating if absent) the log at `path`, replays it into
-    /// `cache`, repairs any torn tail, and spawns the writer thread.
-    /// Replayed pass-2 entries are validated against `lattice` when their
-    /// lattice fingerprint matches, or against the lattice built from the
-    /// log's descriptor record otherwise.
+    /// `cache`, and repairs any torn tail. Replayed pass-2 entries are
+    /// validated against `lattice` when their lattice fingerprint matches,
+    /// or against the lattice built from the log's descriptor record
+    /// otherwise.
     ///
     /// # Errors
     ///
-    /// Only on I/O failure (unreadable/unwritable path, or no writer
-    /// thread); corrupt *content* is never an error, it is truncated or
-    /// dropped.
+    /// Only on I/O failure (an unreadable or unwritable path); corrupt
+    /// *content* is never an error, it is truncated or dropped.
     pub(crate) fn open(
         path: &Path,
         lattice: &Lattice,
@@ -840,29 +772,27 @@ impl SchemeStore {
             f.write_all(MAGIC)?;
             valid = MAGIC.len();
         } else if valid < data.len() {
-            OpenOptions::new().write(true).open(path)?.set_len(valid as u64)?;
+            OpenOptions::new()
+                .write(true)
+                .open(path)?
+                .set_len(valid as u64)?;
         }
         let file = OpenOptions::new().append(true).open(path)?;
 
-        let shared = Arc::new(Shared::default());
-        shared.log_bytes.store(valid as u64, Ordering::Relaxed);
-        shared.live_bytes.store(index.live_bytes, Ordering::Relaxed);
-        shared.live_entries.store(index.entries(), Ordering::Relaxed);
-
-        let replay_ns = start.elapsed().as_nanos() as u64;
-        let (tx, rx) = mpsc::channel();
-        let handle = {
-            let (path, shared) = (path.to_path_buf(), Arc::clone(&shared));
-            retypd_core::sync::thread::Builder::new()
-                .name("scheme-store-writer".into())
-                .spawn(move || writer_loop(path, file, rx, shared, index))?
-        };
         Ok(SchemeStore {
             path: path.to_path_buf(),
-            shared,
-            writer: Some((tx, handle)),
+            log: Mutex::new(Log {
+                out: BufWriter::with_capacity(LOG_BUF, file),
+                index,
+                bytes: valid as u64,
+                appended: 0,
+                compactions: 0,
+                broken: false,
+                labels: LabelCache::default(),
+                scratch: String::new(),
+            }),
             replayed_entries: replayed,
-            replay_ns,
+            replay_ns: start.elapsed().as_nanos() as u64,
             dropped_records: dropped,
         })
     }
@@ -872,78 +802,183 @@ impl SchemeStore {
         &self.path
     }
 
-    fn send(&self, msg: Msg) {
-        if let Some((tx, _)) = &self.writer {
-            let _ = tx.send(msg);
+    /// The append side, or `None` once a panic poisoned the lock: a
+    /// poisoned store is broken, so it writes nothing more, and its
+    /// driver's cache inserts and [`SchemeStore::flush`] go on without it.
+    fn log(&self) -> Option<MutexGuard<'_, Log>> {
+        self.log.lock().ok()
+    }
+
+    /// Makes a pass-1 cache insert and appends its record, whose schemes
+    /// `texts` renders in member order. Returns the fingerprints the
+    /// insert evicted.
+    pub(crate) fn insert_schemes(
+        &self,
+        cache: &SchemeCache,
+        fp: u64,
+        entry: Arc<CachedSchemes>,
+        texts: &[SchemeText],
+    ) -> Vec<u64> {
+        let payload = encode_schemes(fp, &entry, texts);
+        let Some(mut log) = self.log() else {
+            return cache.insert_schemes(fp, entry);
+        };
+        let evicted = cache.insert_schemes(fp, entry);
+        for &e in &evicted {
+            log.index.remove(KIND_SCHEMES, e);
+        }
+        log.append(&self.path, KIND_SCHEMES, fp, &payload, 0);
+        evicted
+    }
+
+    /// Makes a pass-2 cache insert solved against `lattice` and appends
+    /// its record, preceded by the lattice's descriptor record when the
+    /// log holds none. Returns the fingerprints the insert evicted.
+    pub(crate) fn insert_refine(
+        &self,
+        cache: &SchemeCache,
+        fp: u64,
+        lattice: &Lattice,
+        entry: Arc<SccRefinement>,
+    ) -> Vec<u64> {
+        let Some(mut guard) = self.log() else {
+            return cache.insert_refine(fp, entry);
+        };
+        let log = &mut *guard;
+        let lattice_fp = lattice.fingerprint();
+        // The index is the have-we-written-it set.
+        if !log.index.of(KIND_LATTICE).contains_key(&lattice_fp) {
+            let payload = encode_lattice(lattice_fp, &lattice.descriptor().to_string());
+            log.append(&self.path, KIND_LATTICE, lattice_fp, &payload, 0);
+        }
+        let payload = encode_refine(
+            fp,
+            lattice_fp,
+            &entry,
+            lattice,
+            &mut log.labels,
+            &mut log.scratch,
+        );
+        let evicted = cache.insert_refine(fp, entry);
+        for &e in &evicted {
+            log.index.remove(KIND_REFINE, e);
+        }
+        log.append(&self.path, KIND_REFINE, fp, &payload, lattice_fp);
+        evicted
+    }
+
+    /// End-of-solve hook: flushes the solve's records to the file, then
+    /// compacts if the log has outgrown its live frames (see module docs).
+    pub(crate) fn solve_finished(&self) {
+        let Some(mut log) = self.log() else { return };
+        log.flush(&self.path);
+        let live = MAGIC.len() as u64 + log.index.live_bytes;
+        if log.bytes > live.saturating_mul(COMPACT_FACTOR).max(COMPACT_MIN_BYTES) {
+            log.compact(&self.path);
         }
     }
 
-    /// End-of-solve hook: hands the writer the solve's inserts, plus a
-    /// compaction request if the log has outgrown its live frames (see
-    /// module docs). The gauges lag the writer by at most one batch,
-    /// which only delays the compaction trigger, never loses it.
-    pub(crate) fn solve_finished(&self, batch: SolveBatch) {
-        if !batch.schemes.is_empty() || batch.refines.is_some() {
-            self.send(Msg::Solve(batch));
-        }
-        let log = self.shared.log_bytes.load(Ordering::Relaxed);
-        let live = MAGIC.len() as u64 + self.shared.live_bytes.load(Ordering::Relaxed);
-        if log > live.saturating_mul(COMPACT_FACTOR).max(COMPACT_MIN_BYTES)
-            && !self.shared.compact_pending.swap(true, Ordering::Relaxed)
-        {
-            self.send(Msg::Compact);
-        }
-    }
-
-    /// Unconditionally compacts and waits for the rewrite to land.
+    /// Unconditionally compacts the log.
     pub fn compact(&self) {
-        if !self.shared.compact_pending.swap(true, Ordering::Relaxed) {
-            self.send(Msg::Compact);
+        if let Some(mut log) = self.log() {
+            log.compact(&self.path);
         }
-        self.flush();
     }
 
-    /// Blocks until every batch handed over so far has been encoded,
-    /// appended, and flushed to the OS — the barrier tests, benches, and
-    /// the serve rebuild path use before re-reading the log, and the
-    /// point at which the shared gauges are exact.
+    /// Flushes buffered appends to the OS. A solve already flushes when it
+    /// ends, so this is the barrier for a solve that did not end — the
+    /// serve crate's panic-rebuild path calls it on the wounded driver.
     pub fn flush(&self) {
-        let (ack_tx, ack_rx) = mpsc::channel();
-        self.send(Msg::Flush(ack_tx));
-        let _ = ack_rx.recv();
+        if let Some(mut log) = self.log() {
+            log.flush(&self.path);
+        }
     }
 
-    /// Current counters (replay numbers are fixed at construction; the
-    /// rest are exact as of the writer's last completed batch — call
-    /// [`SchemeStore::flush`] first for exact-now values).
+    /// Current counters: the replay numbers are fixed at construction, the
+    /// rest are exact as of the last insert.
     pub fn stats(&self) -> PersistStats {
+        // Only reads plain counters, which a panic cannot leave unsafe to
+        // read, so a poisoned store still reports where it stopped.
+        let log = self
+            .log
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         PersistStats {
             replayed_entries: self.replayed_entries,
             replay_ns: self.replay_ns,
             dropped_records: self.dropped_records,
-            persisted_entries: self.shared.live_entries.load(Ordering::Relaxed),
-            live_bytes: self.shared.live_bytes.load(Ordering::Relaxed),
-            appended_entries: self.shared.appended.load(Ordering::Relaxed),
-            compactions: self.shared.compactions.load(Ordering::Relaxed),
-            log_bytes: self.shared.log_bytes.load(Ordering::Relaxed),
+            persisted_entries: log.index.entries(),
+            live_bytes: log.index.live_bytes,
+            appended_entries: log.appended,
+            compactions: log.compactions,
+            log_bytes: log.bytes,
         }
     }
 }
 
-impl Drop for SchemeStore {
-    fn drop(&mut self) {
-        // Closing the queue lets the writer drain it, flush, and exit;
-        // joining makes driver teardown a durability point.
-        if let Some((tx, handle)) = self.writer.take() {
-            drop(tx);
-            let _ = handle.join();
+impl Log {
+    /// Appends one record's frame and indexes it under `fp`, unless the
+    /// log is broken or the write fails. `lattice` is the lattice
+    /// fingerprint a pass-2 record references (0 for the other kinds).
+    fn append(&mut self, path: &Path, kind: u8, fp: u64, payload: &[u8], lattice: u64) {
+        crate::driver_metrics().store_append_frames.inc();
+        self.appended += 1;
+        let frame = Frame {
+            at: self.bytes,
+            len: payload.len() as u32,
+            lattice,
+        };
+        self.bytes += frame.size();
+        if self.broken {
+            return;
+        }
+        let written = self
+            .out
+            .write_all(&frame_header(payload))
+            .and_then(|()| self.out.write_all(payload));
+        match written {
+            Ok(()) => self.index.insert(kind, fp, frame),
+            Err(e) => {
+                eprintln!("scheme store {}: append failed: {e}", path.display());
+                self.broken = true;
+            }
+        }
+    }
+
+    fn flush(&mut self, path: &Path) {
+        if self.broken {
+            return;
+        }
+        if let Err(e) = self.out.flush() {
+            eprintln!("scheme store {}: flush failed: {e}", path.display());
+            self.broken = true;
+        }
+    }
+
+    /// Copies the live frames into a fresh log (temp file + atomic
+    /// rename) and goes on appending to the new file.
+    fn compact(&mut self, path: &Path) {
+        let _span = retypd_telemetry::span("driver.store_compact");
+        // Compaction reads the live frames back from the log, so everything
+        // buffered must reach it first. Frames that do not are left out by
+        // verification; either outcome below decides `broken` afresh.
+        self.flush(path);
+        match compact_log(path, &self.index) {
+            Ok((f, fresh)) => {
+                self.out = BufWriter::with_capacity(LOG_BUF, f);
+                self.broken = false;
+                self.bytes = MAGIC.len() as u64 + fresh.live_bytes;
+                self.index = fresh;
+                self.compactions += 1;
+                crate::driver_metrics().store_compactions.inc();
+            }
+            Err(e) => {
+                eprintln!("scheme store {}: compaction failed: {e}", path.display());
+                self.broken = true;
+            }
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Writer thread
-// ---------------------------------------------------------------------------
 
 /// Reads the whole frame `frame` points at (header included) into `buf`
 /// and verifies it: the stored length must match the index and the
@@ -1000,147 +1035,6 @@ fn compact_log(path: &Path, index: &Index) -> io::Result<(File, Index)> {
     Ok((OpenOptions::new().append(true).open(path)?, fresh))
 }
 
-fn writer_loop(
-    path: PathBuf,
-    file: File,
-    rx: mpsc::Receiver<Msg>,
-    shared: Arc<Shared>,
-    mut index: Index,
-) {
-    // A buffer comfortably larger than a typical batch, so appends cost
-    // one write syscall per flush rather than one per 8 KiB of frames.
-    const WRITER_BUF: usize = 256 << 10;
-    let mut out = BufWriter::with_capacity(WRITER_BUF, file);
-    let mut log_bytes = shared.log_bytes.load(Ordering::Relaxed);
-    // After an I/O error the writer keeps consuming (and acking flushes,
-    // so nobody deadlocks) but stops writing — and indexing — until a
-    // compaction gives it a fresh file; one warning, not one per record.
-    let mut broken = false;
-    let store_append_spans = retypd_telemetry::global().counter("driver.store_append_frames");
-    // Appends one record and returns where its frame sits, or `None` if
-    // it never reached the file (so it must not be indexed).
-    let append = |out: &mut BufWriter<File>,
-                  broken: &mut bool,
-                  log_bytes: &mut u64,
-                  payload: &[u8],
-                  lattice: u64| {
-        store_append_spans.inc();
-        shared.appended.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame {
-            at: *log_bytes,
-            len: payload.len() as u32,
-            lattice,
-        };
-        *log_bytes += frame.size();
-        if *broken {
-            return None;
-        }
-        match out
-            .write_all(&frame_header(payload))
-            .and_then(|()| out.write_all(payload))
-        {
-            Ok(()) => Some(frame),
-            Err(e) => {
-                eprintln!("scheme store {}: append failed: {e}", path.display());
-                *broken = true;
-                None
-            }
-        }
-    };
-    let mut scratch = String::new();
-    let mut labels = LabelCache::default();
-    while let Ok(first) = rx.recv() {
-        let mut acks: Vec<mpsc::Sender<()>> = Vec::new();
-        // Everything queued by now is handled before the one flush below.
-        let queued = std::iter::from_fn(|| rx.try_recv().ok());
-        for msg in std::iter::once(first).chain(queued) {
-            match msg {
-                Msg::Solve(SolveBatch { schemes, refines }) => {
-                    for (Insert { fp, entry, evicted }, texts) in schemes {
-                        for e in evicted {
-                            index.remove(KIND_SCHEMES, e);
-                        }
-                        let payload = encode_schemes(fp, &entry, &texts);
-                        if let Some(frame) =
-                            append(&mut out, &mut broken, &mut log_bytes, &payload, 0)
-                        {
-                            index.insert(KIND_SCHEMES, fp, frame);
-                        }
-                    }
-                    let Some((lattice, refines)) = refines else { continue };
-                    // The descriptor record precedes the first refine that
-                    // references it; the index is the have-we-written-it set.
-                    if !index.of(KIND_LATTICE).contains_key(&lattice.fp) {
-                        let lp = encode_lattice(lattice.fp, &lattice.descriptor);
-                        if let Some(frame) = append(&mut out, &mut broken, &mut log_bytes, &lp, 0) {
-                            index.insert(KIND_LATTICE, lattice.fp, frame);
-                        }
-                    }
-                    for Insert { fp, entry, evicted } in refines {
-                        for e in evicted {
-                            index.remove(KIND_REFINE, e);
-                        }
-                        let payload = encode_refine(
-                            fp,
-                            lattice.fp,
-                            &entry,
-                            &lattice.names,
-                            &mut labels,
-                            &mut scratch,
-                        );
-                        if let Some(frame) =
-                            append(&mut out, &mut broken, &mut log_bytes, &payload, lattice.fp)
-                        {
-                            index.insert(KIND_REFINE, fp, frame);
-                        }
-                    }
-                }
-                Msg::Compact => {
-                    let _span = retypd_telemetry::span("driver.store_compact");
-                    // Compaction reads the live frames back from the log,
-                    // so everything buffered must reach it first. Frames
-                    // that do not are left out by verification; either
-                    // outcome below decides `broken` afresh.
-                    if !broken {
-                        if let Err(e) = out.flush() {
-                            eprintln!("scheme store {}: flush failed: {e}", path.display());
-                        }
-                    }
-                    match compact_log(&path, &index) {
-                        Ok((f, fresh)) => {
-                            out = BufWriter::with_capacity(WRITER_BUF, f);
-                            broken = false;
-                            log_bytes = MAGIC.len() as u64 + fresh.live_bytes;
-                            index = fresh;
-                            shared.compactions.fetch_add(1, Ordering::Relaxed);
-                            crate::driver_metrics().store_compactions.inc();
-                        }
-                        Err(e) => {
-                            eprintln!("scheme store {}: compaction failed: {e}", path.display());
-                            broken = true;
-                        }
-                    }
-                    shared.compact_pending.store(false, Ordering::Relaxed);
-                }
-                Msg::Flush(ack) => acks.push(ack),
-            }
-        }
-        if !broken {
-            if let Err(e) = out.flush() {
-                eprintln!("scheme store {}: flush failed: {e}", path.display());
-                broken = true;
-            }
-        }
-        shared.log_bytes.store(log_bytes, Ordering::Relaxed);
-        shared.live_bytes.store(index.live_bytes, Ordering::Relaxed);
-        shared.live_entries.store(index.entries(), Ordering::Relaxed);
-        for ack in acks {
-            let _ = ack.send(());
-        }
-    }
-    let _ = out.flush();
-}
-
 // The store rides inside `AnalysisDriver<'static>`, which crosses thread
 // boundaries in `retypd-serve`; pin the auto-traits here where the fields
 // that determine them live.
@@ -1149,3 +1043,40 @@ const _: () = {
     assert_send_sync::<SchemeStore>();
     assert_send_sync::<PersistStats>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A panic while the store's lock is held leaves the store broken,
+    /// not panicking: serve's panic-rebuild path flushes the wounded
+    /// driver's store, and a cache insert through it still lands.
+    #[test]
+    fn poisoned_store_is_broken_not_a_panic() {
+        let path = std::env::temp_dir().join(format!(
+            "retypd-store-poisoned-{}.store",
+            std::process::id()
+        ));
+        let lattice = Lattice::c_types();
+        let cache = SchemeCache::new();
+        let store = SchemeStore::open(&path, &lattice, &cache).expect("open store");
+        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _log = store.log.lock().expect("fresh lock");
+            panic!("poison the store's lock");
+        }));
+        assert!(poison.is_err() && store.log.is_poisoned());
+
+        store.flush();
+        store.compact();
+        store.solve_finished();
+        let entry = Arc::new(CachedSchemes {
+            schemes: Vec::new(),
+            constraints: 0,
+        });
+        assert!(store.insert_schemes(&cache, 1, entry, &[]).is_empty());
+        assert_eq!(cache.stats().scheme_entries, 1, "the cache insert lands");
+        let stats = store.stats();
+        assert_eq!((stats.appended_entries, stats.persisted_entries), (0, 0));
+        let _ = fs::remove_file(&path);
+    }
+}

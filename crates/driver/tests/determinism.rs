@@ -51,7 +51,10 @@ fn workers_do_not_change_results_on_bench_generators() {
         let seq_render = render(&seq);
         // One saturation per SCC: pass 1 builds each SCC's graph once for
         // all its members, and pass 2 reuses it.
-        assert_eq!(seq.stats.phases.saturations, sccs as u64, "seed {seed}: Solver::infer");
+        assert_eq!(
+            seq.stats.phases.saturations, sccs as u64,
+            "seed {seed}: Solver::infer"
+        );
         for workers in [1usize, 2, 4, 8] {
             let driver = AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(workers));
             let got = driver.solve(&program);
@@ -69,11 +72,17 @@ fn workers_do_not_change_results_on_bench_generators() {
             // pass-2 unit of work per SCC on a cold cache, and saturates
             // each SCC once.
             assert_eq!(got.stats.cache_misses, 2 * sccs as u64);
-            assert_eq!(got.stats.phases.saturations, sccs as u64, "seed {seed}, {workers} workers");
+            assert_eq!(
+                got.stats.phases.saturations, sccs as u64,
+                "seed {seed}, {workers} workers"
+            );
             // A warm solve answers every SCC from cache and saturates none.
             let warm = driver.solve(&program);
             assert_eq!(warm.stats.cache_misses, 0);
-            assert_eq!(warm.stats.phases.saturations, 0, "seed {seed}, {workers} workers: warm");
+            assert_eq!(
+                warm.stats.phases.saturations, 0,
+                "seed {seed}, {workers} workers: warm"
+            );
         }
     }
 }
@@ -151,7 +160,11 @@ fn batch_shares_scheme_work_across_cluster_members() {
             );
         }
         for r in &reports[members..] {
-            assert_eq!(r.result.stats.cache_misses, 0, "{} was not a pure hit", r.name);
+            assert_eq!(
+                r.result.stats.cache_misses, 0,
+                "{} was not a pure hit",
+                r.name
+            );
         }
         // A parallel batch produces the same per-module results.
         let par = AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(4));

@@ -1,7 +1,7 @@
 //! The process-global driver counters agree with the driver's own
-//! statistics when one driver solves modules concurrently and appends to
-//! its store from the writer thread. This file holds a single test, so its
-//! test binary is the only thing touching the global registry.
+//! statistics when one driver solves a batch at full wave parallelism and
+//! appends to its store as it solves. This file holds a single test, so
+//! its test binary is the only thing touching the global registry.
 
 use std::path::PathBuf;
 
@@ -53,7 +53,9 @@ fn global_counters_match_driver_stats_under_a_concurrent_batch() {
             persist_path: Some(store.0.clone()),
         },
     );
-    let jobs: Vec<ModuleJob> = (0..8u64).map(|i| generated_job(80 + i, 6 + i as usize)).collect();
+    let jobs: Vec<ModuleJob> = (0..8u64)
+        .map(|i| generated_job(80 + i, 6 + i as usize))
+        .collect();
     let reports = driver.solve_batch(&jobs);
     assert_eq!(reports.len(), jobs.len());
     driver.flush_store();
@@ -61,7 +63,10 @@ fn global_counters_match_driver_stats_under_a_concurrent_batch() {
     let cache = driver.cache_stats();
     let persist = driver.persist_stats().expect("store opened");
     assert!(cache.evictions > 0, "capacity 2 must evict");
-    assert_eq!(counter("driver.cache_evictions") - evictions_before, cache.evictions);
+    assert_eq!(
+        counter("driver.cache_evictions") - evictions_before,
+        cache.evictions
+    );
     assert!(persist.appended_entries > 0, "cold solves append");
     assert_eq!(
         counter("driver.store_append_frames") - appends_before,

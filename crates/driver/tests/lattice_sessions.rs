@@ -67,7 +67,10 @@ fn two_lattices_segregate_the_cache_and_answer_per_lattice() {
     // The same module under a structurally different lattice carrying the
     // same constant names: every lookup must MISS — cross-lattice hits
     // would silently answer with the wrong lattice's schemes.
-    let flat = flat_lattice().descriptor().build().expect("flat descriptor builds");
+    let flat = flat_lattice()
+        .descriptor()
+        .build()
+        .expect("flat descriptor builds");
     let under_flat = driver.solve_in(&flat, &job.program);
     let s2 = driver.cache_stats();
     assert_eq!(s2.hits, 0, "cross-lattice lookups must never hit");
@@ -105,7 +108,10 @@ fn canonical_descriptor_of_the_default_lattice_shares_its_cache() {
     // A request naming c_types *as data* (its canonical descriptor) builds
     // a fingerprint-identical lattice, so it re-hits the default lattice's
     // cache entries — descriptions of the same lattice converge.
-    let rebuilt = c_types.descriptor().build().expect("canonical c_types descriptor builds");
+    let rebuilt = c_types
+        .descriptor()
+        .build()
+        .expect("canonical c_types descriptor builds");
     let via_descriptor = driver.solve_in(&rebuilt, &jobs[0].program);
     assert_eq!(via_descriptor.stats.cache_misses, 0);
     assert_eq!(render(&via_descriptor), render(&cold[0].result));

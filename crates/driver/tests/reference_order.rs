@@ -12,9 +12,9 @@ use std::fmt::Write as _;
 
 use retypd_core::addsub::{apply_addsubs, augment_with_addsubs};
 use retypd_core::graph::ConstraintGraph;
+use retypd_core::parse::{parse_constraint_set, parse_derived_var};
 use retypd_core::saturation::saturate;
 use retypd_core::transducer::scalar_violations;
-use retypd_core::parse::{parse_constraint_set, parse_derived_var};
 use retypd_core::{
     callsite_actuals, AddSubConstraint, AddSubKind, BaseVar, CallTarget, Callsite, Condensation,
     Lattice, Procedure, Program, SchemeBuilder, ShapeQuotient, Sketch, Solver, SolverResult,
@@ -29,7 +29,10 @@ use retypd_minic::genprog::{ClusterSpec, GenConfig, ProgramGenerator};
 fn render(procs: &BTreeMap<Symbol, (String, String, String)>, inc: &[(Symbol, Symbol)]) -> String {
     let mut out = String::new();
     for (name, (scheme, sketch, general)) in procs {
-        let _ = writeln!(out, "{name}: {scheme}\n  sketch: {sketch}\n  general: {general}");
+        let _ = writeln!(
+            out,
+            "{name}: {scheme}\n  sketch: {sketch}\n  general: {general}"
+        );
     }
     let _ = writeln!(out, "{inc:?}");
     out
@@ -59,7 +62,10 @@ fn reference(lattice: &Lattice, program: &Program) -> String {
     let builder = SchemeBuilder::new(lattice);
     let cond = Condensation::compute(program);
     let combined = |scc: &[usize], schemes: &BTreeMap<Symbol, TypeScheme>| {
-        augment_with_addsubs(&solver.scc_constraints(program, scc, &cond.scc_of, schemes), lattice)
+        augment_with_addsubs(
+            &solver.scc_constraints(program, scc, &cond.scc_of, schemes),
+            lattice,
+        )
     };
     let mut schemes = program.externals.clone();
     for scc in &cond.sccs {
@@ -69,7 +75,10 @@ fn reference(lattice: &Lattice, program: &Program) -> String {
             let mut interesting: BTreeSet<BaseVar> = program.globals.clone();
             interesting.insert(BaseVar::Var(name));
             let (constraints, existentials) = builder.simplify(&cs, &interesting);
-            schemes.insert(name, TypeScheme::new(BaseVar::Var(name), existentials, constraints));
+            schemes.insert(
+                name,
+                TypeScheme::new(BaseVar::Var(name), existentials, constraints),
+            );
         }
     }
 
@@ -83,7 +92,11 @@ fn reference(lattice: &Lattice, program: &Program) -> String {
         saturate(&mut g);
         let mut quotient = ShapeQuotient::build(&cs);
         apply_addsubs(&cs, &mut quotient, lattice);
-        let consts: Vec<BaseVar> = cs.base_vars().into_iter().filter(|b| b.is_const()).collect();
+        let consts: Vec<BaseVar> = cs
+            .base_vars()
+            .into_iter()
+            .filter(|b| b.is_const())
+            .collect();
         inconsistencies.extend(scalar_violations(&g, lattice));
         let mut overlay: BTreeMap<BaseVar, Sketch> = BTreeMap::new();
         for &p in scc {
@@ -160,7 +173,11 @@ fn add_ring(module: &mut Module, r: usize, k: usize) {
             let sum = Expr::Bin(BinKind::Add, Box::new(call), Box::new(field("f0")));
             body.push(Stmt::Return(Some(sum)));
         }
-        let param = if writer { SrcType::ptr } else { SrcType::const_ptr };
+        let param = if writer {
+            SrcType::ptr
+        } else {
+            SrcType::const_ptr
+        };
         module.funcs.push(FuncDef {
             name: format!("ring{r}_{i}"),
             params: vec![("p".into(), param(SrcType::Struct(0)))],
@@ -245,12 +262,20 @@ fn shared_graphs_match_the_reference_on_mutual_recursion() {
         let want = reference(&lattice, &program);
         let seq = Solver::new(&lattice).infer(&program);
         assert_eq!(render_result(&seq), want, "seed {seed}: Solver::infer");
-        assert_eq!(seq.stats.phases.saturations, cond.sccs.len() as u64, "seed {seed}");
+        assert_eq!(
+            seq.stats.phases.saturations,
+            cond.sccs.len() as u64,
+            "seed {seed}"
+        );
         for workers in [1, 4] {
             let driver = AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(workers));
             let got = driver.solve(&program);
             assert_eq!(render_result(&got), want, "seed {seed}, {workers} workers");
-            assert_eq!(got.stats.phases.saturations, cond.sccs.len() as u64, "seed {seed}");
+            assert_eq!(
+                got.stats.phases.saturations,
+                cond.sccs.len() as u64,
+                "seed {seed}"
+            );
         }
     }
 }
@@ -263,7 +288,11 @@ fn additive_constraints_reach_each_pass_as_in_the_reference() {
     assert_eq!(render_result(&Solver::new(&lattice).infer(&program)), want);
     for workers in [1, 4] {
         let driver = AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(workers));
-        assert_eq!(render_result(&driver.solve(&program)), want, "{workers} workers");
+        assert_eq!(
+            render_result(&driver.solve(&program)),
+            want,
+            "{workers} workers"
+        );
     }
 }
 
@@ -285,7 +314,10 @@ fn rebuilt_graphs_match_the_reference_on_a_cluster_batch() {
             program: lift(module),
         })
         .collect();
-    let want: Vec<String> = jobs.iter().map(|j| reference(&lattice, &j.program)).collect();
+    let want: Vec<String> = jobs
+        .iter()
+        .map(|j| reference(&lattice, &j.program))
+        .collect();
     for workers in [1, 4] {
         let before = rebuilds();
         let driver = AnalysisDriver::with_config(&lattice, DriverConfig::with_workers(workers));
@@ -299,7 +331,12 @@ fn rebuilt_graphs_match_the_reference_on_a_cluster_batch() {
             assert!(rebuilds() > before, "no library SCC took the rebuild path");
         }
         for ((report, want), job) in reports.iter().zip(&want).zip(&jobs) {
-            assert_eq!(&render_result(&report.result), want, "{}, {workers} workers", report.name);
+            assert_eq!(
+                &render_result(&report.result),
+                want,
+                "{}, {workers} workers",
+                report.name
+            );
             // At most one saturation per SCC, and one for every SCC that
             // missed in either pass.
             let stats = &report.result.stats;

@@ -5,9 +5,10 @@
 //! boundaries, so the tests cross them (by dropping and rebuilding
 //! drivers on the same path, which is exactly what a restart does).
 
+use retypd_core::sync::atomic::{AtomicU64, Ordering};
+use retypd_core::sync::Barrier;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use retypd_core::sync::atomic::{AtomicU64, Ordering};
 
 use retypd_core::{Condensation, Lattice, LatticeDescriptor, SolverResult};
 use retypd_driver::store::{frame_record, MAGIC};
@@ -91,13 +92,17 @@ fn restart_replays_to_all_hits() {
 
     let (reference, cold_misses) = {
         let driver = AnalysisDriver::with_config(&lattice, persistent_config(store.path()));
-        let results: Vec<String> = jobs.iter().map(|j| render(&driver.solve(&j.program))).collect();
+        let results: Vec<String> = jobs
+            .iter()
+            .map(|j| render(&driver.solve(&j.program)))
+            .collect();
         // Generated modules may share the odd SCC (hence hits > 0 is
         // possible even cold); every *miss* becomes a persisted record.
         let stats = driver.cache_stats();
         assert!(stats.misses > 0);
         (results, stats.misses)
-        // Drop joins the writer thread: everything is on disk now.
+        // Each solve flushed its records as it returned: everything is on
+        // disk now.
     };
 
     let restarted = AnalysisDriver::with_config(&lattice, persistent_config(store.path()));
@@ -133,7 +138,10 @@ fn restart_replays_non_default_lattice_entries() {
         b.add_under("#StoreTestTag", "int").expect("fresh tag");
         b.le("⊥", "#StoreTestTag").expect("known");
         b.set_name("c_types_store_test");
-        b.build().expect("extended c_types is a lattice").descriptor().clone()
+        b.build()
+            .expect("extended c_types is a lattice")
+            .descriptor()
+            .clone()
     };
     let job = generated_job(63, 6);
 
@@ -266,7 +274,10 @@ fn compaction_preserves_cache_contents() {
         .collect();
 
     let driver = AnalysisDriver::with_config(&lattice, persistent_config(store.path()));
-    let reference: Vec<String> = jobs.iter().map(|j| render(&driver.solve(&j.program))).collect();
+    let reference: Vec<String> = jobs
+        .iter()
+        .map(|j| render(&driver.solve(&j.program)))
+        .collect();
     driver.flush_store();
     let appended_len = std::fs::metadata(store.path()).expect("store file").len();
     let live_entries = {
@@ -288,8 +299,17 @@ fn compaction_preserves_cache_contents() {
     );
     for (j, want) in jobs.iter().zip(&reference) {
         let got = restarted.solve(&j.program);
-        assert_eq!(got.stats.cache_misses, 0, "{}: compaction lost entries", j.name);
-        assert_eq!(render(&got), *want, "{}: compaction changed results", j.name);
+        assert_eq!(
+            got.stats.cache_misses, 0,
+            "{}: compaction lost entries",
+            j.name
+        );
+        assert_eq!(
+            render(&got),
+            *want,
+            "{}: compaction changed results",
+            j.name
+        );
     }
 
     // Under eviction churn with a tiny capacity, dead records pile up in
@@ -353,18 +373,28 @@ fn compaction_bytes_are_pinned() {
             let _ = driver.solve(&j.program);
         }
     }
-    assert!(driver.cache_stats().evictions > 0, "the job set must churn the cache");
+    assert!(
+        driver.cache_stats().evictions > 0,
+        "the job set must churn the cache"
+    );
     driver.compact_store();
     let compacted = std::fs::read(store.path()).expect("store file");
     drop(driver);
-    assert_eq!(compacted.len() as u64, COMPACTED_LEN, "compacted log length");
+    assert_eq!(
+        compacted.len() as u64,
+        COMPACTED_LEN,
+        "compacted log length"
+    );
     assert_eq!(fnv1a64(&compacted), COMPACTED_FNV, "compacted log digest");
 
     let restarted = AnalysisDriver::with_config(&lattice, config());
     assert_eq!(restarted.persist_stats().expect("store").dropped_records, 0);
     restarted.compact_store();
     let again = std::fs::read(store.path()).expect("store file");
-    assert_eq!(again, compacted, "replay + compaction must rewrite the same bytes");
+    assert_eq!(
+        again, compacted,
+        "replay + compaction must rewrite the same bytes"
+    );
 }
 
 /// A live frame damaged on disk is dropped at compaction: the log is the
@@ -382,7 +412,10 @@ fn damaged_live_frame_is_dropped_at_compaction() {
         .map(|&(s, f)| generated_job(s, f))
         .collect();
     let driver = AnalysisDriver::with_config(&lattice, persistent_config(store.path()));
-    let reference: Vec<String> = jobs.iter().map(|j| render(&driver.solve(&j.program))).collect();
+    let reference: Vec<String> = jobs
+        .iter()
+        .map(|j| render(&driver.solve(&j.program)))
+        .collect();
     driver.flush_store();
     let live = driver.persist_stats().expect("store").persisted_entries;
 
@@ -403,7 +436,8 @@ fn damaged_live_frame_is_dropped_at_compaction() {
         .open(store.path())
         .expect("open log");
     log.seek(SeekFrom::Start(target as u64)).expect("seek");
-    log.write_all(&[bytes[target] ^ 0xff]).expect("damage one byte");
+    log.write_all(&[bytes[target] ^ 0xff])
+        .expect("damage one byte");
     drop(log);
 
     driver.compact_store();
@@ -411,15 +445,30 @@ fn damaged_live_frame_is_dropped_at_compaction() {
 
     let restarted = AnalysisDriver::with_config(&lattice, persistent_config(store.path()));
     let persist = restarted.persist_stats().expect("store configured");
-    assert_eq!(persist.replayed_entries, live - 1, "exactly the damaged frame is gone");
-    assert_eq!(persist.dropped_records, 0, "compaction left no damaged frame behind");
+    assert_eq!(
+        persist.replayed_entries,
+        live - 1,
+        "exactly the damaged frame is gone"
+    );
+    assert_eq!(
+        persist.dropped_records, 0,
+        "compaction left no damaged frame behind"
+    );
     let mut misses = 0;
     for (j, want) in jobs.iter().zip(&reference) {
         let got = restarted.solve(&j.program);
         misses += got.stats.cache_misses;
-        assert_eq!(render(&got), *want, "{}: damaged frame changed results", j.name);
+        assert_eq!(
+            render(&got),
+            *want,
+            "{}: damaged frame changed results",
+            j.name
+        );
     }
-    assert_eq!(misses, 1, "exactly the SCC whose frame was damaged re-solves");
+    assert_eq!(
+        misses, 1,
+        "exactly the SCC whose frame was damaged re-solves"
+    );
 }
 
 /// The widest pass-1 wave of a job's condensation: how many SCCs a
@@ -432,7 +481,10 @@ fn widest_wave(job: &ModuleJob) -> usize {
 /// Generated jobs whose pass-1 waves run several SCCs side by side.
 fn wide_jobs() -> Vec<ModuleJob> {
     let jobs: Vec<ModuleJob> = (81u64..87).map(|s| generated_job(s, 16)).collect();
-    assert!(jobs.iter().all(|j| widest_wave(j) >= 2), "every job needs a wave 2 wide");
+    assert!(
+        jobs.iter().all(|j| widest_wave(j) >= 2),
+        "every job needs a wave 2 wide"
+    );
     jobs
 }
 
@@ -461,8 +513,14 @@ fn log_bytes_do_not_depend_on_worker_count() {
         std::fs::read(store.path()).expect("store file")
     };
     let sequential = log_at(1);
-    assert!(sequential.len() > MAGIC.len(), "the jobs must append records");
-    assert!(log_at(4) == sequential, "4 workers wrote a different log than 1");
+    assert!(
+        sequential.len() > MAGIC.len(),
+        "the jobs must append records"
+    );
+    assert!(
+        log_at(4) == sequential,
+        "4 workers wrote a different log than 1"
+    );
 }
 
 /// With a cache smaller than a wave, each insert and the evictions it
@@ -495,7 +553,10 @@ fn bounded_store_indexes_exactly_the_cached_entries() {
             );
         }
     }
-    assert!(driver.cache_stats().evictions > 0, "the job set must churn the cache");
+    assert!(
+        driver.cache_stats().evictions > 0,
+        "the job set must churn the cache"
+    );
 }
 
 /// A batch solves its modules one after another, each at the driver's
@@ -527,4 +588,94 @@ fn batch_store_indexes_exactly_the_cached_entries() {
             "round {round}: the store indexes entries the cache no longer holds"
         );
     }
+}
+
+/// Two threads solving on one driver keep the store exact: each insert
+/// and the evictions it causes reach the log under the store's lock, in
+/// the order the cache saw them, so with a cache smaller than a wave the
+/// store indexes exactly the entries the cache holds after every round.
+/// With a writer thread fed one batch per solve, two solves' batches
+/// could reach it in another order than their cache inserts, and an
+/// eviction then missed a frame not yet indexed.
+#[test]
+fn concurrent_solves_keep_the_store_exact() {
+    let lattice = Lattice::c_types();
+    let store = TempFile::new("concurrent");
+    let jobs = wide_jobs();
+    let (left, right) = jobs.split_at(jobs.len() / 2);
+    let driver = AnalysisDriver::with_config(
+        &lattice,
+        DriverConfig {
+            workers: 2,
+            cache_capacity: Some(2),
+            persist_path: Some(store.path().to_path_buf()),
+        },
+    );
+    // Both threads start each round together, so their solves overlap.
+    let start = Barrier::new(2);
+    for round in 0..5 {
+        // retypd-lint: allow(no-raw-thread) scoped spawns are not modeled
+        std::thread::scope(|scope| {
+            for half in [left, right] {
+                let (driver, start) = (&driver, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for j in half {
+                        let _ = driver.solve(&j.program);
+                    }
+                });
+            }
+        });
+        driver.flush_store();
+        let cache = driver.cache_stats();
+        assert_eq!(
+            driver.persist_stats().expect("store").persisted_entries,
+            (cache.scheme_entries + cache.refine_entries) as u64,
+            "round {round}: the store indexes entries the cache no longer holds"
+        );
+    }
+    assert!(
+        driver.cache_stats().evictions > 0,
+        "the job set must churn the cache"
+    );
+}
+
+/// A solve's records are in the file when it returns, with no
+/// `flush_store`: the file is as long as the store says, and a second
+/// driver opened on the same path while the first is still alive replays
+/// every entry the first one persisted.
+#[test]
+fn solve_leaves_its_records_on_disk() {
+    let lattice = Lattice::c_types();
+    let store = TempFile::new("on-disk");
+    let jobs: Vec<ModuleJob> = [(61u64, 8usize), (62, 10)]
+        .iter()
+        .map(|&(s, f)| generated_job(s, f))
+        .collect();
+    let driver = AnalysisDriver::with_config(&lattice, persistent_config(store.path()));
+    for j in &jobs {
+        let _ = driver.solve(&j.program);
+    }
+    let persist = driver.persist_stats().expect("store");
+    let cache = driver.cache_stats();
+    assert!(
+        persist.persisted_entries > 0,
+        "the jobs must persist entries"
+    );
+    assert_eq!(
+        persist.persisted_entries,
+        (cache.scheme_entries + cache.refine_entries) as u64,
+        "the store has not indexed every entry the solves made"
+    );
+    let len = std::fs::metadata(store.path()).expect("store file").len();
+    assert_eq!(
+        len, persist.log_bytes,
+        "the solve's records are not all in the file"
+    );
+
+    let second = AnalysisDriver::with_config(&lattice, persistent_config(store.path()));
+    let replayed = second.persist_stats().expect("store");
+    assert_eq!(replayed.replayed_entries, persist.persisted_entries);
+    assert_eq!(replayed.dropped_records, 0);
+    drop(driver);
 }

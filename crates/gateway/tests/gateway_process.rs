@@ -103,10 +103,6 @@ fn kill9_mid_batch_reroutes_restarts_and_warm_replays() {
     for (i, r) in cold.iter().enumerate() {
         assert_eq!(r.canonical_text(), want[i], "{} cold", jobs[i].name);
     }
-    // Store appends flush at solve boundaries; give the writer threads a
-    // beat so the kill -9 below cannot outrun the final batch's append.
-    retypd_core::sync::thread::sleep(Duration::from_millis(500));
-
     let victim = 1usize;
     let old_pid = gw.backend_pid(victim);
     assert_ne!(old_pid, 0, "spawned backend announced its pid");

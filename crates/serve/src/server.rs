@@ -581,12 +581,12 @@ fn shard_main(
                     .map(|s| (*s).to_owned())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".to_owned());
-                // Flush the wounded driver's pending store appends, then
+                // Flush the wounded driver's buffered store appends, then
                 // rebuild: the replacement replays the store, so with
                 // persistence configured the rebuilt cache is *warm* (the
-                // half-finished solve never inserted, so nothing tainted
-                // was persisted). Without persistence this is the old
-                // cold rebuild.
+                // half-finished solve persisted only the SCCs it finished,
+                // which are entries like any other). Without persistence
+                // this is the old cold rebuild.
                 driver.flush_store();
                 driver = AnalysisDriver::owned(Lattice::c_types(), driver_config.clone());
                 rebuilds += 1;

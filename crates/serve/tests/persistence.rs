@@ -78,22 +78,10 @@ fn restart_round_trip(shards: usize) {
         let handle = start(config(shards, &dir)).expect("bind first server");
         let mut client = Client::connect(handle.addr()).expect("connect");
         let reports = client.solve_batch(&jobs).expect("first solve");
-        // The persisted-entries gauge trails the solve: appends are
-        // processed by each store's writer thread, and a shard republishes
-        // the gauge only on its *next* job. Re-submitting an already-solved
-        // module (a pure cache hit) forces a republish with fresh writer
-        // progress; poll until the gauge lands — the appends themselves
-        // are guaranteed, only their visibility in `stats` is async.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let stats = loop {
-            let stats = client.stats().expect("stats");
-            let persisted: u64 = stats.shards.iter().map(|s| s.persisted_entries).sum();
-            if persisted > 0 || std::time::Instant::now() >= deadline {
-                break stats;
-            }
-            let _ = client.solve_module(&jobs[0]).expect("republish poke");
-            retypd_core::sync::thread::sleep(std::time::Duration::from_millis(10));
-        };
+        // A shard's store appends and flushes as each solve ends, and the
+        // shard publishes its gauges before it replies, so one read after
+        // the solve sees every persisted entry.
+        let stats = client.stats().expect("stats");
         let replayed: u64 = stats.shards.iter().map(|s| s.replayed_entries).sum();
         let persisted: u64 = stats.shards.iter().map(|s| s.persisted_entries).sum();
         let misses: u64 = stats.shards.iter().map(|s| s.cache.misses).sum();
