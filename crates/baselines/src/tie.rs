@@ -36,7 +36,7 @@ pub fn infer_tie(program: &Program, lattice: &Lattice) -> InferredProgram {
                 retypd_core::CallTarget::Internal(i) => program.procs[i].name,
                 retypd_core::CallTarget::External(n) => n,
             };
-            let tagged = DerivedVar::var(&format!("{callee_name}@{}", site.tag));
+            let tagged = DerivedVar::new(BaseVar::tagged(callee_name.as_str(), &site.tag));
             let own = DerivedVar::new(BaseVar::Var(callee_name));
             cs.add_sub(tagged.clone(), own.clone());
             cs.add_sub(own, tagged);

@@ -33,7 +33,7 @@ pub fn infer_unification(program: &Program, lattice: &Lattice) -> InferredProgra
                 retypd_core::CallTarget::Internal(i) => program.procs[i].name,
                 retypd_core::CallTarget::External(n) => n,
             };
-            let tagged = DerivedVar::var(&format!("{callee_name}@{}", site.tag));
+            let tagged = DerivedVar::new(BaseVar::tagged(callee_name.as_str(), &site.tag));
             let own = DerivedVar::new(BaseVar::Var(callee_name));
             // Monomorphic: both directions — a unification.
             cs.add_sub(tagged.clone(), own.clone());

@@ -494,7 +494,7 @@ impl<'a> FuncGen<'a> {
             }
         };
         let tag = format!("{}_{i}", self.f.name);
-        let callee_var = BaseVar::var(&format!("{callee_name}@{tag}"));
+        let callee_var = BaseVar::tagged(&callee_name, &tag);
         let esp = self.frame.esp_delta[i];
         for loc in &model_ins {
             let formal = DerivedVar::new(callee_var).push(Label::In(*loc));

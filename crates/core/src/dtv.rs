@@ -34,6 +34,19 @@ impl BaseVar {
         BaseVar::Const(Symbol::intern(name))
     }
 
+    /// The variable `name@tag`: callee `name` instantiated at the callsite
+    /// tagged `tag` (Appendix F). The solver, scheme instantiation, the
+    /// constraint generator and the baselines all name a callsite's
+    /// actuals with this one spelling, so pass 2 finds the sketches pass 1
+    /// recorded under it.
+    pub fn tagged(name: &str, tag: &str) -> BaseVar {
+        let mut text = String::with_capacity(name.len() + 1 + tag.len());
+        text.push_str(name);
+        text.push('@');
+        text.push_str(tag);
+        BaseVar::var(&text)
+    }
+
     /// The variable's name.
     pub fn name(self) -> Symbol {
         match self {

@@ -76,7 +76,7 @@ impl TypeScheme {
             }
             *rename
                 .entry(v)
-                .or_insert_with(|| BaseVar::var(&format!("{}@{tag}", v.name())))
+                .or_insert_with(|| BaseVar::tagged(v.name().as_str(), tag))
         };
         let mut out = ConstraintSet::new();
         for c in self.constraints.subtypes() {

@@ -370,7 +370,7 @@ pub fn callsite_actuals(program: &Program) -> BTreeMap<Symbol, Vec<BaseVar>> {
             actuals
                 .entry(callee_name)
                 .or_default()
-                .push(BaseVar::var(&format!("{callee_name}@{}", cs.tag)));
+                .push(BaseVar::tagged(callee_name.as_str(), &cs.tag));
         }
     }
     actuals
@@ -545,7 +545,7 @@ impl<'l> Solver<'l> {
                 // lower SCCs can specialize against them.
                 for csite in &proc.callsites {
                     let callee_name = csite.callee_name(program);
-                    let tagged = BaseVar::var(&format!("{callee_name}@{}", csite.tag));
+                    let tagged = BaseVar::tagged(callee_name.as_str(), &csite.tag);
                     if let Some(s) = Sketch::infer(tagged, &g, &quotient, self.lattice, &consts) {
                         stats.sketch_states += s.len();
                         overlay.insert(tagged, s);
@@ -620,7 +620,8 @@ impl<'l> Solver<'l> {
                         // Monomorphic within the SCC: the tagged variable is
                         // the callee itself.
                         let callee = program.procs[i].name;
-                        let tagged = crate::DerivedVar::var(&format!("{callee}@{}", csite.tag));
+                        let tagged =
+                            crate::DerivedVar::new(BaseVar::tagged(callee.as_str(), &csite.tag));
                         let own = crate::DerivedVar::new(BaseVar::Var(callee));
                         combined.add_sub(tagged.clone(), own.clone());
                         combined.add_sub(own, tagged);

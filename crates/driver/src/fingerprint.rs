@@ -23,6 +23,8 @@ use retypd_core::dtv::BaseVar;
 use retypd_core::solver::CallTarget;
 use retypd_core::{Program, Sketch, Symbol, TypeScheme};
 
+use crate::text::TextModule;
+
 pub use retypd_core::fnv::Fnv64;
 
 /// Fingerprint of a type scheme, hashed from its canonical parts:
@@ -41,8 +43,8 @@ pub fn scheme_fp(s: &TypeScheme) -> u64 {
 /// order. The driver renders a solved scheme's subject and constraint
 /// text once, fingerprints the strings here, and hands the same strings
 /// to the scheme store — what gets persisted is byte-for-byte
-/// the text that was fingerprinted. Nothing is interned, so a wire
-/// module's externals hash straight from their wire strings.
+/// the text that was fingerprinted. Nothing is interned, so a
+/// [`TextModule`]'s externals hash straight from their strings.
 pub fn scheme_fp_parts<'a>(
     subject: &str,
     existentials: impl ExactSizeIterator<Item = &'a str>,
@@ -121,8 +123,8 @@ pub fn sketch_fp(s: &Sketch) -> u64 {
     h.finish()
 }
 
-/// A global's display form — what the wire carries and `parse` reads
-/// back — so a constant global `$g` never hashes like the variable `g`.
+/// A global's display form — what a [`TextModule`] carries and `parse`
+/// reads back — so a constant global `$g` never hashes like the variable `g`.
 /// A variable is its bare name and borrows it.
 pub(crate) fn global_text(g: BaseVar) -> Cow<'static, str> {
     match g {
@@ -131,69 +133,16 @@ pub(crate) fn global_text(g: BaseVar) -> Cow<'static, str> {
     }
 }
 
-/// Content fingerprint of a whole program: globals (display form),
-/// externals (name and scheme), and every procedure's name, canonical
-/// constraint text, and callsite structure, in program order. Two
-/// programs fingerprint equal exactly when the solver would see identical
-/// input, which is what `retypd-serve` and its gateway rely on to route
-/// re-submitted modules onto the shard whose cache already holds their
-/// SCCs.
+/// Content fingerprint of a whole program: its rendering's
+/// [`crate::text::TextModule::fingerprint`], which hashes globals (display
+/// form), externals (name and scheme), and every procedure's name,
+/// canonical constraint text, and callsite structure, in program order.
+/// Two programs fingerprint equal exactly when the solver would see
+/// identical input, which is what `retypd-serve` and its gateway rely on
+/// to route re-submitted modules onto the shard whose cache already holds
+/// their SCCs.
 pub fn program_fp(program: &Program) -> u64 {
-    program_fp_parts(
-        program.globals.iter().map(|&g| global_text(g)),
-        program
-            .externals
-            .iter()
-            .map(|(name, scheme)| (name.as_str(), scheme_fp(scheme))),
-        program.procs.iter().map(|proc| {
-            let callsites = proc.callsites.iter().map(|cs| match cs.callee {
-                CallTarget::Internal(i) => (cs.tag.as_str(), false, program.procs[i].name.as_str()),
-                CallTarget::External(n) => (cs.tag.as_str(), true, n.as_str()),
-            });
-            (proc.name.as_str(), proc.constraints.to_string(), callsites)
-        }),
-    )
-}
-
-/// [`program_fp`] over a program's text, in program order: the globals'
-/// display forms; each external as `(name, scheme fingerprint)`; each
-/// procedure as `(name, constraint text, callsites)`, a callsite being
-/// `(tag, is external, callee name)`. This is the one definition of the
-/// program byte stream: `retypd_serve::WireModule::fingerprint` feeds it
-/// a module's wire strings and so agrees with `program_fp` on every job
-/// the wire form renders, without parsing or interning anything.
-pub fn program_fp_parts<'a, G, T, C>(
-    globals: impl ExactSizeIterator<Item = G>,
-    externals: impl ExactSizeIterator<Item = (&'a str, u64)>,
-    procs: impl ExactSizeIterator<Item = (&'a str, T, C)>,
-) -> u64
-where
-    G: AsRef<str>,
-    T: AsRef<str>,
-    C: ExactSizeIterator<Item = (&'a str, bool, &'a str)>,
-{
-    let mut h = Fnv64::new("program");
-    h.write_u64(globals.len() as u64);
-    for g in globals {
-        h.write_str(g.as_ref());
-    }
-    h.write_u64(externals.len() as u64);
-    for (name, scheme) in externals {
-        h.write_str(name);
-        h.write_u64(scheme);
-    }
-    h.write_u64(procs.len() as u64);
-    for (name, constraints, callsites) in procs {
-        h.write_str(name);
-        h.write_wide(constraints.as_ref().as_bytes());
-        h.write_u64(callsites.len() as u64);
-        for (tag, external, callee) in callsites {
-            h.write_str(tag);
-            h.write_str(if external { "external" } else { "internal" });
-            h.write_str(callee);
-        }
-    }
-    h.finish()
+    TextModule::render(String::new(), program).fingerprint()
 }
 
 /// Pass-1 fingerprint of an SCC: everything [`retypd_core::Solver::solve_scc`]

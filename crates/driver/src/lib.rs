@@ -29,11 +29,14 @@
 //!   dirtied SCCs.
 //! * **Entry points**: [`AnalysisDriver::solve`] solves one program
 //!   against the driver's own lattice; [`AnalysisDriver::solve_in`] solves
-//!   one program against any [`retypd_core::Lattice`] the caller holds;
-//!   [`AnalysisDriver::solve_text`] solves a module from its text
-//!   ([`text::ModuleText`]), keyed by that text and parsed only at the
-//!   solve's first miss (`retypd-serve` hands each shard job's text and
-//!   request lattice here).
+//!   one program against any [`retypd_core::Lattice`] the caller holds,
+//!   keyed by its rendering ([`text::TextModule::from_job`]'s);
+//!   [`AnalysisDriver::solve_text`] solves a module from its text (a
+//!   [`text::TextModule`] checked by [`text::TextModule::into_text`]),
+//!   keyed by that text and parsed only at the solve's first miss
+//!   (`retypd-serve` hands each shard job's module and request lattice
+//!   here). Both entry points read one type of text, so their keys agree
+//!   on canonical text.
 //! * **Batch API** ([`AnalysisDriver::solve_batch`]): modules are solved
 //!   one after another, each at the driver's full wave parallelism,
 //!   against the driver's lattice, sharing the cache.
@@ -71,7 +74,7 @@ use retypd_core::{
 
 pub use cache::{CacheStats, CachedSchemes, SchemeCache};
 pub use store::PersistStats;
-pub use text::{ExternalText, ModuleText, ProgramText};
+pub use text::{ModuleText, TextCallsite, TextModule, TextProc, TextScheme};
 
 /// Process-global driver instruments, resolved once from
 /// [`retypd_telemetry::global`] so recording on the solve path is a
@@ -364,9 +367,10 @@ impl<'l> AnalysisDriver<'l> {
     /// shared across lattices and segregated by lattice fingerprint (mixed
     /// into every cache key — see [`fingerprint::scc_fingerprint`]), so a
     /// lattice equal to the driver's own hits the same entries. The
-    /// program's text is rendered once, for its cache keys.
+    /// program is rendered once ([`TextModule::from_job`]'s renderer), for
+    /// its cache keys.
     pub fn solve_in(&self, lattice: &Lattice, program: &Program) -> SolverResult {
-        let text = ProgramText::render(program);
+        let text = TextModule::render(String::new(), program);
         self.solve_program(lattice, program, &text, Some(program))
             .expect("a parsed program is never parsed again")
     }
@@ -375,7 +379,7 @@ impl<'l> AnalysisDriver<'l> {
     /// hashes the text as it arrived, and the constraint text is parsed
     /// only when the solve meets its first cache miss — at most once, on
     /// the calling thread — so a fully warm solve parses nothing. For
-    /// canonical text ([`ProgramText::render`]'s) the keys, and so the
+    /// canonical text ([`TextModule::from_job`]'s) the keys, and so the
     /// result, are those of [`AnalysisDriver::solve_in`] on the parsed
     /// program; other text keys apart from it and solves on its own
     /// entries.
@@ -390,7 +394,7 @@ impl<'l> AnalysisDriver<'l> {
         lattice: &Lattice,
         module: &ModuleText,
     ) -> Result<SolverResult, String> {
-        self.solve_program(lattice, module.structure(), module.text(), None)
+        self.solve_program(lattice, module.structure(), module.module(), None)
     }
 
     /// Solves a batch of modules against the driver's lattice, one module
@@ -415,7 +419,7 @@ impl<'l> AnalysisDriver<'l> {
         &self,
         lattice: &Lattice,
         structure: &Program,
-        text: &ProgramText,
+        text: &TextModule,
         given: Option<&Program>,
     ) -> Result<SolverResult, String> {
         let _solve_span = retypd_telemetry::span("driver.solve");
@@ -433,7 +437,7 @@ impl<'l> AnalysisDriver<'l> {
         for e in &text.externals {
             let existentials = e.existentials.iter().map(String::as_str);
             let fp = fingerprint::scheme_fp_parts(&e.subject, existentials, &e.constraints);
-            scheme_fps.insert(e.name, fp);
+            scheme_fps.insert(Symbol::intern(&e.name), fp);
         }
         let mut parsed: Option<Cow<'_, Program>> = None;
         // Phase work is added from cache misses only: cached entries had
@@ -458,7 +462,7 @@ impl<'l> AnalysisDriver<'l> {
                         lattice_fp,
                         &text.globals,
                         structure,
-                        |p| &text.procs[p],
+                        |p| &text.procs[p].constraints,
                         &cond.sccs[i],
                         &cond.scc_of,
                         &scheme_fps,
@@ -480,32 +484,26 @@ impl<'l> AnalysisDriver<'l> {
                     let _span = retypd_telemetry::span("driver.scc_solve");
                     solver.solve_scc(program, &cond.sccs[i], &cond.scc_of, &schemes)
                 };
-                // With persistence on, render each scheme's canonical parts
-                // once and hand the strings to the store — the fingerprint
-                // covers exactly the text that gets persisted, and the store
-                // never renders a scheme itself.
-                let mut texts = self.store.as_ref().map(|_| Vec::new());
+                // Render each scheme's canonical parts once and fingerprint
+                // the strings; with persistence on they go to the store, so
+                // the fingerprint covers exactly the text that gets
+                // persisted and the store never renders a scheme itself.
+                let mut texts = Vec::with_capacity(out.schemes.len());
                 let entry = Arc::new(CachedSchemes {
                     schemes: out
                         .schemes
                         .into_iter()
                         .map(|(n, s)| {
-                            let fp = match &mut texts {
-                                Some(texts) => {
-                                    let t = store::SchemeText {
-                                        subject: s.subject().to_string(),
-                                        constraints: s.constraints().to_string(),
-                                    };
-                                    let fp = fingerprint::scheme_fp_parts(
-                                        &t.subject,
-                                        s.existentials().iter().map(|x| x.as_str()),
-                                        &t.constraints,
-                                    );
-                                    texts.push(t);
-                                    fp
-                                }
-                                None => fingerprint::scheme_fp(&s),
+                            let t = store::SchemeText {
+                                subject: s.subject().to_string(),
+                                constraints: s.constraints().to_string(),
                             };
+                            let fp = fingerprint::scheme_fp_parts(
+                                &t.subject,
+                                s.existentials().iter().map(|x| x.as_str()),
+                                &t.constraints,
+                            );
+                            texts.push(t);
                             (n, s, fp)
                         })
                         .collect(),
@@ -529,11 +527,11 @@ impl<'l> AnalysisDriver<'l> {
                         stats.cache_misses += 1;
                         stats.phases += phases;
                         *graphs[wave[k]].lock().expect("scc graph") = Some(graph);
-                        let evicted = match (&self.store, texts) {
-                            (Some(store), Some(texts)) => {
+                        let evicted = match &self.store {
+                            Some(store) => {
                                 store.insert_schemes(&self.cache, fp, Arc::clone(&entry), &texts)
                             }
-                            _ => self.cache.insert_schemes(fp, Arc::clone(&entry)),
+                            None => self.cache.insert_schemes(fp, Arc::clone(&entry)),
                         };
                         metrics.cache_evictions.add(evicted.len() as u64);
                         entry
@@ -688,7 +686,7 @@ impl<'l> AnalysisDriver<'l> {
 fn first_miss<'a, 'p>(
     program: &'p mut Option<Cow<'a, Program>>,
     structure: &Program,
-    text: &ProgramText,
+    text: &TextModule,
     given: Option<&'a Program>,
     schemes: &mut BTreeMap<Symbol, TypeScheme>,
 ) -> Result<&'p Program, String> {

@@ -24,14 +24,16 @@
 //!   `(lattice_fp, module_fp)` and the healthy slot set — a
 //!   re-submitted module lands on the backend whose per-process
 //!   persistent store already holds it, across gateway *and* backend
-//!   restarts. `module_fp` is [`WireModule::fingerprint`], a hash of the
-//!   module's wire strings that equals `ModuleJob::fingerprint` for
-//!   canonically rendered text, so routing parses nothing: the gateway
-//!   checks only a single-frame `solve_batch`'s module structures
-//!   (names, callees, subjects, globals), which serve refuses whole
-//!   before admission. Any other malformed module, and any module whose
-//!   constraint text does not parse, is refused by its backend, with
-//!   serve's own `error` text.
+//!   restarts. `module_fp` is [`WireModule::fingerprint`] — the
+//!   driver's `TextModule::fingerprint`, a hash of the module's strings
+//!   that equals `ModuleJob::fingerprint` for canonically rendered text —
+//!   so routing parses nothing: the gateway checks only a single-frame
+//!   `solve_batch`'s module structures (names, callees, subjects,
+//!   globals) with the driver's [`WireModule::structure`], which serve
+//!   refuses whole before admission, and words a refusal as serve does
+//!   ([`WireError::Protocol`]). Any other malformed module, and any
+//!   module whose constraint text does not parse, is refused by its
+//!   backend, with serve's own `error` text.
 //! * **Supervision.** A health thread probes each backend with the
 //!   ordinary `stats` request, evicts on failure (ring rebuild — the
 //!   live re-shard), restarts spawned children with their original
@@ -680,7 +682,8 @@ fn handle_batch(
     };
     if !stream {
         if let Some(Err(e)) = modules.iter().map(WireModule::structure).find(Result::is_err) {
-            return wire::write_frame(conn, &Response::Error(e.to_string()).encode());
+            let refusal = WireError::Protocol(e).to_string();
+            return wire::write_frame(conn, &Response::Error(refusal).encode());
         }
     }
     let keys: Vec<u64> = modules

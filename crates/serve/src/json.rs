@@ -539,7 +539,9 @@ impl<'a> Parser<'a> {
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let b = self.peek().ok_or_else(|| self.err("truncated \\u escape"))?;
+            let b = self
+                .peek()
+                .ok_or_else(|| self.err("truncated \\u escape"))?;
             let d = (b as char)
                 .to_digit(16)
                 .ok_or_else(|| self.err("bad hex digit in \\u escape"))?;
@@ -556,7 +558,16 @@ mod tests {
 
     #[test]
     fn scalars_round_trip() {
-        for src in ["null", "true", "false", "0", "-17", "3.5", "1e9", "18446744073709551615"] {
+        for src in [
+            "null",
+            "true",
+            "false",
+            "0",
+            "-17",
+            "3.5",
+            "1e9",
+            "18446744073709551615",
+        ] {
             let v = Json::parse(src).unwrap();
             assert_eq!(v.encode(), src, "round-trip of {src}");
         }
@@ -599,7 +610,16 @@ mod tests {
 
     #[test]
     fn errors_are_reported() {
-        for bad in ["", "{", "[1,", "\"unterminated", "{\"a\" 1}", "tru", "01x", "1 2"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "\"unterminated",
+            "{\"a\" 1}",
+            "tru",
+            "01x",
+            "1 2",
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must fail");
         }
         // Numbers outside JSON's grammar: leading zeros, and a `.` without
@@ -642,7 +662,11 @@ mod tests {
         let ok = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Json::parse(&ok).is_ok());
         // One past the limit: a clean error, not deeper recursion.
-        let deep = format!("{}1{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let deep = format!(
+            "{}1{}",
+            "[".repeat(MAX_DEPTH + 1),
+            "]".repeat(MAX_DEPTH + 1)
+        );
         let err = Json::parse(&deep).unwrap_err();
         assert!(err.to_string().contains("nesting"), "{err}");
         // The attack shape: a huge run of unclosed containers must error

@@ -109,12 +109,8 @@ pub fn serve_main(args: impl IntoIterator<Item = String>) -> i32 {
         match a.as_str() {
             "--addr" => config.addr = args.next().unwrap_or_else(|| usage()),
             "--shards" => config.shards = parse_num(&mut args, "--shards").max(1),
-            "--workers" => {
-                config.workers_per_shard = parse_num(&mut args, "--workers").max(1)
-            }
-            "--queue-depth" => {
-                config.queue_depth = parse_num(&mut args, "--queue-depth").max(1)
-            }
+            "--workers" => config.workers_per_shard = parse_num(&mut args, "--workers").max(1),
+            "--queue-depth" => config.queue_depth = parse_num(&mut args, "--queue-depth").max(1),
             "--cache-capacity" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 config.cache_capacity = if v == "unbounded" {
@@ -150,8 +146,7 @@ pub fn serve_main(args: impl IntoIterator<Item = String>) -> i32 {
                 // Each shard keeps a `shard-<N>.store` scheme log here;
                 // relaunching with the same dir (and shard count) starts
                 // every shard with a warm cache.
-                config.persist_dir =
-                    Some(args.next().unwrap_or_else(|| usage()).into());
+                config.persist_dir = Some(args.next().unwrap_or_else(|| usage()).into());
             }
             "--solve-delay-ms" => {
                 // Chaos seam: a deterministic pre-solve stall per job, for
@@ -264,7 +259,10 @@ mod tests {
         let grown = format!("  {line} epoch=7\n");
         assert_eq!(parse_ready_banner(&grown), Some((addr, 12345, 4)));
         // Wrong sentinel, missing fields, or garbage values are not.
-        assert_eq!(parse_ready_banner("READY addr=1.2.3.4:5 pid=1 shards=1"), None);
+        assert_eq!(
+            parse_ready_banner("READY addr=1.2.3.4:5 pid=1 shards=1"),
+            None
+        );
         assert_eq!(
             parse_ready_banner("RETYPD_SERVE_READY addr=127.0.0.1:1 pid=1"),
             None

@@ -12,7 +12,11 @@
 //!   terminal `batch_done`), every solve reply written by one
 //!   [`wire::BatchReply`]. Programs travel as canonical constraint
 //!   text, which round-trips exactly through [`retypd_core::parse`], so
-//!   server-side solves are bit-identical to in-process ones.
+//!   server-side solves are bit-identical to in-process ones. A module's
+//!   shape ([`WireModule`] and its parts) is the driver's
+//!   [`retypd_driver::TextModule`] re-exported, so rendering, checking,
+//!   fingerprinting and parsing a module are the driver's; the wire keeps
+//!   only the module's JSON codec.
 //! * [`conn`] — the one connection layer, shared with the gateway: the
 //!   accept loop, the length-prefix [`conn::FrameReader`], polled reads
 //!   with a read timeout, per-connection frame/byte budgets, and the drain
@@ -24,14 +28,16 @@
 //!   job's text and lattice to `AnalysisDriver::solve_text`, so
 //!   per-request lattices segregate cache entries by lattice fingerprint
 //!   and a fully warm module is never parsed. Modules route by content
-//!   fingerprint, so a re-submitted module always finds its warm cache. Admission control refuses work past a queue-depth limit with
+//!   fingerprint, so a re-submitted module always finds its warm cache.
+//!   Admission control refuses work past a queue-depth limit with
 //!   `overloaded` instead of stacking latency.
 //! * [`client`] — a blocking client (plus the [`client::BatchStream`]
 //!   streaming iterator) used by the tests, the gateway's tests and the
 //!   benchmark.
 //! * [`json`] — the dependency-free JSON model backing the protocol (the
-//!   offline vendor set has no `serde_json`; the wire structs still carry
-//!   serde derives so the real serde can slot in later).
+//!   offline vendor set has no `serde_json`; the wire's own structs still
+//!   carry serde derives so the real serde can slot in later, while the
+//!   module shapes, defined in the driver, carry none).
 //! * [`launch`] — the `serve` binary's main as a library function, plus
 //!   the machine-readable stdout readiness banner
 //!   (`RETYPD_SERVE_READY addr=… pid=… shards=…`) a supervisor parses to
@@ -263,7 +269,8 @@ mod tests {
 
         // Golden bytes pin the wire format: phase work travels in `stats`
         // only, and `trace_id` is written only when the request had one.
-        let golden = Response::Solved(vec![hand_report("cold", 7), hand_report("warm", 0)]).encode();
+        let golden =
+            Response::Solved(vec![hand_report("cold", 7), hand_report("warm", 0)]).encode();
         let want = concat!(
             r#"{"kind":"solved","reports":["#,
             r#"{"name":"cold","fingerprint":11,"lattice_fp":22,"shard":1,"#,
@@ -350,7 +357,10 @@ mod tests {
         // (reply, path to the object whose keys are removed one by one)
         let cases: [(Response, &[&str]); 7] = [
             (Response::Solved(vec![report.clone()]), &["reports", "0"]),
-            (Response::Solved(vec![report.clone()]), &["reports", "0", "procs", "0"]),
+            (
+                Response::Solved(vec![report.clone()]),
+                &["reports", "0", "procs", "0"],
+            ),
             (Response::Solved(vec![report]), &["reports", "0", "stats"]),
             (Response::Stats(stats.clone()), &[]),
             (Response::Stats(stats), &["shards", "0"]),
@@ -396,7 +406,10 @@ mod tests {
         use crate::wire::{read_frame, write_frame};
         let mut buf = Vec::new();
         write_frame(&mut buf, b"{}").unwrap();
-        assert_eq!(read_frame(&mut &buf[..]).unwrap().as_deref(), Some(&b"{}"[..]));
+        assert_eq!(
+            read_frame(&mut &buf[..]).unwrap().as_deref(),
+            Some(&b"{}"[..])
+        );
         // Clean EOF between frames.
         assert_eq!(read_frame(&mut &[][..]).unwrap(), None);
         // EOF inside a frame is an error.
@@ -450,7 +463,10 @@ mod tests {
             write_frame(&mut trickle, payload).unwrap();
             assert_eq!(trickle.bytes, whole, "{payload:?}");
             assert!(trickle.calls >= whole.len().div_ceil(3));
-            assert_eq!(read_frame(&mut &trickle.bytes[..]).unwrap().as_deref(), Some(payload));
+            assert_eq!(
+                read_frame(&mut &trickle.bytes[..]).unwrap().as_deref(),
+                Some(payload)
+            );
         }
     }
 }

@@ -41,7 +41,12 @@
 //!   through one function: pre-admission checks (the lattice, then each
 //!   module's [`WireModule::structure`]: names, callees, external
 //!   subjects and globals), admission, shard dispatch of the module's
-//!   text, and a [`wire::BatchReply`] fed with the shards' results. The
+//!   text, and a [`wire::BatchReply`] fed with the shards' results.
+//!   [`WireModule`] is the driver's one text form of a module
+//!   ([`retypd_driver::TextModule`]), so [`WireModule::into_text`] moves
+//!   the module as it arrived into the shard job beside its checked
+//!   structure, copying no string; a structure it refuses is worded as a
+//!   [`wire::WireError::Protocol`], the gateway's wording too. The
 //!   connection thread parses no constraint text: a shard parses it at
 //!   the solve's first cache miss, and text that does not parse is that
 //!   module's `error`, in either reply mode. With `stream: true` it
@@ -536,8 +541,13 @@ fn shard_main(
         let slot = shared.admission.slot_guard();
         let start = Instant::now();
         queue_wait_ns.record(start.duration_since(msg.enqueued).as_nanos() as u64);
-        let text = &msg.job.text().procs;
-        job_constraints.record(text.iter().map(|t| t.lines().count() as u64).sum());
+        let procs = &msg.job.module().procs;
+        job_constraints.record(
+            procs
+                .iter()
+                .map(|p| p.constraints.lines().count() as u64)
+                .sum(),
+        );
         // The chaos seam: stall *before* solving so injected slowness is
         // pure latency — the result bytes cannot differ.
         if let Some(delay) = shared.solve_delay {
@@ -750,9 +760,12 @@ fn solve(
         Err(e) => return refuse(stream, Response::Error(e)),
     };
     let n = modules.len();
-    let mut jobs = modules
-        .into_iter()
-        .map(|m| (m.fingerprint(), m.into_text()));
+    let mut jobs = modules.into_iter().map(|m| {
+        (
+            m.fingerprint(),
+            m.into_text().map_err(wire::WireError::Protocol),
+        )
+    });
     let mut checked = Vec::new();
     if !streaming {
         for (fingerprint, text) in jobs.by_ref() {
@@ -883,7 +896,9 @@ mod tests {
         // ...and the shard that panicked keeps serving: routing is by
         // program fingerprint and every test job shares the same (empty)
         // program, so this lands on exactly the shard that just panicked.
-        let report = client.solve_module(&job("after")).expect("shard still serves");
+        let report = client
+            .solve_module(&job("after"))
+            .expect("shard still serves");
         assert_eq!(report.name, "after");
         handle.shutdown();
     }

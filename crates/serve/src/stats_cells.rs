@@ -60,10 +60,14 @@ impl ShardStatsCells {
         self.hits.store(cache.hits, Ordering::Relaxed);
         self.misses.store(cache.misses, Ordering::Relaxed);
         self.evictions.store(cache.evictions, Ordering::Relaxed);
-        self.scheme_entries.store(cache.scheme_entries as u64, Ordering::Relaxed);
-        self.refine_entries.store(cache.refine_entries as u64, Ordering::Relaxed);
-        self.persisted_entries.store(persist.persisted_entries, Ordering::Relaxed);
-        self.replayed_entries.store(persist.replayed_entries, Ordering::Relaxed);
+        self.scheme_entries
+            .store(cache.scheme_entries as u64, Ordering::Relaxed);
+        self.refine_entries
+            .store(cache.refine_entries as u64, Ordering::Relaxed);
+        self.persisted_entries
+            .store(persist.persisted_entries, Ordering::Relaxed);
+        self.replayed_entries
+            .store(persist.replayed_entries, Ordering::Relaxed);
         self.replay_ns.store(persist.replay_ns, Ordering::Relaxed);
     }
 
@@ -114,7 +118,10 @@ mod tests {
         assert_eq!(snap.rebuilds, 1);
         assert_eq!((snap.cache.hits, snap.cache.misses), (7, 3));
         assert_eq!(snap.cache.evictions, 1);
-        assert_eq!((snap.cache.scheme_entries, snap.cache.refine_entries), (5, 4));
+        assert_eq!(
+            (snap.cache.scheme_entries, snap.cache.refine_entries),
+            (5, 4)
+        );
         assert_eq!(snap.persisted_entries, 9);
         assert_eq!((snap.replayed_entries, snap.replay_ns), (2, 123));
     }

@@ -60,18 +60,13 @@
 //! against in-process and sequential solves.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io::{IoSlice, Read, Write};
 use std::time::Instant;
 
-use retypd_core::parse::parse_derived_var;
-use retypd_core::solver::{CallTarget, Callsite, PhaseNs, Procedure};
-use retypd_core::{
-    ConstraintSet, LatticeDescriptor, Program, SolverResult, SolverStats, Symbol, TypeScheme,
-};
-use retypd_driver::fingerprint::{program_fp_parts, scheme_fp_parts};
-use retypd_driver::{CacheStats, ExternalText, ModuleJob, ModuleText, ProgramText};
+use retypd_core::solver::PhaseNs;
+use retypd_core::{LatticeDescriptor, SolverResult, SolverStats};
+use retypd_driver::CacheStats;
 use retypd_telemetry::{HistogramSnapshot, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
 
@@ -189,56 +184,18 @@ fn decode_msg(payload: &[u8]) -> Result<Json<'_>, WireError> {
 
 // ---------------------------------------------------------------------------
 // Wire data shapes
+//
+// A module travels as the driver's one text form of a module,
+// `retypd_driver::text::TextModule`, under the wire's names: rendering
+// (`from_job`), the structure check, the routing fingerprint and parsing
+// (`to_job`, `into_text`) are the driver's, and their errors are plain
+// strings that serve and the gateway word as `WireError::Protocol`. This
+// module keeps only its JSON codec (`module_to_json`/`module_from_json`).
 
-/// A module on the wire: a named program in canonical constraint text.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct WireModule {
-    /// Module name (reporting only; excluded from routing fingerprints).
-    pub name: String,
-    /// Procedures in program order.
-    pub procs: Vec<WireProc>,
-    /// External-function schemes.
-    pub externals: Vec<WireScheme>,
-    /// Global variables (never renamed during instantiation).
-    pub globals: Vec<String>,
-}
-
-/// One procedure on the wire.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct WireProc {
-    /// Procedure name.
-    pub name: String,
-    /// Canonical constraint text (`ConstraintSet` display form).
-    pub constraints: String,
-    /// Callsites in body order.
-    pub callsites: Vec<WireCallsite>,
-}
-
-/// One callsite on the wire. Internal callees are referenced by *name*
-/// (indices are an in-memory detail).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct WireCallsite {
-    /// True if the callee is an external function.
-    pub external: bool,
-    /// Callee name.
-    pub callee: String,
-    /// Instantiation tag.
-    pub tag: String,
-}
-
-/// A type scheme on the wire (`TypeScheme` decomposed into its
-/// constructor arguments, so reconstruction is exact).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct WireScheme {
-    /// The name this scheme is registered under.
-    pub name: String,
-    /// The scheme's subject variable.
-    pub subject: String,
-    /// Quantified internal variable names.
-    pub existentials: Vec<String>,
-    /// Canonical constraint text.
-    pub constraints: String,
-}
+pub use retypd_driver::text::{
+    TextCallsite as WireCallsite, TextModule as WireModule, TextProc as WireProc,
+    TextScheme as WireScheme,
+};
 
 /// Per-procedure inference output on the wire.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -434,183 +391,7 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
-// Program <-> wire conversion
-
-impl WireModule {
-    /// Renders a [`ModuleJob`] into its wire form: the job's
-    /// [`ProgramText::render`] beside its names and callsites.
-    pub fn from_job(job: &ModuleJob) -> WireModule {
-        let program = &job.program;
-        let text = ProgramText::render(program);
-        WireModule {
-            name: job.name.clone(),
-            procs: std::iter::zip(&program.procs, text.procs)
-                .map(|(p, constraints)| WireProc {
-                    name: p.name.as_str().to_owned(),
-                    constraints,
-                    callsites: p
-                        .callsites
-                        .iter()
-                        .map(|cs| WireCallsite {
-                            external: matches!(cs.callee, CallTarget::External(_)),
-                            callee: cs.callee_name(program).as_str().to_owned(),
-                            tag: cs.tag.clone(),
-                        })
-                        .collect(),
-                })
-                .collect(),
-            externals: text
-                .externals
-                .into_iter()
-                .map(|e| WireScheme {
-                    name: e.name.as_str().to_owned(),
-                    subject: e.subject,
-                    existentials: e.existentials,
-                    constraints: e.constraints,
-                })
-                .collect(),
-            globals: text.globals,
-        }
-    }
-
-    /// Reconstructs the [`ModuleJob`] this wire form describes: the
-    /// structure, then the constraint text. The result is solver-identical
-    /// to the job that produced it: constraint text, `VAR` declarations,
-    /// and additive constraints all round-trip.
-    ///
-    /// # Errors
-    ///
-    /// Fails as [`WireModule::structure`] does, then on unparsable
-    /// constraint text.
-    pub fn to_job(&self) -> Result<ModuleJob, WireError> {
-        self.clone().into_text()?.into_job().map_err(proto)
-    }
-
-    /// The module as the driver solves it: its [`WireModule::structure`]
-    /// beside its text, moved as it arrived. Nothing is parsed but names;
-    /// [`retypd_driver::AnalysisDriver::solve_text`] parses the constraint
-    /// text only if the solve misses the cache.
-    ///
-    /// # Errors
-    ///
-    /// Fails as [`WireModule::structure`] does.
-    pub fn into_text(self) -> Result<ModuleText, WireError> {
-        let structure = self.structure()?;
-        let text = ProgramText {
-            procs: self.procs.into_iter().map(|p| p.constraints).collect(),
-            externals: self
-                .externals
-                .into_iter()
-                .map(|e| ExternalText {
-                    name: Symbol::intern(&e.name),
-                    subject: e.subject,
-                    existentials: e.existentials,
-                    constraints: e.constraints,
-                })
-                .collect(),
-            globals: self.globals,
-        };
-        Ok(ModuleText::new(self.name, structure, text))
-    }
-
-    /// The structural half of [`WireModule::to_job`]: procedure names with
-    /// their callsites resolved, external subjects and existentials, and
-    /// globals, every constraint set left empty. Serve checks this before
-    /// admitting a module, and the gateway before forwarding a
-    /// single-frame batch.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a callsite referencing an unknown procedure, an external
-    /// subject or a global that does not parse or carries labels.
-    pub fn structure(&self) -> Result<Program, WireError> {
-        let mut program = Program::new();
-        // Procedure indices are positional, so resolve names first.
-        let index_of: BTreeMap<&str, usize> = self
-            .procs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.name.as_str(), i))
-            .collect();
-        for p in &self.procs {
-            let callsites = p
-                .callsites
-                .iter()
-                .map(|cs| {
-                    let callee = if cs.external {
-                        CallTarget::External(Symbol::intern(&cs.callee))
-                    } else {
-                        CallTarget::Internal(*index_of.get(cs.callee.as_str()).ok_or_else(
-                            || proto(format!("{}: unknown callee {}", p.name, cs.callee)),
-                        )?)
-                    };
-                    Ok(Callsite {
-                        callee,
-                        tag: cs.tag.clone(),
-                    })
-                })
-                .collect::<Result<Vec<_>, WireError>>()?;
-            program.add_proc(Procedure {
-                name: Symbol::intern(&p.name),
-                constraints: ConstraintSet::new(),
-                callsites,
-            });
-        }
-        for e in &self.externals {
-            let subject_dv = parse_derived_var(&e.subject)
-                .map_err(|err| proto(format!("external {}: {err}", e.name)))?;
-            if !subject_dv.path().is_empty() {
-                return Err(proto(format!("external {}: subject has labels", e.name)));
-            }
-            let existentials: BTreeSet<Symbol> =
-                e.existentials.iter().map(|x| Symbol::intern(x)).collect();
-            program.externals.insert(
-                Symbol::intern(&e.name),
-                TypeScheme::new(subject_dv.base(), existentials, ConstraintSet::new()),
-            );
-        }
-        for g in &self.globals {
-            let dv = parse_derived_var(g).map_err(|e| proto(format!("global {g}: {e}")))?;
-            if !dv.path().is_empty() {
-                return Err(proto(format!("global {g} has labels")));
-            }
-            program.globals.insert(dv.base());
-        }
-        Ok(program)
-    }
-
-    /// The routing fingerprint, hashed from the wire strings as they
-    /// arrived: nothing is parsed, interned or re-rendered. The strings
-    /// go through [`program_fp_parts`] — the globals' text, each
-    /// external's name and [`scheme_fp_parts`] over its subject,
-    /// existentials and constraint text, each procedure's name,
-    /// constraint text and callsites — so
-    /// `WireModule::from_job(&job).fingerprint() == job.fingerprint()`.
-    /// The module name is not hashed.
-    ///
-    /// Text in any other rendering (reordered constraints, say)
-    /// reconstructs to an equal job yet fingerprints differently, so it
-    /// may route to another backend or shard than the canonical text:
-    /// routing by text can cost warm affinity, never an answer. A module
-    /// whose text does not parse still fingerprints; whoever solves it
-    /// refuses it.
-    pub fn fingerprint(&self) -> u64 {
-        program_fp_parts(
-            self.globals.iter(),
-            self.externals.iter().map(|e| {
-                let existentials = e.existentials.iter().map(String::as_str);
-                (e.name.as_str(), scheme_fp_parts(&e.subject, existentials, &e.constraints))
-            }),
-            self.procs.iter().map(|p| {
-                let callsites = p
-                    .callsites
-                    .iter()
-                    .map(|cs| (cs.tag.as_str(), cs.external, cs.callee.as_str()));
-                (p.name.as_str(), p.constraints.as_str(), callsites)
-            }),
-        )
-    }
-}
+// Reports
 
 impl WireReport {
     /// Builds a report from a bare [`SolverResult`] (fingerprints, shard,
@@ -676,97 +457,90 @@ impl WireReport {
 // ---------------------------------------------------------------------------
 // JSON encoding/decoding
 
-impl WireModule {
-    fn to_json(&self) -> Json<'_> {
-        Json::Obj(vec![
-            ("name".into(), Json::str(&self.name)),
-            (
-                "procs".into(),
-                Json::Arr(
-                    self.procs
-                        .iter()
-                        .map(|p| {
-                            Json::Obj(vec![
-                                ("name".into(), Json::str(&p.name)),
-                                ("constraints".into(), Json::str(&p.constraints)),
-                                (
-                                    "callsites".into(),
-                                    Json::Arr(
-                                        p.callsites
-                                            .iter()
-                                            .map(|cs| {
-                                                Json::Obj(vec![
-                                                    (
-                                                        "external".into(),
-                                                        Json::Bool(cs.external),
-                                                    ),
-                                                    ("callee".into(), Json::str(&cs.callee)),
-                                                    ("tag".into(), Json::str(&cs.tag)),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
+fn module_to_json(m: &WireModule) -> Json<'_> {
+    Json::Obj(vec![
+        ("name".into(), Json::str(&m.name)),
+        (
+            "procs".into(),
+            Json::Arr(
+                m.procs
+                    .iter()
+                    .map(|p| {
+                        Json::Obj(vec![
+                            ("name".into(), Json::str(&p.name)),
+                            ("constraints".into(), Json::str(&p.constraints)),
+                            (
+                                "callsites".into(),
+                                Json::Arr(
+                                    p.callsites
+                                        .iter()
+                                        .map(|cs| {
+                                            Json::Obj(vec![
+                                                ("external".into(), Json::Bool(cs.external)),
+                                                ("callee".into(), Json::str(&cs.callee)),
+                                                ("tag".into(), Json::str(&cs.tag)),
+                                            ])
+                                        })
+                                        .collect(),
                                 ),
-                            ])
-                        })
-                        .collect(),
-                ),
+                            ),
+                        ])
+                    })
+                    .collect(),
             ),
-            (
-                "externals".into(),
-                Json::Arr(
-                    self.externals
-                        .iter()
-                        .map(|e| {
-                            Json::Obj(vec![
-                                ("name".into(), Json::str(&e.name)),
-                                ("subject".into(), Json::str(&e.subject)),
-                                (
-                                    "existentials".into(),
-                                    Json::Arr(
-                                        e.existentials.iter().map(Json::str).collect(),
-                                    ),
-                                ),
-                                ("constraints".into(), Json::str(&e.constraints)),
-                            ])
-                        })
-                        .collect(),
-                ),
+        ),
+        (
+            "externals".into(),
+            Json::Arr(
+                m.externals
+                    .iter()
+                    .map(|e| {
+                        Json::Obj(vec![
+                            ("name".into(), Json::str(&e.name)),
+                            ("subject".into(), Json::str(&e.subject)),
+                            (
+                                "existentials".into(),
+                                Json::Arr(e.existentials.iter().map(Json::str).collect()),
+                            ),
+                            ("constraints".into(), Json::str(&e.constraints)),
+                        ])
+                    })
+                    .collect(),
             ),
-            (
-                "globals".into(),
-                Json::Arr(self.globals.iter().map(Json::str).collect()),
-            ),
-        ])
-    }
+        ),
+        (
+            "globals".into(),
+            Json::Arr(m.globals.iter().map(Json::str).collect()),
+        ),
+    ])
+}
 
-    fn from_json(mut j: Json<'_>) -> Result<WireModule, WireError> {
-        Ok(WireModule {
-            name: str_field(&mut j, "name")?,
-            procs: each(arr_field(&mut j, "procs")?, |mut p| {
-                Ok(WireProc {
-                    name: str_field(&mut p, "name")?,
-                    constraints: str_field(&mut p, "constraints")?,
-                    callsites: each(arr_field(&mut p, "callsites")?, |mut cs| {
-                        Ok(WireCallsite {
-                            external: bool_field(&cs, "external")?,
-                            callee: str_field(&mut cs, "callee")?,
-                            tag: str_field(&mut cs, "tag")?,
-                        })
-                    })?,
-                })
-            })?,
-            externals: each(arr_field(&mut j, "externals")?, |mut e| {
-                Ok(WireScheme {
-                    name: str_field(&mut e, "name")?,
-                    subject: str_field(&mut e, "subject")?,
-                    existentials: str_arr_field(&mut e, "existentials")?,
-                    constraints: str_field(&mut e, "constraints")?,
-                })
-            })?,
-            globals: str_arr_field(&mut j, "globals")?,
-        })
-    }
+fn module_from_json(mut j: Json<'_>) -> Result<WireModule, WireError> {
+    Ok(WireModule {
+        name: str_field(&mut j, "name")?,
+        procs: each(arr_field(&mut j, "procs")?, |mut p| {
+            Ok(WireProc {
+                name: str_field(&mut p, "name")?,
+                constraints: str_field(&mut p, "constraints")?,
+                callsites: each(arr_field(&mut p, "callsites")?, |mut cs| {
+                    Ok(WireCallsite {
+                        external: bool_field(&cs, "external")?,
+                        callee: str_field(&mut cs, "callee")?,
+                        tag: str_field(&mut cs, "tag")?,
+                    })
+                })?,
+            })
+        })?,
+        externals: each(arr_field(&mut j, "externals")?, |mut e| {
+            Ok(WireScheme {
+                name: str_field(&mut e, "name")?,
+                subject: str_field(&mut e, "subject")?,
+                existentials: str_arr_field(&mut e, "existentials")?,
+                constraints: str_field(&mut e, "constraints")?,
+            })
+        })?,
+        globals: str_arr_field(&mut j, "globals")?,
+    })
 }
 
 fn stats_to_json(s: &SolverStats) -> Json<'static> {
@@ -976,7 +750,7 @@ impl Request {
                 }
                 fields.push((
                     "modules".into(),
-                    Json::Arr(modules.iter().map(WireModule::to_json).collect()),
+                    Json::Arr(modules.iter().map(module_to_json).collect()),
                 ));
                 Json::Obj(fields)
             }
@@ -996,7 +770,7 @@ impl Request {
         trace_id: Option<&str>,
     ) -> Vec<u8> {
         let mut fields = solve_envelope("solve_module", lattice, trace_id);
-        fields.push(("module".into(), module.to_json()));
+        fields.push(("module".into(), module_to_json(module)));
         encode_msg(&Json::Obj(fields))
     }
 
@@ -1047,14 +821,12 @@ impl Request {
         };
         match &*str_ref_field(&mut j, "kind")? {
             "solve_module" => Ok(Request::SolveModule {
-                module: WireModule::from_json(
-                    j.take("module").ok_or_else(|| proto("missing module"))?,
-                )?,
+                module: module_from_json(j.take("module").ok_or_else(|| proto("missing module"))?)?,
                 lattice,
                 trace_id,
             }),
             "solve_batch" => Ok(Request::SolveBatch {
-                modules: each(arr_field(&mut j, "modules")?, WireModule::from_json)?,
+                modules: each(arr_field(&mut j, "modules")?, module_from_json)?,
                 lattice,
                 stream,
                 trace_id,
@@ -1163,9 +935,7 @@ impl Response {
                     ),
                 ),
             ]),
-            Response::ShuttingDown => {
-                Json::Obj(vec![("kind".into(), Json::str("shutting_down"))])
-            }
+            Response::ShuttingDown => Json::Obj(vec![("kind".into(), Json::str("shutting_down"))]),
             Response::Error(m) => Json::Obj(vec![
                 ("kind".into(), Json::str("error")),
                 ("message".into(), Json::str(m)),

@@ -36,7 +36,11 @@ fn frame_budget_breach_gets_an_error_then_close() {
         Response::Error(m) => assert!(m.contains("frame budget"), "{m}"),
         other => panic!("expected an error frame, got {other:?}"),
     }
-    assert_eq!(read_frame(&mut s).unwrap(), None, "connection closed after refusal");
+    assert_eq!(
+        read_frame(&mut s).unwrap(),
+        None,
+        "connection closed after refusal"
+    );
     // The budget is per connection, not per server: a fresh connection
     // starts with a fresh budget.
     let mut fresh = Client::connect(handle.addr()).expect("connect");
@@ -65,7 +69,11 @@ fn byte_budget_breach_gets_an_error_then_close() {
         Response::Error(m) => assert!(m.contains("byte budget"), "{m}"),
         other => panic!("expected an error frame, got {other:?}"),
     }
-    assert_eq!(read_frame(&mut s).unwrap(), None, "connection closed after refusal");
+    assert_eq!(
+        read_frame(&mut s).unwrap(),
+        None,
+        "connection closed after refusal"
+    );
     handle.shutdown();
 }
 
@@ -92,7 +100,8 @@ fn a_trickled_giant_frame_is_dropped_without_a_reply() {
     // the half-close below is a truncated frame and the server just closes.
     let handle = start(config()).expect("bind");
     let mut s = TcpStream::connect(handle.addr()).expect("connect");
-    s.write_all(&(MAX_FRAME_BYTES as u32).to_be_bytes()).unwrap();
+    s.write_all(&(MAX_FRAME_BYTES as u32).to_be_bytes())
+        .unwrap();
     s.write_all(b"12345678").unwrap();
     s.shutdown(std::net::Shutdown::Write).unwrap();
     assert_eq!(

@@ -182,7 +182,10 @@ fn custom_lattice_solves_end_to_end_with_segregated_cache() {
         // existed; close the lattice again.
         b.le("⊥", "#ServeTestTag").expect("known");
         b.set_name("c_types_ext");
-        b.build().expect("extended c_types is a lattice").descriptor().clone()
+        b.build()
+            .expect("extended c_types is a lattice")
+            .descriptor()
+            .clone()
     };
     let custom_fp = custom.build().expect("builds").fingerprint();
     let default_fp = Lattice::c_types().fingerprint();
@@ -224,17 +227,18 @@ fn custom_lattice_solves_end_to_end_with_segregated_cache() {
         let (_, report) = item.expect("no failures");
         assert_eq!(report.lattice_fp, custom_fp);
     }
-    assert_eq!(
-        stream.summary().expect("batch_done").lattice_fp,
-        custom_fp
-    );
+    assert_eq!(stream.summary().expect("batch_done").lattice_fp, custom_fp);
 
     // A malformed descriptor is a client-visible error, not a hang.
     let bogus = "lattice broken { a ; b <= a }".parse::<LatticeDescriptor>();
     assert!(bogus.is_err(), "unknown element rejected at parse time");
     match client.solve_module_in(
         &jobs[0],
-        Some(&"lattice d { x y ; }".parse::<LatticeDescriptor>().expect("parses")),
+        Some(
+            &"lattice d { x y ; }"
+                .parse::<LatticeDescriptor>()
+                .expect("parses"),
+        ),
     ) {
         // x and y are incomparable with no bounds: not a lattice.
         Err(ClientError::Server(m)) => assert!(m.contains("bad lattice"), "{m}"),
@@ -285,7 +289,9 @@ fn stalled_connections_time_out_with_a_protocol_error() {
     // A healthy client on the same server is unaffected.
     let jobs = corpus();
     let mut client = Client::connect(handle.addr()).expect("connect healthy");
-    let report = client.solve_module(&jobs[0]).expect("healthy request solves");
+    let report = client
+        .solve_module(&jobs[0])
+        .expect("healthy request solves");
     assert_eq!(report.name, jobs[0].name);
     handle.shutdown();
 }
@@ -353,7 +359,10 @@ fn overload_returns_overloaded_not_a_hang() {
     looper.join().expect("looper thread");
     let (queued, limit) = refusal.expect("contention never produced Overloaded");
     assert_eq!(limit, n);
-    assert!(queued >= 1 && queued <= limit, "refused with {queued} in flight");
+    assert!(
+        queued >= 1 && queued <= limit,
+        "refused with {queued} in flight"
+    );
     // The refusal is accounted and the server still serves once the
     // contention is gone.
     let stats = client.stats().expect("stats");
@@ -399,7 +408,9 @@ fn shutdown_drains_gracefully() {
     assert_eq!(reports.len(), jobs.len());
     // The ack frame is *required*: connection handlers are joined on
     // drain, so its delivery is guaranteed, not best-effort.
-    client.shutdown().expect("shutdown acknowledged with a delivered frame");
+    client
+        .shutdown()
+        .expect("shutdown acknowledged with a delivered frame");
     // Post-drain work is refused or the (draining) connection is already
     // closed — never a hang, never a solve.
     match client.solve_module(&jobs[0]) {

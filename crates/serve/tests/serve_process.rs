@@ -55,7 +55,10 @@ impl Server {
             if let Some(status) = self.0.try_wait().expect("try_wait") {
                 return status;
             }
-            assert!(Instant::now() < deadline, "serve did not exit after shutdown");
+            assert!(
+                Instant::now() < deadline,
+                "serve did not exit after shutdown"
+            );
             retypd_core::sync::thread::sleep(Duration::from_millis(20));
         }
     }
@@ -153,7 +156,10 @@ fn serve_process_flushes_telemetry_at_drain_and_warm_restarts() {
     let spans = std::fs::read_to_string(trace.join("serve-trace.jsonl")).unwrap_or_default();
     assert!(!spans.is_empty(), "the drain wrote no trace");
     let exposition = std::fs::read_to_string(&metrics).unwrap_or_default();
-    assert!(exposition.contains("shard_jobs"), "metrics file: {exposition:?}");
+    assert!(
+        exposition.contains("shard_jobs"),
+        "metrics file: {exposition:?}"
+    );
 
     // Relaunch on the same stores: the first contact is already warm.
     let banner = dir.0.join("second.banner");
@@ -171,10 +177,21 @@ fn serve_process_flushes_telemetry_at_drain_and_warm_restarts() {
     let stats = client.stats().expect("stats");
     let replayed: u64 = stats.shards.iter().map(|s| s.replayed_entries).sum();
     assert!(replayed > 0, "no shard replayed its store");
-    let warm = client.solve_batch(&jobs).expect("first contact after restart");
+    let warm = client
+        .solve_batch(&jobs)
+        .expect("first contact after restart");
     for (i, r) in warm.iter().enumerate() {
-        assert_eq!(r.canonical_text(), want[i], "{} after restart", jobs[i].name);
-        assert_eq!(r.stats.cache_misses, 0, "{} missed after restart", jobs[i].name);
+        assert_eq!(
+            r.canonical_text(),
+            want[i],
+            "{} after restart",
+            jobs[i].name
+        );
+        assert_eq!(
+            r.stats.cache_misses, 0,
+            "{} missed after restart",
+            jobs[i].name
+        );
     }
     client.shutdown().expect("shutdown is acked");
     assert!(second.wait_exit(Duration::from_secs(30)).success());

@@ -87,8 +87,15 @@ fn metrics_probe_round_trips_with_bit_identical_quantiles_across_shard_counts() 
                 .histogram(name)
                 .unwrap_or_else(|| panic!("{name} missing at {shards} shard(s)"));
             assert_eq!(h.count, jobs.len() as u64, "{name} at {shards} shard(s)");
-            assert!(!h.nonzero_buckets().is_empty(), "{name} empty at {shards} shard(s)");
-            let (p50, p95, p99) = (h.quantile(50, 100), h.quantile(95, 100), h.quantile(99, 100));
+            assert!(
+                !h.nonzero_buckets().is_empty(),
+                "{name} empty at {shards} shard(s)"
+            );
+            let (p50, p95, p99) = (
+                h.quantile(50, 100),
+                h.quantile(95, 100),
+                h.quantile(99, 100),
+            );
             assert!(p50 > 0 && p95 >= p50 && p99 >= p95, "{name} quantiles");
         }
         assert_eq!(m.counter("shard.jobs"), jobs.len() as u64);
@@ -97,15 +104,23 @@ fn metrics_probe_round_trips_with_bit_identical_quantiles_across_shard_counts() 
         let names: Vec<&str> = m.histograms.iter().map(|(n, _)| n.as_str()).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();
-        assert_eq!(names, sorted, "histograms not name-sorted at {shards} shard(s)");
+        assert_eq!(
+            names, sorted,
+            "histograms not name-sorted at {shards} shard(s)"
+        );
     }
 
     // The deterministic histogram: each job records its constraint count,
     // a shard-count-independent multiset, so the merged buckets — and
     // therefore p50/p95/p99 — must be bit-identical at 1 and 3 shards.
     let a = one.histogram("shard.job_constraints").expect("at 1 shard");
-    let b = three.histogram("shard.job_constraints").expect("at 3 shards");
-    assert_eq!(a, b, "merged job_constraints histogram differs across shard counts");
+    let b = three
+        .histogram("shard.job_constraints")
+        .expect("at 3 shards");
+    assert_eq!(
+        a, b,
+        "merged job_constraints histogram differs across shard counts"
+    );
     assert_eq!(a.count, jobs.len() as u64);
     assert!(a.quantile(50, 100) > 0 && a.quantile(99, 100) >= a.quantile(50, 100));
 }
@@ -133,7 +148,11 @@ fn trace_id_echoes_and_cold_reports_carry_phase_timing() {
         .solve_module_traced(&jobs[0], None, Some("pr8-warm-trace"))
         .expect("warm traced solve");
     assert_eq!(warm.trace_id.as_deref(), Some("pr8-warm-trace"));
-    assert_eq!(warm.stats.phases, PhaseNs::default(), "warm cache hit reported phase work");
+    assert_eq!(
+        warm.stats.phases,
+        PhaseNs::default(),
+        "warm cache hit reported phase work"
+    );
 
     // Untraced requests stay untraced.
     let plain = client.solve_module(&jobs[1]).expect("untraced solve");
@@ -178,8 +197,14 @@ fn drained_spans_reconstruct_a_per_phase_solve_breakdown() {
         outer.start_ns <= inner.start_ns
             && inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns
     };
-    assert!(contains(shard, solve), "driver.solve not inside serve.shard_solve");
-    assert!(contains(solve, scc), "SCC phase span not inside driver.solve");
+    assert!(
+        contains(shard, solve),
+        "driver.solve not inside serve.shard_solve"
+    );
+    assert!(
+        contains(solve, scc),
+        "SCC phase span not inside driver.solve"
+    );
 
     // The Chrome-trace JSONL (what `serve --trace-dir` writes) carries the
     // same breakdown: one complete event per line, attributed to the trace.
@@ -187,7 +212,10 @@ fn drained_spans_reconstruct_a_per_phase_solve_breakdown() {
     let hex = format!("{trace:016x}");
     let mut attributed = 0;
     for line in jsonl.lines() {
-        assert!(line.starts_with('{') && line.ends_with('}'), "not JSONL: {line}");
+        assert!(
+            line.starts_with('{') && line.ends_with('}'),
+            "not JSONL: {line}"
+        );
         if line.contains(&hex) {
             attributed += 1;
         }
@@ -230,7 +258,9 @@ fn metrics_export_interner_growth_after_a_renamed_module() {
     };
     let mut raw = std::net::TcpStream::connect(handle.addr()).expect("raw connect");
     write_frame(&mut raw, &Request::solve_module(module).encode()).expect("send module");
-    let reply = read_frame(&mut raw).expect("read reply").expect("a reply frame");
+    let reply = read_frame(&mut raw)
+        .expect("read reply")
+        .expect("a reply frame");
     assert!(
         matches!(Response::decode(&reply), Ok(Response::Solved(_))),
         "the renamed module must solve"
